@@ -19,6 +19,7 @@ from .metrics import (
     RankVector,
     entropy,
     hard_rank_error,
+    overfit_gap,
     recommend_settings,
     retained_top,
     rho_f_subsample,
@@ -123,8 +124,7 @@ def build_report(
         )
         gap = None
         if all(rec.train_accuracy is not None for rec in group.values()):
-            gaps = [rec.train_accuracy - rec.test_accuracy for rec in group.values()]
-            gap = sum(gaps) / len(gaps)
+            gap = overfit_gap(group.values())
         rows.append(
             ConsistencyRow(
                 label=label,

@@ -227,10 +227,9 @@ class NetworkConfig:
 
     node_count: int
     stack_n: int = 6
-    base_channels: int = 36
 
     def __post_init__(self):
-        if self.stack_n < 1 or self.node_count < 1 or self.base_channels < 1:
+        if self.stack_n < 1 or self.node_count < 1:
             raise GenotypeError("NetworkConfig fields must be positive")
 
     @staticmethod

@@ -10,9 +10,8 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Optional, get_type_hints
 
 from . import analysis
 from .bridge import ExternalEvaluator
@@ -41,6 +40,7 @@ from .search import (
     FlatConfig,
     SearchEngine,
     SearchResult,
+    _evaluate_jobs,
     flat_config_to_econas,
     resolve_op_set,
 )
@@ -243,10 +243,11 @@ def zoo_evaluate(
 ) -> tuple[int, int, int]:
     """Evaluate every (model, setting) pair of the grid into the output log.
 
-    Pairs already present in the log are skipped (resume). Records append as
-    they complete; on success the log is rewritten sorted by (model_id,
-    setting) so the final bytes never depend on scheduling. Returns
-    (completed, failed, total-in-grid).
+    Pairs already present in the log are skipped (resume). The pending pairs
+    run as one batch; their records are appended after the whole batch
+    finishes, then the log is rewritten sorted by (model_id, setting) so the
+    final bytes never depend on scheduling. Returns (completed, failed,
+    total-in-grid).
     """
     models = load_zoo(manifest.zoo_dir)
     own_evaluator = evaluator is None
@@ -274,56 +275,32 @@ def zoo_evaluate(
         if (mid, format_label(setting)) not in done_keys
     ]
 
-    def run(job):
-        mid, g, setting = job
-        result = evaluator.evaluate(g, setting, 0, setting.epochs)
-        return EvaluationRecord(
-            model_id=mid,
-            setting=format_label(setting),
-            test_accuracy=result.accuracy,
-            train_accuracy=result.train_accuracy,
-            epochs_trained=setting.epochs,
-        )
-
     failed = 0
     completed = len(done_keys & {(m, format_label(s)) for m, _, s in jobs})
     os.makedirs(os.path.dirname(os.path.abspath(manifest.output_log)), exist_ok=True)
-    workers = max(1, manifest.workers)
     try:
-        if workers == 1:
-            outcomes = []
-            for job in pending:
-                try:
-                    outcomes.append(run(job))
-                except EvaluatorFailure as exc:
-                    outcomes.append(exc)
-                    logger.warning(
-                        "evaluation failed for %s at %s: %s",
-                        job[0][:12],
-                        format_label(job[2]),
-                        exc,
-                    )
-        else:
-            outcomes = []
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(run, job) for job in pending]
-                for job, future in zip(pending, futures):
-                    try:
-                        outcomes.append(future.result())
-                    except EvaluatorFailure as exc:
-                        outcomes.append(exc)
-                        logger.warning(
-                            "evaluation failed for %s at %s: %s",
-                            job[0][:12],
-                            format_label(job[2]),
-                            exc,
-                        )
+        outcomes = _evaluate_jobs(
+            evaluator,
+            [(g, setting, 0, setting.epochs, None) for _, g, setting in pending],
+            manifest.workers,
+        )
         fresh = []
-        for outcome in outcomes:
+        for (mid, _, setting), outcome in zip(pending, outcomes):
+            label = format_label(setting)
             if isinstance(outcome, EvaluatorFailure):
                 failed += 1
-            else:
-                fresh.append(outcome)
+                logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
+                continue
+            fresh.append(
+                EvaluationRecord(
+                    model_id=mid,
+                    setting=label,
+                    test_accuracy=outcome.accuracy,
+                    train_accuracy=outcome.train_accuracy,
+                    epochs_trained=setting.epochs,
+                )
+            )
+        del outcomes  # the rewrite below reads every record back; keep the peak low
         completed += len(fresh)
         if fresh:
             append_records(manifest.output_log, fresh)
@@ -354,13 +331,42 @@ class SearchCommandConfig:
     econas: Optional[EcoNasConfig]
     flat: Optional[FlatConfig]
     surrogate_params: Optional[SurrogateParams]
-    raw: dict
 
     @property
     def engine_config(self) -> EcoNasConfig:
         if self.algorithm == "hierarchical":
             return self.econas
         return flat_config_to_econas(self.flat)
+
+
+def _config_from_obj(cls, obj):
+    """Build ``cls`` from the search config's ``config`` object. Missing keys
+    take the dataclass default; unknown keys and values that do not convert
+    to the field's type are rejected."""
+    if not isinstance(obj, dict):
+        raise HarnessError("search config 'config' must be an object")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise HarnessError("unknown search config key(s): %s" % ", ".join(unknown))
+    kwargs = {}
+    for name, value in obj.items():
+        hint = hints[name]
+        try:
+            if value is None and hint == Optional[int]:
+                kwargs[name] = None
+            elif hint in (int, Optional[int]):
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValueError(value)
+                kwargs[name] = int(value)
+            else:  # tier_weights; EcoNasConfig checks its values
+                kwargs[name] = tuple(value)
+        except (TypeError, ValueError):
+            raise HarnessError("search config key %r: bad value %r" % (name, value)) from None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise HarnessError("search config: %s" % exc) from None
 
 
 def load_search_config(path: str) -> SearchCommandConfig:
@@ -382,52 +388,33 @@ def load_search_config(path: str) -> SearchCommandConfig:
     if "e" not in raw_setting:
         raw_setting += "e1"  # engine substitutes per-span epochs
     setting = parse_label(raw_setting, table)
-    cfg_obj = dict(obj.get("config", {}))
+    cfg_obj = obj.get("config", {})
     econas_cfg = None
     flat_cfg = None
     if algorithm == "hierarchical":
-        econas_cfg = EcoNasConfig(
-            n_init=int(cfg_obj.get("n_init", 50)),
-            cycles=int(cfg_obj.get("cycles", 100)),
-            epoch_unit=int(cfg_obj.get("epoch_unit", 20)),
-            mutants_per_cycle=int(cfg_obj.get("mutants_per_cycle", 16)),
-            promote_to_2e=int(cfg_obj.get("promote_to_2e", 8)),
-            promote_to_3e=int(cfg_obj.get("promote_to_3e", 4)),
-            tier_weights=tuple(cfg_obj.get("tier_weights", (1.0, 2.0, 4.0))),
-            cap_e=cfg_obj.get("cap_e"),
-            cap_2e=cfg_obj.get("cap_2e"),
-            cap_3e=cfg_obj.get("cap_3e"),
-            top_k_return=int(cfg_obj.get("top_k_return", 5)),
-            seed=int(cfg_obj.get("seed", 0)),
-        )
+        econas_cfg = _config_from_obj(EcoNasConfig, cfg_obj)
     else:
-        flat_cfg = FlatConfig(
-            n_init=int(cfg_obj.get("n_init", 50)),
-            cycles=int(cfg_obj.get("cycles", 100)),
-            mutants_per_cycle=int(cfg_obj.get("mutants_per_cycle", 16)),
-            epochs=int(cfg_obj.get("epochs", 35)),
-            capacity=cfg_obj.get("capacity"),
-            top_k_return=int(cfg_obj.get("top_k_return", 5)),
-            seed=int(cfg_obj.get("seed", 0)),
-        )
+        flat_cfg = _config_from_obj(FlatConfig, cfg_obj)
     params = None
     if obj.get("surrogate_params"):
         ppath = str(obj["surrogate_params"])
         params = SurrogateParams.load(ppath if os.path.isabs(ppath) else os.path.join(base, ppath))
-    node_count = int(obj.get("node_count", 4))
+    network = replace(
+        NetworkConfig.for_search(),
+        **{f.name: int(obj[f.name]) for f in fields(NetworkConfig) if f.name in obj},
+    )
     return SearchCommandConfig(
         algorithm=algorithm,
         table=table,
         setting=setting,
         evaluator_spec=str(obj.get("evaluator", "surrogate")),
         op_set=resolve_op_set(str(obj.get("op_set", "search8"))),
-        network=NetworkConfig(node_count=node_count, stack_n=int(obj.get("stack_n", 6))),
+        network=network,
         output_rule=OutputRule(obj.get("output_rule", "unused_only")),
         workers=int(obj.get("workers", 1)),
         econas=econas_cfg,
         flat=flat_cfg,
         surrogate_params=params,
-        raw=obj,
     )
 
 
@@ -482,6 +469,7 @@ def run_search(
 
 def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir: str) -> None:
     write_log(os.path.join(out_dir, "history.jsonl"), result.history_records())
+    ledger = result.ledger
 
     ledger_path = os.path.join(out_dir, "ledger.jsonl")
     tmp = ledger_path + ".tmp"
@@ -492,19 +480,8 @@ def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir
             )
             + "\n"
         )
-        for e in result.ledger.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "cycle": e.cycle,
-                        "model_id": e.model_id,
-                        "start_epoch": e.start_epoch,
-                        "end_epoch": e.end_epoch,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for e in ledger.entries:
+            fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
     os.replace(tmp, ledger_path)
 
     summary = {
@@ -512,8 +489,8 @@ def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir
         "kind": "search_summary",
         "algorithm": cfg.algorithm,
         "setting": format_label(cfg.setting),
-        "models_trained_from_scratch": result.ledger.from_scratch_models,
-        "total_trained_epochs": result.ledger.total_epochs,
+        "models_trained_from_scratch": ledger.from_scratch_models,
+        "total_trained_epochs": ledger.total_epochs,
         "history_entries": len(result.history),
         "top": [
             {

@@ -148,11 +148,3 @@ def by_setting(records: Iterable[EvaluationRecord]) -> dict[str, dict[str, Evalu
         grouped.setdefault(rec.setting, {})[rec.model_id] = rec
     return grouped
 
-
-def accuracies_by_setting(
-    records: Iterable[EvaluationRecord],
-) -> dict[str, dict[str, float]]:
-    return {
-        setting: {mid: rec.test_accuracy for mid, rec in group.items()}
-        for setting, group in by_setting(records).items()
-    }

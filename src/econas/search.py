@@ -5,8 +5,10 @@ The population is split into three tiers holding candidates trained for E,
 trained tiers are more likely), trains the children for E epochs, promotes
 the most accurate candidates one tier up with E more epochs of training,
 and ages out the oldest candidates beyond each tier's capacity. Every
-completed training segment lands in an append-only history and a budget
-ledger; the final answer is read from history alone.
+completed training segment lands in an append-only history, and the final
+answer is read from history alone. The budget ledger is a view of that
+history (each entry is one epoch unit of training ending at the entry's
+``epochs_trained``), so checkpoints store history but no ledger.
 
 All randomness is derived per (master seed, cycle, slot), and each cycle's
 child evaluations are independent jobs joined in slot order, so results are
@@ -19,7 +21,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .evaluator import Evaluator, EvaluatorFailure
@@ -145,6 +147,19 @@ class HistoryEntry:
     train_accuracy: Optional[float]
     epochs_trained: int
 
+    @classmethod
+    def from_outcome(cls, cycle: int, model_id: str, setting: ReducedSetting, outcome):
+        """The entry for a segment that trained ``model_id`` up to
+        ``setting.epochs`` epochs."""
+        return cls(
+            cycle=cycle,
+            model_id=model_id,
+            setting=format_label(setting),
+            accuracy=outcome.accuracy,
+            train_accuracy=outcome.train_accuracy,
+            epochs_trained=setting.epochs,
+        )
+
     def to_record(self) -> EvaluationRecord:
         return EvaluationRecord(
             model_id=self.model_id,
@@ -167,8 +182,15 @@ class LedgerEntry:
 class BudgetLedger:
     entries: list = field(default_factory=list)
 
-    def add(self, entry: LedgerEntry) -> None:
-        self.entries.append(entry)
+    @classmethod
+    def from_history(cls, history: list, epoch_unit: int) -> "BudgetLedger":
+        """Every history entry is one segment of ``epoch_unit`` epochs."""
+        return cls(
+            [
+                LedgerEntry(h.cycle, h.model_id, h.epochs_trained - epoch_unit, h.epochs_trained)
+                for h in history
+            ]
+        )
 
     @property
     def total_epochs(self) -> int:
@@ -191,7 +213,11 @@ class TopModel:
 class SearchResult:
     top: list
     history: list
-    ledger: BudgetLedger
+    epoch_unit: int
+
+    @property
+    def ledger(self) -> BudgetLedger:
+        return BudgetLedger.from_history(self.history, self.epoch_unit)
 
     def history_records(self) -> list:
         return [entry.to_record() for entry in self.history]
@@ -289,7 +315,6 @@ def promote(
     cfg: EcoNasConfig,
     cycle: int = 0,
     history: Optional[list] = None,
-    ledger: Optional[BudgetLedger] = None,
     workers: int = 1,
 ) -> None:
     """Train the top min(n, tier size) candidates of ``from_tier`` for one
@@ -324,23 +349,15 @@ def promote(
                 outcome,
             )
             continue
-        start = cand.epochs_trained
         cand.epochs_trained += cfg.epoch_unit
         cand.accuracy = outcome.accuracy
         cand.resume_token = outcome.resume_token
         source[:] = [c for c in source if c is not cand]
         target.append(cand)
-        if ledger is not None:
-            ledger.add(LedgerEntry(cycle, cand.model_id, start, cand.epochs_trained))
         if history is not None:
             history.append(
-                HistoryEntry(
-                    cycle=cycle,
-                    model_id=cand.model_id,
-                    setting=format_label(setting.with_epochs(cand.epochs_trained)),
-                    accuracy=outcome.accuracy,
-                    train_accuracy=outcome.train_accuracy,
-                    epochs_trained=cand.epochs_trained,
+                HistoryEntry.from_outcome(
+                    cycle, cand.model_id, setting.with_epochs(cand.epochs_trained), outcome
                 )
             )
 
@@ -365,7 +382,6 @@ def _top_models(history: list, genotypes: dict, top_k: int) -> list:
 class _EngineState:
     tiers: PopulationTiers
     history: list
-    ledger: BudgetLedger
     genotypes: dict
     seq_counter: int
     next_cycle: int  # 0 = initialization still pending
@@ -398,7 +414,6 @@ class SearchEngine:
         self.state = _EngineState(
             tiers=PopulationTiers(),
             history=[],
-            ledger=BudgetLedger(),
             genotypes={},
             seq_counter=0,
             next_cycle=0,
@@ -424,7 +439,7 @@ class SearchEngine:
                 self.state.history, self.state.genotypes, self.cfg.top_k_return
             ),
             history=list(self.state.history),
-            ledger=self.state.ledger,
+            epoch_unit=self.cfg.epoch_unit,
         )
 
     # -- steps -------------------------------------------------------------
@@ -433,19 +448,6 @@ class SearchEngine:
         mid = genotype.content_hash
         self.state.genotypes.setdefault(mid, genotype)
         return mid
-
-    def _record(self, cycle, model_id, setting, start, end, outcome):
-        self.state.ledger.add(LedgerEntry(cycle, model_id, start, end))
-        self.state.history.append(
-            HistoryEntry(
-                cycle=cycle,
-                model_id=model_id,
-                setting=format_label(setting),
-                accuracy=outcome.accuracy,
-                train_accuracy=outcome.train_accuracy,
-                epochs_trained=end,
-            )
-        )
 
     def _initialize(self) -> None:
         cfg = self.cfg
@@ -466,7 +468,7 @@ class SearchEngine:
                 logger.warning("initial model %s dropped: %s", mid[:12], outcome)
                 continue
             survivors += 1
-            self._record(0, mid, setting, 0, span, outcome)
+            self.state.history.append(HistoryEntry.from_outcome(0, mid, setting, outcome))
             self._insert_tier_e(g, mid, outcome, birth_cycle=0)
         if survivors == 0:
             raise SearchError("every initial evaluation failed")
@@ -477,7 +479,7 @@ class SearchEngine:
 
     def _insert_tier_e(self, g: Genotype, mid: str, outcome, birth_cycle: int) -> None:
         # One live candidate per architecture: a rediscovered hash is logged
-        # to history/ledger by the caller but does not enter the tiers twice.
+        # to history by the caller but does not enter the tiers twice.
         if mid in self._live_hashes():
             return
         self.state.tiers.tier_e.append(
@@ -523,7 +525,7 @@ class SearchEngine:
                 failures += 1
                 logger.warning("child %s dropped in cycle %d: %s", mid[:12], cycle, outcome)
                 continue
-            self._record(cycle, mid, setting, 0, span, outcome)
+            self.state.history.append(HistoryEntry.from_outcome(cycle, mid, setting, outcome))
             self._insert_tier_e(g, mid, outcome, birth_cycle=cycle)
         if failures >= cfg.mutants_per_cycle:
             raise SearchError("all %d child evaluations failed in cycle %d" % (failures, cycle))
@@ -537,7 +539,6 @@ class SearchEngine:
             cfg,
             cycle=cycle,
             history=self.state.history,
-            ledger=self.state.ledger,
             workers=self.workers,
         )
         promote(
@@ -549,25 +550,14 @@ class SearchEngine:
             cfg,
             cycle=cycle,
             history=self.state.history,
-            ledger=self.state.ledger,
             workers=self.workers,
         )
         remove_dead(self.state.tiers, cfg)
 
     # -- checkpointing -------------------------------------------------------
 
-    def _candidate_obj(self, cand: Candidate) -> dict:
-        return {
-            "model_id": cand.model_id,
-            "accuracy": cand.accuracy,
-            "epochs_trained": cand.epochs_trained,
-            "birth_cycle": cand.birth_cycle,
-            "seq": cand.seq,
-            "resume_token": cand.resume_token,
-        }
-
-    def checkpoint_obj(self) -> dict:
-        st = self.state
+    def _checkpoint_header(self) -> dict:
+        """What a checkpoint must agree on with the engine that resumes it."""
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "search_checkpoint",
@@ -578,34 +568,23 @@ class SearchEngine:
             "node_count": self.network.node_count,
             "stack_n": self.network.stack_n,
             "output_rule": self.output_rule.value,
+        }
+
+    def checkpoint_obj(self) -> dict:
+        st = self.state
+        return {
+            **self._checkpoint_header(),
             "next_cycle": st.next_cycle,
             "seq_counter": st.seq_counter,
             "genotypes": {mid: encode(g) for mid, g in sorted(st.genotypes.items())},
             "tiers": {
-                "e": [self._candidate_obj(c) for c in st.tiers.tier_e],
-                "2e": [self._candidate_obj(c) for c in st.tiers.tier_2e],
-                "3e": [self._candidate_obj(c) for c in st.tiers.tier_3e],
+                _tier_key(f): [
+                    {k: getattr(c, k) for k in _CANDIDATE_KEYS}
+                    for c in getattr(st.tiers, f.name)
+                ]
+                for f in fields(PopulationTiers)
             },
-            "history": [
-                {
-                    "cycle": h.cycle,
-                    "model_id": h.model_id,
-                    "setting": h.setting,
-                    "accuracy": h.accuracy,
-                    "train_accuracy": h.train_accuracy,
-                    "epochs_trained": h.epochs_trained,
-                }
-                for h in st.history
-            ],
-            "ledger": [
-                {
-                    "cycle": e.cycle,
-                    "model_id": e.model_id,
-                    "start_epoch": e.start_epoch,
-                    "end_epoch": e.end_epoch,
-                }
-                for e in st.ledger.entries
-            ],
+            "history": [{k: getattr(h, k) for k in _HISTORY_KEYS} for h in st.history],
         }
 
     def _write_checkpoint(self) -> None:
@@ -618,74 +597,49 @@ class SearchEngine:
         os.replace(tmp, self.checkpoint_path)
 
     def load_checkpoint_obj(self, obj: dict) -> None:
-        if obj.get("kind") != "search_checkpoint":
-            raise SearchError("not a search checkpoint")
-        if obj.get("algorithm") != self.algorithm:
-            raise SearchError("checkpoint algorithm %r does not match" % obj.get("algorithm"))
-        if config_to_obj(self.cfg) != obj.get("config"):
-            raise SearchError("checkpoint config does not match the requested config")
-        if format_label(self.setting_base) != obj.get("setting"):
-            raise SearchError("checkpoint setting does not match")
+        """Restore state from a checkpoint; a ``"ledger"`` section written by
+        older versions is ignored, since the ledger is derived from history."""
+        for key, expected in self._checkpoint_header().items():
+            if obj.get(key) != expected:
+                raise SearchError(
+                    "checkpoint %s %r does not match the requested %r"
+                    % (key, obj.get(key), expected)
+                )
         genotypes = {mid: decode(doc) for mid, doc in obj["genotypes"].items()}
-
-        def load_cand(c) -> Candidate:
-            return Candidate(
-                genotype=genotypes[c["model_id"]],
-                model_id=c["model_id"],
-                accuracy=c["accuracy"],
-                epochs_trained=c["epochs_trained"],
-                birth_cycle=c["birth_cycle"],
-                seq=c["seq"],
-                resume_token=c["resume_token"],
-            )
-
-        tiers = PopulationTiers(
-            tier_e=[load_cand(c) for c in obj["tiers"]["e"]],
-            tier_2e=[load_cand(c) for c in obj["tiers"]["2e"]],
-            tier_3e=[load_cand(c) for c in obj["tiers"]["3e"]],
-        )
-        history = [
-            HistoryEntry(
-                cycle=h["cycle"],
-                model_id=h["model_id"],
-                setting=h["setting"],
-                accuracy=h["accuracy"],
-                train_accuracy=h["train_accuracy"],
-                epochs_trained=h["epochs_trained"],
-            )
-            for h in obj["history"]
-        ]
-        ledger = BudgetLedger(
-            [
-                LedgerEntry(e["cycle"], e["model_id"], e["start_epoch"], e["end_epoch"])
-                for e in obj["ledger"]
+        tiers = {
+            f.name: [
+                Candidate(genotype=genotypes[c["model_id"]], **c)
+                for c in obj["tiers"][_tier_key(f)]
             ]
-        )
+            for f in fields(PopulationTiers)
+        }
         self.state = _EngineState(
-            tiers=tiers,
-            history=history,
-            ledger=ledger,
+            tiers=PopulationTiers(**tiers),
+            history=[HistoryEntry(**h) for h in obj["history"]],
             genotypes=genotypes,
             seq_counter=obj["seq_counter"],
             next_cycle=obj["next_cycle"],
         )
 
 
+_CANDIDATE_KEYS = tuple(f.name for f in fields(Candidate) if f.name != "genotype")
+_HISTORY_KEYS = tuple(f.name for f in fields(HistoryEntry))
+
+
+def _tier_key(tier_field) -> str:
+    """Checkpoint key of a PopulationTiers field: 'tier_2e' -> '2e'."""
+    return tier_field.name.removeprefix("tier_")
+
+
 def config_to_obj(cfg: EcoNasConfig) -> dict:
-    return {
-        "n_init": cfg.n_init,
-        "cycles": cfg.cycles,
-        "epoch_unit": cfg.epoch_unit,
-        "mutants_per_cycle": cfg.mutants_per_cycle,
-        "promote_to_2e": cfg.promote_to_2e,
-        "promote_to_3e": cfg.promote_to_3e,
-        "tier_weights": list(cfg.tier_weights),
-        "cap_e": cfg.capacity_e,
-        "cap_2e": cfg.capacity_2e,
-        "cap_3e": cfg.capacity_3e,
-        "top_k_return": cfg.top_k_return,
-        "seed": cfg.seed,
-    }
+    """The config as stored in checkpoints, with tier capacities resolved."""
+    return dict(
+        asdict(cfg),
+        tier_weights=list(cfg.tier_weights),
+        cap_e=cfg.capacity_e,
+        cap_2e=cfg.capacity_2e,
+        cap_3e=cfg.capacity_3e,
+    )
 
 
 def econas_search(

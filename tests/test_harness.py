@@ -23,6 +23,7 @@ from econas.harness import (
 )
 from econas.proxy import CIFAR10_TABLE, parse_label
 from econas.records import EvaluationRecord, read_log, write_log
+from econas.search import EcoNasConfig, FlatConfig
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
 
@@ -377,15 +378,43 @@ def test_search_stop_and_resume_matches_uninterrupted(tmp_path):
     assert _dir_bytes(part / "top") == _dir_bytes(full / "top")
 
 
-def test_search_resume_with_other_config_refused(tmp_path):
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", 99),
+        ("op_set", "zoo13"),
+        ("node_count", 2),
+        ("stack_n", 3),
+        ("output_rule", "all_intermediate"),
+    ],
+)
+def test_search_resume_with_other_config_refused(tmp_path, key, value):
     config = _search_config(tmp_path)
     out = tmp_path / "run"
     main(["search", "--config", config, "--out", str(out), "--stop-after-cycle", "1"])
-    other = _search_config(tmp_path, name="other.json")
-    obj = json.loads(open(other).read())
-    obj["config"]["seed"] = 99
-    open(other, "w").write(json.dumps(obj))
-    assert main(["search", "--config", other, "--out", str(out), "--resume"]) == 2
+    obj = json.loads(open(config).read())
+    (obj["config"] if key == "seed" else obj)[key] = value
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(obj))
+    assert main(["search", "--config", str(other), "--out", str(out), "--resume"]) == 2
+
+
+def test_resume_checkpoint_with_stored_ledger(tmp_path):
+    # Written by a version that stored the budget ledger in the checkpoint:
+    # the _search_config run stopped after cycle 2.
+    old = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v1_cycle2.json")
+    with open(old, "r", encoding="utf-8") as fh:
+        assert "ledger" in json.load(fh)
+    config = _search_config(tmp_path)
+    full = tmp_path / "full"
+    assert main(["search", "--config", config, "--out", str(full)]) == 0
+    part = tmp_path / "part"
+    part.mkdir()
+    (part / "checkpoint.json").write_bytes(open(old, "rb").read())
+    assert main(["search", "--config", config, "--out", str(part), "--resume"]) == 0
+    for name in ("history.jsonl", "ledger.jsonl", "summary.json"):
+        assert (part / name).read_bytes() == (full / name).read_bytes()
+    assert "ledger" not in json.loads((part / "checkpoint.json").read_text())
 
 
 def test_flat_search_cli(tmp_path):
@@ -487,3 +516,36 @@ def test_load_search_config_fields(tmp_path):
     assert cfg.econas.n_init == 8
     with pytest.raises(HarnessError):
         load_search_config(_search_config(tmp_path, name="bad.json", algorithm="magic"))
+
+
+def test_load_search_config_empty_config_takes_defaults(tmp_path):
+    path = _search_config(tmp_path, config={})
+    assert load_search_config(path).econas == EcoNasConfig()
+    path = _search_config(tmp_path, name="flat.json", algorithm="flat", config={})
+    assert load_search_config(path).flat == FlatConfig()
+
+
+def test_load_search_config_rejects_unknown_key(tmp_path):
+    path = _search_config(tmp_path, config={"cycels": 3})
+    with pytest.raises(HarnessError, match="cycels"):
+        load_search_config(path)
+    assert main(["search", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_load_search_config_coerces_or_rejects_values(tmp_path):
+    path = _search_config(tmp_path, config={"cap_e": "4", "cap_2e": 3, "cap_3e": None})
+    cfg = load_search_config(path).econas
+    assert (cfg.cap_e, cfg.cap_2e, cfg.cap_3e) == (4, 3, None)
+    path = _search_config(tmp_path, name="flat.json", algorithm="flat", config={"capacity": "7"})
+    assert load_search_config(path).flat.capacity == 7
+    for key in ("cap_e", "cap_2e", "cap_3e"):
+        path = _search_config(tmp_path, name="bad.json", config={key: "four"})
+        with pytest.raises(HarnessError, match=key):
+            load_search_config(path)
+    path = _search_config(tmp_path, name="bad.json", algorithm="flat", config={"capacity": [7]})
+    with pytest.raises(HarnessError, match="capacity"):
+        load_search_config(path)
+    path = _search_config(tmp_path, name="bad.json", config={"cycles": 2.9})
+    with pytest.raises(HarnessError, match="cycles"):
+        load_search_config(path)
