@@ -216,9 +216,14 @@ class Genotype:
         return self.normal.node_count
 
     @functools.cached_property
+    def _document(self) -> str:
+        """The canonical document, built once per instance from the fields."""
+        return _build_document(self)
+
+    @functools.cached_property
     def content_hash(self) -> str:
         """Canonical content hash; equal iff the genotypes are structurally equal."""
-        return hashlib.sha256(encode(self).encode("utf-8")).hexdigest()
+        return hashlib.sha256(self._document.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -362,9 +367,7 @@ def _cell_to_obj(cell: CellSpec) -> dict:
     }
 
 
-def encode(g: Genotype) -> str:
-    """Canonical text document: fixed key order, fixed whitespace, so the
-    document (and its hash) is stable for structurally equal genotypes."""
+def _build_document(g: Genotype) -> str:
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": "genotype",
@@ -374,6 +377,15 @@ def encode(g: Genotype) -> str:
         "reduction": _cell_to_obj(g.reduction),
     }
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def encode(g: Genotype) -> str:
+    """Canonical text document: fixed key order, fixed whitespace, so the
+    document (and its hash) is stable for structurally equal genotypes.
+
+    The document is built from the genotype's fields on first use and cached
+    on the instance; later calls return the same string."""
+    return g._document
 
 
 def _parse_op(value, path: str) -> OperationKind:

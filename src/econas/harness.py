@@ -39,6 +39,7 @@ from .search import (
     EcoNasConfig,
     FlatConfig,
     SearchEngine,
+    SearchError,
     SearchResult,
     _evaluate_jobs,
     flat_config_to_econas,
@@ -356,9 +357,7 @@ def _config_from_obj(cls, obj):
             if value is None and hint == Optional[int]:
                 kwargs[name] = None
             elif hint in (int, Optional[int]):
-                if isinstance(value, float) and not value.is_integer():
-                    raise ValueError(value)
-                kwargs[name] = int(value)
+                kwargs[name] = _int_value(name, value)
             else:  # tier_weights; EcoNasConfig checks its values
                 kwargs[name] = tuple(value)
         except (TypeError, ValueError):
@@ -369,11 +368,31 @@ def _config_from_obj(cls, obj):
         raise HarnessError("search config: %s" % exc) from None
 
 
+def _int_value(name: str, value) -> int:
+    """``value`` as an int; fractional numbers and non-numbers are rejected."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return int(value)
+    except (TypeError, ValueError):
+        raise HarnessError("search config key %r: bad value %r" % (name, value)) from None
+
+
+# Top-level keys of a search config; everything else is a typo.
+_SEARCH_CONFIG_KEYS = frozenset({
+    "schema_version", "kind", "algorithm", "table", "setting", "evaluator", "op_set",
+    "node_count", "stack_n", "output_rule", "workers", "config", "surrogate_params",
+})
+
+
 def load_search_config(path: str) -> SearchCommandConfig:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("kind") != "search_config":
+    if not isinstance(obj, dict) or obj.get("kind") != "search_config":
         raise HarnessError("%s is not a search config" % path)
+    unknown = sorted(set(obj) - _SEARCH_CONFIG_KEYS)
+    if unknown:
+        raise HarnessError("unknown search config key(s): %s" % ", ".join(unknown))
     base = os.path.dirname(os.path.abspath(path))
     algorithm = obj.get("algorithm", "hierarchical")
     if algorithm not in ("hierarchical", "flat"):
@@ -401,8 +420,19 @@ def load_search_config(path: str) -> SearchCommandConfig:
         params = SurrogateParams.load(ppath if os.path.isabs(ppath) else os.path.join(base, ppath))
     network = replace(
         NetworkConfig.for_search(),
-        **{f.name: int(obj[f.name]) for f in fields(NetworkConfig) if f.name in obj},
+        **{
+            f.name: _int_value(f.name, obj[f.name])
+            for f in fields(NetworkConfig)
+            if f.name in obj
+        },
     )
+    try:
+        output_rule = OutputRule(obj.get("output_rule", "unused_only"))
+    except ValueError:
+        raise HarnessError(
+            "search config key 'output_rule': unknown rule %r (choose from %s)"
+            % (obj["output_rule"], ", ".join(r.value for r in OutputRule))
+        ) from None
     return SearchCommandConfig(
         algorithm=algorithm,
         table=table,
@@ -410,8 +440,8 @@ def load_search_config(path: str) -> SearchCommandConfig:
         evaluator_spec=str(obj.get("evaluator", "surrogate")),
         op_set=resolve_op_set(str(obj.get("op_set", "search8"))),
         network=network,
-        output_rule=OutputRule(obj.get("output_rule", "unused_only")),
-        workers=int(obj.get("workers", 1)),
+        output_rule=output_rule,
+        workers=_int_value("workers", obj.get("workers", 1)),
         econas=econas_cfg,
         flat=flat_cfg,
         surrogate_params=params,
@@ -455,8 +485,15 @@ def run_search(
                 "force to start over" % out_dir
             )
         if resume:
-            with open(checkpoint_path, "r", encoding="utf-8") as fh:
-                engine.load_checkpoint_obj(json.load(fh))
+            try:
+                with open(checkpoint_path, "r", encoding="utf-8") as fh:
+                    engine.load_checkpoint_obj(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise HarnessError(
+                    "cannot resume from %s: not valid JSON (%s)" % (checkpoint_path, exc)
+                ) from None
+            except (ValueError, SearchError) as exc:  # not UTF-8, or a bad section
+                raise HarnessError("cannot resume from %s: %s" % (checkpoint_path, exc)) from None
     try:
         result = engine.run(stop_after_cycle=stop_after_cycle)
     finally:

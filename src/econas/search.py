@@ -21,7 +21,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from .evaluator import Evaluator, EvaluatorFailure
@@ -385,6 +385,11 @@ class _EngineState:
     genotypes: dict
     seq_counter: int
     next_cycle: int  # 0 = initialization still pending
+    # JSON text of the two append-only checkpoint sections, made by the first
+    # write that needs it. It lives with the state, so a restored state starts
+    # without any.
+    genotype_json: dict = field(default_factory=dict)  # id -> '"<id>": "<doc>"'
+    history_json: list = field(default_factory=list)  # one object per entry
 
 
 class SearchEngine:
@@ -570,13 +575,13 @@ class SearchEngine:
             "output_rule": self.output_rule.value,
         }
 
-    def checkpoint_obj(self) -> dict:
+    def _small_sections(self) -> dict:
+        """Every checkpoint section except the append-only genotypes and history."""
         st = self.state
         return {
             **self._checkpoint_header(),
             "next_cycle": st.next_cycle,
             "seq_counter": st.seq_counter,
-            "genotypes": {mid: encode(g) for mid, g in sorted(st.genotypes.items())},
             "tiers": {
                 _tier_key(f): [
                     {k: getattr(c, k) for k in _CANDIDATE_KEYS}
@@ -584,27 +589,68 @@ class SearchEngine:
                 ]
                 for f in fields(PopulationTiers)
             },
-            "history": [{k: getattr(h, k) for k in _HISTORY_KEYS} for h in st.history],
+        }
+
+    def checkpoint_obj(self) -> dict:
+        st = self.state
+        return {
+            **self._small_sections(),
+            "genotypes": {mid: encode(g) for mid, g in sorted(st.genotypes.items())},
+            "history": [_history_obj(h) for h in st.history],
         }
 
     def _write_checkpoint(self) -> None:
+        """Write ``json.dumps(self.checkpoint_obj(), sort_keys=True)`` plus a
+        newline, atomically. The genotypes and history are streamed from JSON
+        text made once per genotype and per entry, never joined into one
+        checkpoint-sized string."""
         if self.checkpoint_path is None:
             return
+        st = self.state
+        for mid in st.genotypes.keys() - st.genotype_json.keys():
+            g = st.genotypes[mid]
+            st.genotype_json[mid] = "%s: %s" % (json.dumps(mid), json.dumps(encode(g)))
+            # An equal genotype without the cached document, so the table does
+            # not keep a second copy of what the fragment already holds.
+            st.genotypes[mid] = replace(g)
+        st.history_json.extend(
+            json.dumps(_history_obj(h), sort_keys=True)
+            for h in st.history[len(st.history_json):]
+        )
+        streamed = {
+            "genotypes": ("{}", [st.genotype_json[mid] for mid in sorted(st.genotype_json)]),
+            "history": ("[]", st.history_json),
+        }
+        sections = {**self._small_sections(), **streamed}
         tmp = self.checkpoint_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.checkpoint_obj(), fh, sort_keys=True)
-            fh.write("\n")
+            for i, key in enumerate(sorted(sections)):
+                fh.write("%s%s: " % ("{" if i == 0 else ", ", json.dumps(key)))
+                if key in streamed:
+                    _write_members(fh, *streamed[key])
+                else:
+                    fh.write(json.dumps(sections[key], sort_keys=True))
+            fh.write("}\n")
         os.replace(tmp, self.checkpoint_path)
 
     def load_checkpoint_obj(self, obj: dict) -> None:
         """Restore state from a checkpoint; a ``"ledger"`` section written by
         older versions is ignored, since the ledger is derived from history."""
+        if not isinstance(obj, dict):
+            raise SearchError("checkpoint is not a JSON object")
         for key, expected in self._checkpoint_header().items():
             if obj.get(key) != expected:
                 raise SearchError(
                     "checkpoint %s %r does not match the requested %r"
                     % (key, obj.get(key), expected)
                 )
+        missing = [
+            key
+            for key in ("next_cycle", "seq_counter", "genotypes", "tiers", "history")
+            if key not in obj
+        ]
+        if missing:
+            raise SearchError("checkpoint lacks section(s): %s" % ", ".join(missing))
         genotypes = {mid: decode(doc) for mid, doc in obj["genotypes"].items()}
         tiers = {
             f.name: [
@@ -624,6 +670,24 @@ class SearchEngine:
 
 _CANDIDATE_KEYS = tuple(f.name for f in fields(Candidate) if f.name != "genotype")
 _HISTORY_KEYS = tuple(f.name for f in fields(HistoryEntry))
+
+
+def _history_obj(h: HistoryEntry) -> dict:
+    return {k: getattr(h, k) for k in _HISTORY_KEYS}
+
+
+_JOIN_CHUNK = 64
+
+
+def _write_members(fh, brackets: str, members: list) -> None:
+    """Write a JSON container from its members' serialized text, joining at
+    most ``_JOIN_CHUNK`` members at a time."""
+    fh.write(brackets[0])
+    for start in range(0, len(members), _JOIN_CHUNK):
+        if start:
+            fh.write(", ")
+        fh.write(", ".join(members[start:start + _JOIN_CHUNK]))
+    fh.write(brackets[1])
 
 
 def _tier_key(tier_field) -> str:

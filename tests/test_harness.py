@@ -417,6 +417,23 @@ def test_resume_checkpoint_with_stored_ledger(tmp_path):
     assert "ledger" not in json.loads((part / "checkpoint.json").read_text())
 
 
+def test_resume_from_damaged_checkpoint_is_a_user_error(tmp_path, capsys):
+    config = _search_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["search", "--config", config, "--out", str(out), "--stop-after-cycle", "2"]) == 0
+    ckpt = out / "checkpoint.json"
+    whole = ckpt.read_bytes()
+    obj = json.loads(whole)
+    del obj["history"]
+    for damaged, reason in ((whole[:500], "JSON"), (json.dumps(obj).encode(), "history")):
+        ckpt.write_bytes(damaged)
+        capsys.readouterr()
+        assert main(["search", "--config", config, "--out", str(out), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and reason in err
+        assert "Traceback" not in err
+
+
 def test_flat_search_cli(tmp_path):
     config = _search_config(
         tmp_path,
@@ -549,3 +566,29 @@ def test_load_search_config_coerces_or_rejects_values(tmp_path):
     path = _search_config(tmp_path, name="bad.json", config={"cycles": 2.9})
     with pytest.raises(HarnessError, match="cycles"):
         load_search_config(path)
+
+
+def test_load_search_config_rejects_unknown_top_level_key(tmp_path):
+    path = _search_config(tmp_path, workerz=4)
+    with pytest.raises(HarnessError, match="workerz"):
+        load_search_config(path)
+    assert main(["search", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_load_search_config_top_level_values(tmp_path):
+    path = _search_config(tmp_path, stack_n="3", workers=2.0, output_rule="all_intermediate")
+    cfg = load_search_config(path)
+    assert (cfg.network.stack_n, cfg.workers, cfg.output_rule) == (
+        3, 2, OutputRule.ALL_INTERMEDIATE
+    )
+    for key, value in (
+        ("node_count", "x"),
+        ("stack_n", [6]),
+        ("workers", 1.5),
+        ("output_rule", "nope"),
+    ):
+        path = _search_config(tmp_path, name="bad.json", **{key: value})
+        with pytest.raises(HarnessError, match=key):
+            load_search_config(path)
+        assert main(["search", "--config", path, "--out", str(tmp_path / "run")]) == 2

@@ -1,5 +1,9 @@
 """Property tests over generated inputs (hypothesis)."""
 
+import dataclasses
+import hashlib
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from econas.genotype import (
@@ -68,3 +72,29 @@ def test_mutation_chain_stays_valid_and_single_step(seed, node_count, zoo, mutat
         child.reduction.validate()
         assert decode(encode(child)) == child
         current = child
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    node_count=st.integers(1, 6),
+    zoo=st.booleans(),
+    mutations=st.integers(0, 4),
+    indent=st.sampled_from([None, 0, 2, "\t"]),
+)
+def test_cached_document_is_canonical(seed, node_count, zoo, mutations, indent):
+    op_set = ZOO13 if zoo else SEARCH8
+    rule = OutputRule.ALL_INTERMEDIATE if zoo else OutputRule.UNUSED_ONLY
+    g = random_genotype(
+        derive_rng("doc", seed), NetworkConfig(node_count=node_count), op_set, rule
+    )
+    for step in range(mutations):
+        g = mutate(g, derive_rng("doc-mut", seed, step))
+    doc = encode(g)
+    assert encode(g) is doc  # built once per instance
+    assert encode(dataclasses.replace(g)) == doc  # an uncached re-encoding
+    assert g.content_hash == hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    assert decode(doc) == g
+    # Decoding other whitespace re-encodes from the fields, not the input text.
+    other = json.dumps(json.loads(doc), indent=indent)
+    assert other != doc
+    assert encode(decode(other)) == doc

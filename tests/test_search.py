@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -357,6 +358,102 @@ def test_checkpoint_config_mismatch_refused(tmp_path):
     )
     with pytest.raises(SearchError):
         wrong_setting.load_checkpoint_obj(obj)
+
+
+@pytest.fixture
+def checked_writes(monkeypatch):
+    """Compare every checkpoint file, right after it is written, with the
+    reference serialization of ``checkpoint_obj``; collects ``next_cycle``
+    per write."""
+    cycles = []
+    write = SearchEngine._write_checkpoint
+
+    def checked(engine):
+        write(engine)
+        with open(engine.checkpoint_path, "rb") as fh:
+            written = fh.read()
+        reference = json.dumps(engine.checkpoint_obj(), sort_keys=True) + "\n"
+        assert written == reference.encode("utf-8"), "cycle %d" % engine.state.next_cycle
+        cycles.append(engine.state.next_cycle)
+
+    monkeypatch.setattr(SearchEngine, "_write_checkpoint", checked)
+    return cycles
+
+
+class _EveryNthFails:
+    def __init__(self, inner, n):
+        self.inner = inner
+        self.n = n
+        self.calls = 0
+        self.failures = 0
+
+    def evaluate(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls % self.n == 0:
+            self.failures += 1
+            raise EvaluatorFailure("injected failure")
+        return self.inner.evaluate(*args, **kwargs)
+
+
+def test_streamed_checkpoint_with_failures_and_rediscovery(tmp_path, checked_writes):
+    ev = _EveryNthFails(toy_evaluator(), 5)
+    cfg = toy_config(cycles=20)
+    engine = SearchEngine(
+        ev, cfg, SETTING, network=TOY_NET, checkpoint_path=str(tmp_path / "c.json")
+    )
+    res = engine.run()
+    assert checked_writes == list(range(1, cfg.cycles + 2))
+    assert ev.failures > 0
+    # Failed children are registered although they have no history entry.
+    assert set(engine.state.genotypes) > {h.model_id for h in res.history}
+    scratch = [h.model_id for h in res.history if h.epochs_trained == cfg.epoch_unit]
+    assert len(set(scratch)) < len(scratch)  # a hash was trained from scratch twice
+
+
+def test_streamed_checkpoint_flat(tmp_path, checked_writes):
+    cfg = FlatConfig(n_init=6, cycles=5, mutants_per_cycle=3, epochs=10, seed=1)
+    flat_baseline_search(
+        toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=str(tmp_path / "c.json")
+    )
+    assert checked_writes == list(range(1, cfg.cycles + 2))
+
+
+def test_streamed_checkpoint_after_resuming_v1_file(tmp_path, checked_writes):
+    # The file holds the run below stopped after cycle 2, written by a version
+    # that still stored the budget ledger.
+    old = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v1_cycle2.json")
+    cfg = EcoNasConfig(
+        n_init=8, cycles=6, epoch_unit=5, mutants_per_cycle=4, promote_to_2e=2,
+        promote_to_3e=1, seed=3,
+    )
+    engine = SearchEngine(
+        SurrogateEvaluator(SurrogateParams().with_seed(3), CIFAR10_TABLE), cfg, SETTING,
+        network=TOY_NET, checkpoint_path=str(tmp_path / "c.json"),
+    )
+    with open(old, "r", encoding="utf-8") as fh:
+        engine.load_checkpoint_obj(json.load(fh))
+    engine.run()
+    assert checked_writes == [4, 5, 6, 7]
+
+
+def test_streamed_checkpoint_after_load_into_used_engine(tmp_path, checked_writes):
+    # The two engines see different accuracies, so JSON text kept from the
+    # first engine's own run would not match the state it loads.
+    cfg = toy_config(cycles=7)
+    other = SearchEngine(
+        toy_evaluator(seed=8), cfg, SETTING, network=TOY_NET,
+        checkpoint_path=str(tmp_path / "other.json"),
+    )
+    other.run(stop_after_cycle=2)
+    engine = SearchEngine(
+        toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=str(tmp_path / "c.json")
+    )
+    engine.run(stop_after_cycle=5)
+    with open(tmp_path / "other.json", "r", encoding="utf-8") as fh:
+        engine.load_checkpoint_obj(json.load(fh))
+    del checked_writes[:]
+    engine.run()
+    assert checked_writes == list(range(4, cfg.cycles + 2))
 
 
 # -- flat baseline ------------------------------------------------------------------------
