@@ -4,9 +4,10 @@ One JSON message per line in both directions. The parent sends an
 ``evaluate`` request and blocks (with a timeout) for the response carrying
 the same id; any trainer in any language can implement the child side with
 a read-line/write-line loop. Unknown fields are ignored for forward
-compatibility and lines are length-bounded. A hung, crashed, or babbling
-child fails only the pending request; the child is restarted with bounded
-backoff and the search goes on.
+compatibility and lines are length-bounded. The parent runs one child per
+concurrent evaluation, spawned lazily on first need. A hung, crashed, or
+babbling child fails only its own pending request; that child is restarted
+with bounded backoff on its next use and the search goes on.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 from .evaluator import EvalResult, EvaluatorFailure
@@ -54,8 +56,59 @@ def evaluate_request(
     )
 
 
+def _read_lines(stream, out: "queue.Queue") -> None:
+    """Queue a child's output lines, then None at EOF or after an oversized
+    line; a line is read at most ``MAX_LINE_BYTES + 1`` bytes at a time, so a
+    child that never writes a newline cannot grow parent memory."""
+    with stream:
+        for raw in iter(lambda: stream.readline(MAX_LINE_BYTES + 1), b""):
+            out.put(raw)
+            if len(raw) > MAX_LINE_BYTES:
+                break
+    out.put(None)
+
+
+class _Child:
+    """One child process with its output queue and its restart backoff."""
+
+    def __init__(self):
+        self.proc: Optional[subprocess.Popen] = None
+        self.lines: "queue.Queue" = queue.Queue()
+        self.consecutive_failures = 0
+
+    def close(self, grace: float = 2.0) -> None:
+        """Close the child's stdin, give it ``grace`` seconds to exit on
+        EOF, then kill it."""
+        proc, self.proc = self.proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+            proc.wait(timeout=grace)
+        except (OSError, subprocess.TimeoutExpired):
+            proc.kill()
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                pass
+
+    def fail(self, message: str) -> EvaluatorFailure:
+        self.close(grace=0)
+        self.consecutive_failures += 1
+        return EvaluatorFailure(message)
+
+
 class ExternalEvaluator:
-    """Evaluator backed by a long-lived child process speaking the protocol."""
+    """Evaluator backed by child processes speaking the protocol.
+
+    Each concurrent caller gets a child of its own: a request takes an idle
+    child from a free list, or spawns one when every child is busy, and puts
+    it back afterwards. Children are spawned lazily, so the number of
+    children is the peak number of concurrent callers. Each child keeps its
+    own restart backoff; a failure kills only the child that served it, and
+    that child restarts on its next use. A resume token may therefore be
+    continued by a different child process of the same command.
+    """
 
     def __init__(
         self,
@@ -68,60 +121,51 @@ class ExternalEvaluator:
         self.timeout = timeout
         self.restart_backoff = restart_backoff
         self.max_backoff = max_backoff
-        self._proc: Optional[subprocess.Popen] = None
-        self._lines: "queue.Queue" = queue.Queue()
+        self._idle: list[_Child] = []  # every child not serving a request
         self._next_id = 1
-        self._consecutive_failures = 0
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards _idle and _next_id
 
     # -- child management ---------------------------------------------------
 
-    def _reader(self, proc, out_queue):
-        for raw in proc.stdout:
-            out_queue.put(raw)
-        out_queue.put(None)  # EOF sentinel
+    @contextmanager
+    def _checkout(self):
+        """Yield (idle or new child, unique request id); the child goes back
+        to the free list afterwards, whatever happened to the request."""
+        with self._lock:
+            request_id = self._next_id
+            self._next_id += 1
+            child = self._idle.pop() if self._idle else _Child()
+        try:
+            yield child, request_id
+        finally:
+            with self._lock:
+                self._idle.append(child)
 
-    def _ensure_child(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            return
-        if self._consecutive_failures:
+    def _ensure_running(self, child: _Child) -> subprocess.Popen:
+        if child.proc is not None and child.proc.poll() is None:
+            return child.proc
+        if child.consecutive_failures:
             delay = min(
-                self.restart_backoff * (2 ** (self._consecutive_failures - 1)),
+                self.restart_backoff * (2 ** (child.consecutive_failures - 1)),
                 self.max_backoff,
             )
             time.sleep(delay)
-        self._lines = queue.Queue()
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
+        child.lines = queue.Queue()
+        child.proc = subprocess.Popen(
+            self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
         threading.Thread(
-            target=self._reader, args=(self._proc, self._lines), daemon=True
+            target=_read_lines, args=(child.proc.stdout, child.lines), daemon=True
         ).start()
         logger.info("spawned evaluator child: %s", " ".join(self.command))
-
-    def _kill_child(self) -> None:
-        if self._proc is None:
-            return
-        try:
-            self._proc.kill()
-            self._proc.wait(timeout=5)
-        except Exception:
-            pass
-        self._proc = None
+        return child.proc
 
     def close(self) -> None:
+        """Reap every child; call once no request is in flight, when every
+        child is back on the free list."""
         with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                try:
-                    self._proc.stdin.close()
-                    self._proc.wait(timeout=2)
-                except Exception:
-                    self._kill_child()
-            self._proc = None
+            for child in self._idle:
+                child.close()
 
     def __enter__(self):
         return self
@@ -131,55 +175,41 @@ class ExternalEvaluator:
 
     # -- protocol -------------------------------------------------------------
 
-    def _fail(self, message: str) -> EvaluatorFailure:
-        self._kill_child()
-        self._consecutive_failures += 1
-        return EvaluatorFailure(message)
-
-    def _request(self, line: str, request_id: int) -> dict:
-        self._ensure_child()
+    def _request(self, child: _Child, line: str, request_id: int) -> dict:
+        proc = self._ensure_running(child)
         try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
+            proc.stdin.write(line.encode() + b"\n")
+            proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise self._fail("evaluator child unwritable: %s" % exc) from None
-        deadline = time.monotonic() + self.timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise self._fail("evaluator child timed out after %.1fs" % self.timeout)
-            try:
-                raw = self._lines.get(timeout=remaining)
-            except queue.Empty:
-                raise self._fail(
-                    "evaluator child timed out after %.1fs" % self.timeout
-                ) from None
-            if raw is None:
-                raise self._fail("evaluator child exited mid-request")
-            if len(raw) > MAX_LINE_BYTES:
-                raise self._fail("evaluator child sent an oversized line")
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError:
-                raise self._fail(
-                    "evaluator child sent a malformed line: %r" % raw[:120]
-                ) from None
-            if not isinstance(obj, dict) or obj.get("id") != request_id:
-                raise self._fail(
-                    "evaluator child answered with mismatched id %r" % (obj.get("id"),)
-                )
-            return obj
+            raise child.fail("evaluator child unwritable: %s" % exc) from None
+        try:
+            raw = child.lines.get(timeout=self.timeout)
+        except queue.Empty:
+            raise child.fail(
+                "evaluator child timed out after %.1fs" % self.timeout
+            ) from None
+        if raw is None:
+            raise child.fail("evaluator child exited mid-request")
+        if len(raw) > MAX_LINE_BYTES:
+            raise child.fail("evaluator child sent an oversized line")
+        try:
+            obj = json.loads(raw)
+        except ValueError:
+            raise child.fail("evaluator child sent a malformed line: %r" % raw[:120]) from None
+        if not isinstance(obj, dict) or obj.get("id") != request_id:
+            raise child.fail(
+                "evaluator child answered with mismatched id %r" % (obj.get("id"),)
+            )
+        return obj
 
     def ping(self) -> bool:
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
+        with self._checkout() as (child, request_id):
             line = json.dumps(
                 {"schema_version": SCHEMA_VERSION, "id": request_id, "op": "ping"},
                 sort_keys=True,
             )
-            obj = self._request(line, request_id)
-            self._consecutive_failures = 0
+            obj = self._request(child, line, request_id)
+            child.consecutive_failures = 0
             return obj.get("status") == "ok"
 
     def evaluate(
@@ -190,16 +220,14 @@ class ExternalEvaluator:
         end_epoch: int,
         resume_token: Optional[str] = None,
     ) -> EvalResult:
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
+        with self._checkout() as (child, request_id):
             line = evaluate_request(
                 request_id, genotype, setting, start_epoch, end_epoch, resume_token
             )
-            obj = self._request(line, request_id)
+            obj = self._request(child, line, request_id)
             if obj.get("status") != "ok":
                 # A clean protocol-level error: the child survives.
-                self._consecutive_failures = 0
+                child.consecutive_failures = 0
                 raise EvaluatorFailure(
                     "evaluator reported failure: %s" % obj.get("error", "unknown error")
                 )
@@ -209,8 +237,8 @@ class ExternalEvaluator:
                 train_accuracy = float(train) if train is not None else None
                 token = str(obj["resume_token"])
             except (KeyError, TypeError, ValueError):
-                raise self._fail("evaluator response missing fields: %r" % obj) from None
-            self._consecutive_failures = 0
+                raise child.fail("evaluator response missing fields: %r" % obj) from None
+            child.consecutive_failures = 0
             return EvalResult(accuracy, train_accuracy, token)
 
 

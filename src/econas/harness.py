@@ -222,7 +222,9 @@ def make_evaluator(
     seed: int = 0,
 ) -> Evaluator:
     """'surrogate' for the in-process bench, 'cmd:<command line>' for an
-    external trainer speaking the wire protocol."""
+    external trainer speaking the wire protocol: one child of the command
+    per concurrent evaluation, started lazily, so a search with N workers
+    runs up to N children."""
     if spec == "surrogate":
         p = params if params is not None else SurrogateParams().with_seed(seed)
         return SurrogateEvaluator(p, table)

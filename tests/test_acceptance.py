@@ -272,15 +272,17 @@ def test_criterion_9_determinism_and_resume(tmp_path):
         for name in ("history.jsonl", "ledger.jsonl", "summary.json"):
             assert (part / name).read_bytes() == (full / name).read_bytes()
 
-        # same search through the subprocess wire protocol
-        wire_config = dict(config)
-        wire_config["evaluator"] = "cmd:%s -m econas.cli surrogate-serve --table cifar10 --seed 13" % sys.executable
-        wire_path = tmp_path / "wire.json"
-        wire_path.write_text(json.dumps(wire_config))
-        wire = tmp_path / "wire"
-        assert main(["search", "--config", str(wire_path), "--out", str(wire)]) == 0
-        assert (wire / "history.jsonl").read_bytes() == (full / "history.jsonl").read_bytes()
-        assert (wire / "ledger.jsonl").read_bytes() == (full / "ledger.jsonl").read_bytes()
+        # same search through the subprocess wire protocol, with one child
+        # and with three concurrent children
+        for workers in (1, 3):
+            wire_config = dict(config, workers=workers)
+            wire_config["evaluator"] = "cmd:%s -m econas.cli surrogate-serve --table cifar10 --seed 13" % sys.executable
+            wire_path = tmp_path / ("wire%d.json" % workers)
+            wire_path.write_text(json.dumps(wire_config))
+            wire = tmp_path / ("wire%d" % workers)
+            assert main(["search", "--config", str(wire_path), "--out", str(wire)]) == 0
+            assert (wire / "history.jsonl").read_bytes() == (full / "history.jsonl").read_bytes()
+            assert (wire / "ledger.jsonl").read_bytes() == (full / "ledger.jsonl").read_bytes()
 
 
 # -- 10: subsample dependence curve --------------------------------------------------------------

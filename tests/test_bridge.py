@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -110,13 +112,15 @@ def test_external_evaluator_matches_in_process():
 
 STUB = textwrap.dedent(
     """
-    import json, sys, time
+    import json, os, sys, time
 
     from econas.genotype import decode
     from econas.proxy import CIFAR10_TABLE, parse_label
     from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
     mode = sys.argv[1]
+    with open(__file__ + ".pids", "a") as pids:
+        pids.write("%d\\n" % os.getpid())
     ev = SurrogateEvaluator(SurrogateParams().with_seed(7), CIFAR10_TABLE)
     for line in sys.stdin:
         obj = json.loads(line)
@@ -131,6 +135,10 @@ STUB = textwrap.dedent(
                 time.sleep(10)
             if mode == "exit":
                 sys.exit(3)
+            if mode == "flood":  # 2 MiB without a newline, then stay alive
+                sys.stdout.write("x" * (2 << 20))
+                sys.stdout.flush()
+                time.sleep(30)
         g = decode(obj["genotype"])
         s = parse_label(obj["setting"], CIFAR10_TABLE)
         r = ev.evaluate(g, s, obj["start_epoch"], obj["end_epoch"], obj.get("resume_token"))
@@ -156,6 +164,12 @@ def _stub_command(tmp_path, mode):
     return [sys.executable, str(path), mode]
 
 
+def _stub_pids(tmp_path):
+    """Pids of every stub child started so far, in start order."""
+    path = tmp_path / "stub_evaluator.py.pids"
+    return [int(line) for line in path.read_text().split()] if path.exists() else []
+
+
 @pytest.mark.parametrize("mode", ["garbage", "exit"])
 def test_misbehaving_child_fails_single_request_then_recovers(tmp_path, mode):
     g = _genotype(1)
@@ -178,3 +192,116 @@ def test_hung_child_times_out_and_restarts(tmp_path):
             ev.evaluate(g, SETTING.with_epochs(13), 0, 13)
         assert time.monotonic() - start < 5.0
         assert ev.evaluate(g, SETTING, 0, 10) == ok
+
+
+def test_child_without_newline_fails_promptly_as_oversized(tmp_path):
+    g = _genotype(3)
+    with ExternalEvaluator(
+        _stub_command(tmp_path, "flood"), timeout=10.0, restart_backoff=0.05
+    ) as ev:
+        ok = ev.evaluate(g, SETTING, 0, 10)
+        start = time.monotonic()
+        with pytest.raises(EvaluatorFailure, match="oversized"):
+            ev.evaluate(g, SETTING.with_epochs(13), 0, 13)
+        assert time.monotonic() - start < 5.0
+        assert ev.evaluate(g, SETTING, 0, 10) == ok
+
+
+# -- one child per concurrent caller -------------------------------------------------
+
+
+def _concurrently(calls, timeout=60.0):
+    """Run the calls in threads released together; return (result | exception)
+    per call, in order."""
+    barrier = threading.Barrier(len(calls))
+    outcomes = [None] * len(calls)
+
+    def run(i):
+        barrier.wait()
+        try:
+            outcomes[i] = calls[i]()
+        except EvaluatorFailure as exc:
+            outcomes[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+        assert not t.is_alive()
+    return outcomes
+
+
+def test_hung_child_does_not_stall_other_callers(tmp_path):
+    g = _genotype(4)
+    with ExternalEvaluator(
+        _stub_command(tmp_path, "sleep"), timeout=4.0, restart_backoff=0.05
+    ) as ev:
+        ok = ev.evaluate(g, SETTING, 0, 10)
+        hung_outcome = []
+        hung = threading.Thread(
+            target=lambda: hung_outcome.append(
+                pytest.raises(EvaluatorFailure, ev.evaluate, g, SETTING.with_epochs(13), 0, 13)
+            )
+        )
+        hung.start()
+        time.sleep(0.2)  # let the hung request take the only idle child
+        for _ in range(5):
+            assert ev.evaluate(g, SETTING, 0, 10) == ok
+        assert hung.is_alive()  # still waiting out its timeout
+        hung.join(30)
+        assert not hung.is_alive()
+        assert hung_outcome[0].match("timed out")
+        # both children serve again, the hung one after its restart
+        outcomes = _concurrently([lambda: ev.evaluate(g, SETTING, 0, 10)] * 2)
+        assert outcomes == [ok, ok]
+    assert len(_stub_pids(tmp_path)) == 3  # two children, one restarted once
+
+
+def test_exit_fault_fails_only_its_own_concurrent_request(tmp_path):
+    g = _genotype(5)
+    expected = SurrogateEvaluator(SurrogateParams().with_seed(7), CIFAR10_TABLE).evaluate(
+        g, SETTING, 0, 10
+    )
+    with ExternalEvaluator(
+        _stub_command(tmp_path, "exit"), timeout=20.0, restart_backoff=0.05
+    ) as ev:
+        outcomes = _concurrently(
+            [
+                lambda: ev.evaluate(g, SETTING, 0, 10),
+                lambda: ev.evaluate(g, SETTING.with_epochs(13), 0, 13),
+                lambda: ev.evaluate(g, SETTING, 0, 10),
+            ]
+        )
+    assert outcomes[0] == outcomes[2] == expected
+    assert isinstance(outcomes[1], EvaluatorFailure)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_children_follow_peak_concurrency_and_close_reaps_them(tmp_path):
+    # More callers than cores with a short switch interval: a lost update on
+    # the free list would hand one child to two callers (mismatched ids) or
+    # drop a child that close() then never reaps.
+    threads, calls = 6, 20
+    ev = ExternalEvaluator(_stub_command(tmp_path, "none"), timeout=20.0)
+    assert ev.ping()
+    assert len(_stub_pids(tmp_path)) == 1  # a lone ping spawns one child
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcomes = _concurrently([lambda: [ev.ping() for _ in range(calls)]] * threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [[True] * calls] * threads
+    pids = _stub_pids(tmp_path)
+    assert 1 <= len(pids) <= threads
+    assert all(_alive(pid) for pid in pids)
+    ev.close()
+    assert not any(_alive(pid) for pid in pids)

@@ -484,7 +484,10 @@ SLOW_SERVER = textwrap.dedent(
 )
 
 
-def test_kill_and_resume_identical_outputs(tmp_path):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_kill_and_resume_identical_outputs(tmp_path, workers):
+    # With several workers the SIGKILLed parent leaves several children,
+    # which exit on stdin EOF.
     server = tmp_path / "slow_server.py"
     server.write_text(SLOW_SERVER)
     evaluator = "cmd:%s %s 0.02" % (sys.executable, server)
@@ -492,6 +495,7 @@ def test_kill_and_resume_identical_outputs(tmp_path):
         tmp_path,
         name="kill.json",
         evaluator=evaluator,
+        workers=workers,
         config={
             "n_init": 6,
             "cycles": 12,
