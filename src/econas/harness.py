@@ -34,7 +34,13 @@ from .proxy import (
     parse_label,
     resolve_table,
 )
-from .records import EvaluationRecord, append_records, read_log, write_log
+from .records import (
+    EvaluationRecord,
+    append_records,
+    read_log,
+    truncate_torn_tail,
+    write_log,
+)
 from .search import (
     EcoNasConfig,
     FlatConfig,
@@ -246,7 +252,8 @@ def zoo_evaluate(
 ) -> tuple[int, int, int]:
     """Evaluate every (model, setting) pair of the grid into the output log.
 
-    Pairs already present in the log are skipped (resume). The pending pairs
+    Pairs already present in the log are skipped (resume); a last line cut
+    short by a crash mid-append is dropped with a warning. The pending pairs
     run as one batch; their records are appended after the whole batch
     finishes, then the log is rewritten sorted by (model_id, setting) so the
     final bytes never depend on scheduling. Returns (completed, failed,
@@ -270,6 +277,11 @@ def zoo_evaluate(
     done_keys: set[tuple[str, str]] = set()
     existing: list[EvaluationRecord] = []
     if resume and os.path.exists(manifest.output_log):
+        if truncate_torn_tail(manifest.output_log):
+            logger.warning(
+                "dropped an unfinished last line from %s; its pair runs again",
+                manifest.output_log,
+            )
         existing = read_log(manifest.output_log)
         done_keys = {rec.key() for rec in existing}
     pending = [

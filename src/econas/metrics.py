@@ -5,12 +5,22 @@ Ranks are fractional: rank 1 is the best accuracy and tied accuracies get
 the average of their positions, which keeps the rank-difference formula
 well defined with ties. Accuracies are compared exactly; the only tolerance
 anywhere is the explicit interval of :func:`tolerant_spearman`.
+
+The pair statistics (:func:`tolerant_spearman`, :func:`hard_rank_error`)
+count discordant pairs in O(K log K) comparisons instead of visiting all
+K(K-1)/2 pairs, and :func:`rho_f_subsample` ranks each subsample from the
+full zoo's sort order instead of re-ranking it. Every count they combine is
+an integer, so each returns exactly (``==``) the float of its pairwise
+definition; the test suite keeps those O(K^2) loops as oracles.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .seeding import derive_rng
@@ -69,12 +79,39 @@ def _aligned_ranks(gt: RankVector, red: RankVector) -> tuple[list[float], list[f
     return list(gt.ranks), [red_ranks[i] for i in gt.model_ids]
 
 
+def _spearman_from_d2(d2: float, k: int) -> float:
+    return 1.0 - 6.0 * d2 / (k * (k * k - 1))
+
+
 def _spearman_from_ranks(x: Sequence[float], y: Sequence[float]) -> float:
     k = len(x)
     if k < 2:
         raise MetricError("Spearman needs at least 2 models, got %d" % k)
-    d2 = sum((a - b) ** 2 for a, b in zip(x, y))
-    return 1.0 - 6.0 * d2 / (k * (k * k - 1))
+    return _spearman_from_d2(sum((a - b) ** 2 for a, b in zip(x, y)), k)
+
+
+def _tied_pairs(values: Iterable) -> int:
+    return sum(n * (n - 1) // 2 for n in Counter(values).values())
+
+
+def _pair_counts(x: Sequence[float], y: Sequence[float]) -> tuple[int, int]:
+    """(discordant, tied) over all unordered position pairs: discordant pairs
+    are ordered strictly oppositely by ``x`` and ``y``; tied pairs are equal
+    in ``x``, in ``y`` or in both.
+
+    After sorting by (x, y), a discordant pair is exactly a strict inversion
+    of y (Knight, JASA 1966); a sorted list counts the earlier y values
+    above each one by bisection. O(K log K) comparisons; each insertion is
+    one memmove. Tied pairs come from the sizes of groups of equal values.
+    """
+    seen: list = []
+    discordant = 0
+    for n, (_, v) in enumerate(sorted(zip(x, y))):
+        at = bisect_right(seen, v)
+        discordant += n - at
+        seen.insert(at, v)
+    tied = _tied_pairs(x) + _tied_pairs(y) - _tied_pairs(zip(x, y))
+    return discordant, tied
 
 
 def spearman(gt: RankVector, red: RankVector) -> float:
@@ -105,27 +142,40 @@ def tolerant_spearman(
 
     A model pair is neutral when its accuracy gap is within ``b`` in BOTH
     settings; remaining pairs score +1 (same gap sign in both settings) or
-    -1 (opposite signs). Returns the mean score over non-neutral pairs, and
-    1.0 by convention when every pair is neutral.
+    -1 (opposite signs); a pair with a zero gap in one setting scores 0.
+    Returns the mean score over non-neutral pairs, and 1.0 by convention when
+    every pair is neutral. Accuracies must be finite.
+
+    Cost: O(K log K) comparisons to count signs over all pairs, plus one
+    step per pair within ``b`` in Ground Truth, the only neutral candidates
+    (O(K^2) only when nearly every accuracy lies within ``b``). The result
+    equals the pairwise definition exactly.
     """
     if set(gt_acc) != set(red_acc):
         raise MetricError("accuracy maps cover different model id sets")
     if b < 0:
         raise MetricError("tolerance b must be >= 0")
-    ids = sorted(gt_acc)
-    concordant = discordant = scored = 0
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            dg = gt_acc[ids[i]] - gt_acc[ids[j]]
-            dr = red_acc[ids[i]] - red_acc[ids[j]]
-            if abs(dg) <= b and abs(dr) <= b:
-                continue
-            scored += 1
-            prod = dg * dr
-            if prod > 0:
-                concordant += 1
-            elif prod < 0:
-                discordant += 1
+    g = list(gt_acc.values())
+    r = [red_acc[i] for i in gt_acc]
+    k = len(g)
+    discordant, tied = _pair_counts(g, r)
+    scored = k * (k - 1) // 2
+    concordant = scored - tied - discordant
+    # Take the neutral pairs back out. Sorted by Ground Truth, a model's gaps
+    # to the models after it only grow (rounded subtraction is monotone), so
+    # each scan stops at the first gap above b.
+    by_gt = sorted(zip(g, r))
+    for i, (gi, ri) in enumerate(by_gt):
+        for j in range(i + 1, k):
+            gj, rj = by_gt[j]
+            if gj - gi > b:
+                break
+            if abs(rj - ri) <= b:
+                scored -= 1
+                if gj > gi and rj > ri:
+                    concordant -= 1
+                elif gj > gi and rj < ri:
+                    discordant -= 1
     if scored == 0:
         return 1.0
     return (concordant - discordant) / scored
@@ -133,20 +183,16 @@ def tolerant_spearman(
 
 def hard_rank_error(gt: RankVector, red: RankVector) -> float:
     """Fraction of unordered model pairs whose relative order flips between
-    the two rankings; a pair tied in either ranking counts half."""
+    the two rankings; a pair tied in either ranking counts half.
+
+    Cost: O(K log K) comparisons. The error count is a multiple of 1/2, so
+    the result equals the pairwise definition exactly."""
     x, y = _aligned_ranks(gt, red)
     k = len(x)
     if k < 2:
         raise MetricError("hard rank error needs at least 2 models, got %d" % k)
-    errors = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            sg = (x[i] > x[j]) - (x[i] < x[j])
-            sr = (y[i] > y[j]) - (y[i] < y[j])
-            if sg == 0 or sr == 0:
-                errors += 0.5
-            elif sg != sr:
-                errors += 1.0
+    discordant, tied = _pair_counts(x, y)
+    errors = discordant + 0.5 * tied
     return errors / (k * (k - 1) / 2)
 
 
@@ -194,6 +240,11 @@ def rho_f_subsample(
     the Spearman between that score vector and the full-zoo score vector.
     Returns the mean over trials. Each trial derives its own random stream
     from (seed, trial), so results do not depend on execution order.
+
+    Cost: one O(K log K) sort per setting per call, then per trial and
+    setting one O(m log m) sort of the subsample by the full-zoo order.
+    Doubled ranks are integers, so every squared rank difference is summed
+    exactly and the result equals re-ranking each subsample from scratch.
     """
     if gt_label not in setting_accuracies:
         raise MetricError("ground-truth label %r not present" % gt_label)
@@ -211,29 +262,64 @@ def rho_f_subsample(
         if set(setting_accuracies[label]) != set(gt_map):
             raise MetricError("setting %r covers a different model id set" % label)
 
-    gt_all = [gt_map[i] for i in ids]
-    red_all = {label: [setting_accuracies[label][i] for i in ids] for label in labels}
+    gt_order = _best_first([gt_map[i] for i in ids])
+    red_orders = [
+        _best_first([setting_accuracies[label][i] for i in ids]) for label in labels
+    ]
 
-    gt_ranks_full = fractional_ranks(gt_all)
-    rho_full = []
-    for label in labels:
-        rho_full.append(
-            _spearman_from_ranks(gt_ranks_full, fractional_ranks(red_all[label]))
-        )
+    def scores(idx) -> list[float]:
+        """Every reduced setting's Spearman against Ground Truth on ``idx``."""
+        n = len(idx)
+        order, ranks, gt_sq = _doubled_ranks(idx, *gt_order)
+        gt_rank = dict(zip(order, ranks))
+        out = []
+        for pos, group in red_orders:
+            order, ranks, sq = _doubled_ranks(idx, pos, group)
+            cross = sum(map(mul, map(gt_rank.__getitem__, order), ranks))
+            out.append(_spearman_from_d2((gt_sq + sq - 2 * cross) / 4, n))
+        return out
 
+    full_ranks = fractional_ranks(scores(range(k)))
     total = 0.0
     for trial in range(trials):
         rng = derive_rng(seed, "rho_f", m, trial)
-        idx = sorted(rng.sample(range(k), m))
-        gt_ranks = fractional_ranks([gt_all[i] for i in idx])
-        rho_sub = [
-            _spearman_from_ranks(
-                gt_ranks, fractional_ranks([red_all[label][i] for i in idx])
-            )
-            for label in labels
-        ]
-        total += spearman_values(rho_sub, rho_full)
+        rho_sub = scores(rng.sample(range(k), m))
+        total += _spearman_from_ranks(fractional_ranks(rho_sub), full_ranks)
     return total / trials
+
+
+def _best_first(values: Sequence[float]) -> tuple[list[int], list[int] | None]:
+    """Each position's place in the best-first order of ``values`` and its
+    tie-group id, or None for the groups when no two values are equal."""
+    order = sorted(range(len(values)), key=lambda i: -values[i])
+    pos = [0] * len(values)
+    group = [0] * len(values)
+    gid = 0
+    for p, i in enumerate(order):
+        pos[i] = p
+        if p and values[i] != values[order[p - 1]]:
+            gid += 1
+        group[i] = gid
+    return pos, (group if gid + 1 < len(values) else None)
+
+
+def _doubled_ranks(idx, pos: list[int], group: list[int] | None) -> tuple:
+    """The positions ``idx`` in best-first order, their fractional ranks
+    among themselves times two (always integers), and the sum of the
+    squares of those."""
+    order = sorted(idx, key=pos.__getitem__)
+    n = len(order)
+    if group is None:
+        return order, range(2, 2 * n + 1, 2), 2 * n * (n + 1) * (2 * n + 1) // 3
+    ranks: list[int] = []
+    start = 0
+    while start < n:
+        stop = start
+        while stop + 1 < n and group[order[stop + 1]] == group[order[start]]:
+            stop += 1
+        ranks += [start + stop + 2] * (stop - start + 1)
+        start = stop + 1
+    return order, ranks, sum(map(mul, ranks, ranks))
 
 
 def overfit_gap(records: Iterable) -> float:

@@ -84,6 +84,20 @@ def append_records(path: str, records: Iterable[EvaluationRecord]) -> None:
         fh.flush()
 
 
+def truncate_torn_tail(path: str) -> bool:
+    """Cut off a final line that has no newline, which is what an append
+    interrupted mid-write leaves; returns whether anything was cut. Every
+    complete line stays, so :func:`read_log` still rejects damage anywhere
+    else."""
+    with open(path, "rb+") as fh:
+        fh.seek(max(0, fh.seek(0, os.SEEK_END) - 1))
+        if fh.read(1) in (b"", b"\n"):
+            return False
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+    return True
+
+
 def _parse_record(obj: dict, lineno: int) -> EvaluationRecord:
     try:
         return EvaluationRecord(

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -18,11 +19,12 @@ from econas.harness import (
     load_manifest,
     load_search_config,
     load_zoo,
+    run_analyze,
     zoo_evaluate,
     zoo_generate,
 )
 from econas.proxy import CIFAR10_TABLE, parse_label
-from econas.records import EvaluationRecord, read_log, write_log
+from econas.records import EvaluationRecord, LogError, read_log, write_log
 from econas.search import EcoNasConfig, FlatConfig
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
@@ -131,6 +133,46 @@ def test_zoo_evaluate_resume_after_truncation(tmp_path):
     assert read_log(manifest.output_log) == full_records
     with open(manifest.output_log, "rb") as fh:
         assert fh.read() == full_bytes
+
+
+def test_zoo_evaluate_resumes_after_a_torn_last_line(tmp_path, caplog):
+    manifest = _mini_manifest(tmp_path)
+    zoo_evaluate(manifest)
+    with open(manifest.output_log, "rb") as fh:
+        full_bytes = fh.read()
+    # A crash mid-append leaves a last line without its newline; cut there at
+    # random offsets, from the header's first byte to the final record's end.
+    inside = [i for i in range(1, len(full_bytes)) if full_bytes[i - 1:i] != b"\n"]
+    rng = random.Random(11)
+    for cut in [1, len(full_bytes) - 1] + rng.sample(inside, 10):
+        with open(manifest.output_log, "wb") as fh:
+            fh.write(full_bytes[:cut])
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="econas.harness"):
+            assert zoo_evaluate(manifest) == (18, 0, 18)
+        assert "unfinished last line" in caplog.text
+        with open(manifest.output_log, "rb") as fh:
+            assert fh.read() == full_bytes
+
+
+def test_torn_or_damaged_log_still_rejected_elsewhere(tmp_path):
+    manifest = _mini_manifest(tmp_path)
+    zoo_evaluate(manifest)
+    with open(manifest.output_log, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    torn = b"".join(lines)[:-5]
+    with open(manifest.output_log, "wb") as fh:
+        fh.write(torn)
+    with pytest.raises(LogError, match="not valid JSON"):
+        run_analyze(manifest.output_log, "c0r0s0e600", str(tmp_path / "out"), CIFAR10_TABLE)
+    with open(manifest.output_log, "rb") as fh:
+        assert fh.read() == torn
+    # A bad complete line is damage, not an interrupted append.
+    lines[3] = lines[3][:10] + b"\n"
+    with open(manifest.output_log, "wb") as fh:
+        fh.write(b"".join(lines))
+    with pytest.raises(LogError, match="line 4: not valid JSON"):
+        zoo_evaluate(manifest)
 
 
 def test_zoo_evaluate_workers_same_bytes(tmp_path):

@@ -192,6 +192,12 @@ def test_tolerant_rank_agreement_with_hre_complement():
         assert (t > 0) == (h > 0.5) or t == 0
 
 
+def test_tolerant_scores_tiny_gaps_by_sign():
+    # 5e-324 * 0.5 underflows to 0.0; the pair is still ordered alike.
+    assert tolerant_spearman({"a": 0.0, "b": 5e-324}, {"a": 0.0, "b": 0.5}, b=0.0) == 1.0
+    assert tolerant_spearman({"a": 0.0, "b": 5e-324}, {"a": 0.5, "b": 0.0}, b=0.0) == -1.0
+
+
 def test_tolerant_errors():
     with pytest.raises(MetricError):
         tolerant_spearman({"a": 0.5}, {"b": 0.5})

@@ -17,7 +17,15 @@ from econas.genotype import (
     random_genotype,
     slot_diff,
 )
-from econas.metrics import fractional_ranks, spearman_values
+import rank_oracles as oracle
+from econas.metrics import (
+    RankVector,
+    fractional_ranks,
+    hard_rank_error,
+    rho_f_subsample,
+    spearman_values,
+    tolerant_spearman,
+)
 from econas.proxy import ReducedSetting, format_label, nominal_speedup, parse_label
 from econas.seeding import derive_rng
 
@@ -98,3 +106,53 @@ def test_cached_document_is_canonical(seed, node_count, zoo, mutations, indent):
     other = json.dumps(json.loads(doc), indent=indent)
     assert other != doc
     assert encode(decode(other)) == doc
+
+
+# -- rank kernels against their pairwise definitions -----------------------------
+
+# Gaps between these underflow when multiplied together.
+SUBNORMAL = (0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1.0)
+
+
+@st.composite
+def accuracy_maps(draw, count, min_k=2, max_k=60):
+    """``count`` accuracy maps over the same K model ids, drawing values
+    from [0, 1], from a small set (heavy ties) or with subnormal gaps."""
+    kind = draw(st.sampled_from(["spread", "ties", "subnormal"]))
+    if kind == "spread":
+        values = st.floats(0.0, 1.0)
+    elif kind == "ties":
+        values = st.sampled_from(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    else:
+        values = st.sampled_from(SUBNORMAL)
+    ids = ["m%02d" % i for i in range(draw(st.integers(min_k, max_k)))]
+    return [{i: draw(values) for i in ids} for _ in range(count)]
+
+
+@given(
+    accuracy_maps(2),
+    st.one_of(st.sampled_from([0.0, 0.0015]), st.floats(0.0, 0.5)),
+)
+def test_pair_kernels_equal_their_pairwise_definitions(maps, b):
+    gt, red = maps
+    assert tolerant_spearman(gt, red, b) == oracle.tolerant_spearman(gt, red, b)
+    # Every accuracy lies in [0, 1], so at b = 1 every pair is neutral.
+    assert tolerant_spearman(gt, red, 1.0) == oracle.tolerant_spearman(gt, red, 1.0) == 1.0
+    gt_vec, red_vec = RankVector.from_accuracies(gt), RankVector.from_accuracies(red)
+    assert hard_rank_error(gt_vec, red_vec) == oracle.hard_rank_error(gt_vec, red_vec)
+
+
+@settings(max_examples=60)
+@given(
+    maps=st.integers(3, 6).flatmap(lambda n: accuracy_maps(n, min_k=3, max_k=30)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    seed=st.integers(0, 1000),
+)
+def test_rho_f_equals_re_ranking_every_subsample(maps, fractions, seed):
+    by_label = {"s%d" % i: accuracies for i, accuracies in enumerate(maps)}
+    k = len(maps[0])
+    for fraction in fractions:
+        m = 3 + round(fraction * (k - 3))
+        assert rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) == (
+            oracle.rho_f_subsample(by_label, "s0", m, trials=4, seed=seed)
+        )
