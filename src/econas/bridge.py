@@ -33,27 +33,11 @@ SCHEMA_VERSION = 1
 MAX_LINE_BYTES = 1 << 20
 
 
-def evaluate_request(
-    request_id: int,
-    genotype: Genotype,
-    setting: ReducedSetting,
-    start_epoch: int,
-    end_epoch: int,
-    resume_token: Optional[str],
-) -> str:
-    return json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "id": request_id,
-            "op": "evaluate",
-            "genotype": encode(genotype),
-            "setting": format_label(setting),
-            "start_epoch": start_epoch,
-            "end_epoch": end_epoch,
-            "resume_token": resume_token,
-        },
-        sort_keys=True,
-    )
+def _message(request_id, **fields) -> str:
+    """One protocol line without its newline: the envelope plus ``fields``;
+    every request and every response is built here."""
+    envelope = {"schema_version": SCHEMA_VERSION, "id": request_id}
+    return json.dumps({**envelope, **fields}, sort_keys=True)
 
 
 def _read_lines(stream, out: "queue.Queue") -> None:
@@ -204,11 +188,7 @@ class ExternalEvaluator:
 
     def ping(self) -> bool:
         with self._checkout() as (child, request_id):
-            line = json.dumps(
-                {"schema_version": SCHEMA_VERSION, "id": request_id, "op": "ping"},
-                sort_keys=True,
-            )
-            obj = self._request(child, line, request_id)
+            obj = self._request(child, _message(request_id, op="ping"), request_id)
             child.consecutive_failures = 0
             return obj.get("status") == "ok"
 
@@ -221,8 +201,10 @@ class ExternalEvaluator:
         resume_token: Optional[str] = None,
     ) -> EvalResult:
         with self._checkout() as (child, request_id):
-            line = evaluate_request(
-                request_id, genotype, setting, start_epoch, end_epoch, resume_token
+            line = _message(
+                request_id, op="evaluate", genotype=encode(genotype),
+                setting=format_label(setting), start_epoch=start_epoch, end_epoch=end_epoch,
+                resume_token=resume_token,
             )
             obj = self._request(child, line, request_id)
             if obj.get("status") != "ok":
@@ -245,18 +227,6 @@ class ExternalEvaluator:
 # -- child side ---------------------------------------------------------------
 
 
-def _error_response(request_id, message: str) -> str:
-    return json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "id": request_id,
-            "status": "error",
-            "error": message,
-        },
-        sort_keys=True,
-    )
-
-
 def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
     """Serve any in-process evaluator over the wire protocol until EOF.
 
@@ -268,7 +238,7 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
     for raw in fin:
         if not raw.strip():
             continue
-        request_id = None
+        request_id = op = None
         try:
             if len(raw) > MAX_LINE_BYTES:
                 raise ValueError("request line exceeds %d bytes" % MAX_LINE_BYTES)
@@ -278,29 +248,9 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
             request_id = obj.get("id")
             op = obj.get("op")
             if op == "ping":
-                response = json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "id": request_id,
-                        "status": "ok",
-                        "pong": True,
-                    },
-                    sort_keys=True,
-                )
+                response = _message(request_id, status="ok", pong=True)
             elif op == "shutdown":
-                fout.write(
-                    json.dumps(
-                        {
-                            "schema_version": SCHEMA_VERSION,
-                            "id": request_id,
-                            "status": "ok",
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                fout.flush()
-                return
+                response = _message(request_id, status="ok")
             elif op == "evaluate":
                 genotype = decode(str(obj["genotype"]))
                 setting = parse_label(str(obj["setting"]), table)
@@ -311,16 +261,12 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
                     int(obj["end_epoch"]),
                     obj.get("resume_token"),
                 )
-                response = json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "id": request_id,
-                        "status": "ok",
-                        "accuracy": result.accuracy,
-                        "train_accuracy": result.train_accuracy,
-                        "resume_token": result.resume_token,
-                    },
-                    sort_keys=True,
+                response = _message(
+                    request_id,
+                    status="ok",
+                    accuracy=result.accuracy,
+                    train_accuracy=result.train_accuracy,
+                    resume_token=result.resume_token,
                 )
             else:
                 raise ValueError("unknown op %r" % op)
@@ -332,9 +278,11 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
             SettingError,
             EvaluatorFailure,
         ) as exc:
-            response = _error_response(request_id, str(exc))
+            response = _message(request_id, status="error", error=str(exc))
         try:
             fout.write(response + "\n")
             fout.flush()
         except BrokenPipeError:
+            return
+        if op == "shutdown":
             return

@@ -16,10 +16,10 @@ from .analysis import AnalysisError
 from .bridge import serve
 from .genotype import GenotypeError, OutputRule
 from .metrics import MetricError
-from .proxy import SettingError, resolve_table
+from .proxy import SettingError, parse_label, resolve_table
 from .records import LogError
 from .search import SearchError, resolve_op_set
-from .surrogate import SurrogateEvaluator, SurrogateParams
+from .surrogate import SurrogateError, SurrogateEvaluator, SurrogateParams
 
 _USER_ERRORS = (
     harness.HarnessError,
@@ -28,19 +28,22 @@ _USER_ERRORS = (
     GenotypeError,
     MetricError,
     SearchError,
+    SurrogateError,
     LogError,
     FileNotFoundError,
 )
 
 
 def _csv_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers: %r" % text) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="econas",
-        description="Proxy-based evolutionary cell search toolkit",
+        prog="econas", description="Proxy-based evolutionary cell search toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -48,19 +51,19 @@ def build_parser() -> argparse.ArgumentParser:
     zoo_sub = zoo.add_subparsers(dest="zoo_command", required=True)
 
     gen = zoo_sub.add_parser("generate", help="write a zoo of random genotypes")
+    gen.set_defaults(run=_cmd_zoo_generate)
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--count", type=int, default=50)
     gen.add_argument("--nodes", type=int, default=5)
     gen.add_argument("--op-set", default="zoo13", choices=["zoo13", "search8"])
     gen.add_argument(
-        "--output-rule",
-        default="all_intermediate",
-        choices=[r.value for r in OutputRule],
+        "--output-rule", default="all_intermediate", choices=[r.value for r in OutputRule]
     )
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--force", action="store_true")
 
     ev = zoo_sub.add_parser("evaluate", help="evaluate a zoo over a setting grid")
+    ev.set_defaults(run=_cmd_zoo_evaluate)
     ev.add_argument("--manifest", help="experiment manifest document")
     ev.add_argument("--zoo", help="zoo directory (manifest-less mode)")
     ev.add_argument("--table", default="cifar10", help="built-in name or table document")
@@ -73,40 +76,34 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--no-resume", action="store_true", help="re-evaluate everything")
 
     an = sub.add_parser("analyze", help="build consistency reports from a log")
+    an.set_defaults(run=_cmd_analyze)
     an.add_argument("--log", required=True)
     an.add_argument("--ground-truth", required=True, help="Ground-Truth setting label")
     an.add_argument("--out", required=True, help="report output directory")
     an.add_argument("--table", default="cifar10")
     an.add_argument("--top-k", type=int, default=10)
-    an.add_argument("--windows", default="15,20")
+    an.add_argument("--windows", type=_csv_ints, default="15,20")
     an.add_argument("--tolerant-b", type=float, default=0.0015)
-    an.add_argument("--rho-f-sizes", help="e.g. 5,10,15,20,30,50")
+    an.add_argument("--rho-f-sizes", type=_csv_ints, help="e.g. 5,10,15,20,30,50")
     an.add_argument("--rho-f-trials", type=int, default=100)
     an.add_argument("--seed", type=int, default=0)
-    an.add_argument(
-        "--allow-duplicates",
-        action="store_true",
-        help="keep the last record per (model, setting); needed for search histories",
-    )
+    an.add_argument("--allow-duplicates", action="store_true",
+                    help="keep the last record per (model, setting); needed for search histories")
 
     se = sub.add_parser("search", help="run the evolutionary search")
+    se.set_defaults(run=_cmd_search)
     se.add_argument("--config", required=True, help="search config document")
     se.add_argument("--out", required=True, help="result directory")
     se.add_argument("--resume", action="store_true", help="continue from checkpoint")
     se.add_argument("--force", action="store_true", help="ignore an existing checkpoint")
     se.add_argument("--workers", type=int, default=None)
-    se.add_argument(
-        "--stop-after-cycle",
-        type=int,
-        default=None,
-        help="stop at a cycle boundary (for testing interrupted runs)",
-    )
+    se.add_argument("--stop-after-cycle", type=int, default=None,
+                    help="stop at a cycle boundary (for testing interrupted runs)")
 
     bt = sub.add_parser("bridge-selftest", help="check the subprocess evaluator path")
+    bt.set_defaults(run=_cmd_bridge_selftest)
     bt.add_argument(
-        "--command",
-        dest="serve_command",
-        help="evaluator command line (default: own surrogate)",
+        "--command", dest="serve_command", help="evaluator command line (default: own surrogate)"
     )
     bt.add_argument("--table", default="cifar10")
     bt.add_argument("--seed", type=int, default=7)
@@ -116,11 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "surrogate-serve", help="serve the surrogate over the wire protocol on stdio"
     )
+    sv.set_defaults(run=_cmd_surrogate_serve)
     sv.add_argument("--table", default="cifar10")
     sv.add_argument("--seed", type=int, default=7)
     sv.add_argument("--params", help="surrogate parameters document")
 
     return parser
+
+
+def _params(args) -> SurrogateParams:
+    """The ``--params`` document, else the packaged calibration at ``--seed``."""
+    if args.params:
+        return SurrogateParams.load(args.params)
+    return SurrogateParams().with_seed(args.seed)
 
 
 def _cmd_zoo_generate(args) -> int:
@@ -148,12 +153,9 @@ def _manifest_from_args(args) -> harness.ExperimentManifest:
             "either --manifest or all of --zoo/--settings/--out are required"
         )
     table = resolve_table(args.table)
-    from .proxy import parse_label
-
     settings = sorted(
         {parse_label(lbl.strip(), table) for lbl in args.settings.split(",") if lbl.strip()}
     )
-    params = SurrogateParams.load(args.params) if args.params else None
     return harness.ExperimentManifest(
         table=table,
         settings=settings,
@@ -161,7 +163,7 @@ def _manifest_from_args(args) -> harness.ExperimentManifest:
         evaluator_spec=args.evaluator,
         seed=args.seed,
         output_log=args.out,
-        surrogate_params=params,
+        surrogate_params=_params(args),
         workers=args.workers if args.workers is not None else 1,
     )
 
@@ -181,16 +183,15 @@ def _cmd_zoo_evaluate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     table = resolve_table(args.table)
-    sizes = _csv_ints(args.rho_f_sizes) if args.rho_f_sizes else None
     report, paths = harness.run_analyze(
         args.log,
         args.ground_truth,
         args.out,
         table,
         top_k=args.top_k,
-        windows=tuple(_csv_ints(args.windows)),
+        windows=tuple(args.windows),
         tolerant_b=args.tolerant_b,
-        rho_f_sizes=sizes,
+        rho_f_sizes=args.rho_f_sizes,
         rho_f_trials=args.rho_f_trials,
         seed=args.seed,
         allow_duplicates=args.allow_duplicates,
@@ -229,11 +230,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_bridge_selftest(args) -> int:
     table = resolve_table(args.table)
-    params = (
-        SurrogateParams.load(args.params)
-        if args.params
-        else SurrogateParams().with_seed(args.seed)
-    )
+    params = _params(args)
     command = args.serve_command or harness.default_serve_command(
         args.table, args.seed, args.params
     )
@@ -247,12 +244,7 @@ def _cmd_bridge_selftest(args) -> int:
 
 def _cmd_surrogate_serve(args) -> int:
     table = resolve_table(args.table)
-    params = (
-        SurrogateParams.load(args.params)
-        if args.params
-        else SurrogateParams().with_seed(args.seed)
-    )
-    serve(SurrogateEvaluator(params, table), table)
+    serve(SurrogateEvaluator(_params(args), table), table)
     return 0
 
 
@@ -260,22 +252,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "zoo" and args.zoo_command == "generate":
-            return _cmd_zoo_generate(args)
-        if args.command == "zoo" and args.zoo_command == "evaluate":
-            return _cmd_zoo_evaluate(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "bridge-selftest":
-            return _cmd_bridge_selftest(args)
-        if args.command == "surrogate-serve":
-            return _cmd_surrogate_serve(args)
+        return args.run(args)
     except _USER_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    raise AssertionError("unhandled command")
 
 
 if __name__ == "__main__":

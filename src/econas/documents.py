@@ -1,0 +1,154 @@
+"""JSON input documents: the one reader behind every file a user writes
+(experiment manifest, search config, surrogate parameters, reduction table,
+zoo index). A document is a JSON object of a given ``kind`` whose other keys,
+``schema_version`` aside, are the fields of a dataclass. Any failure, including a rejection by the
+dataclass itself, reaches the caller as one error that names the file and,
+where there is one, the key.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import json
+import os
+import types
+from contextlib import contextmanager
+from typing import Union, get_args, get_origin, get_type_hints
+
+
+class Rejected(ValueError):
+    """A value a reader cannot use; ``key`` is its dotted path, if known."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
+
+
+@contextmanager
+def at_key(name: str):
+    """Attribute any failure inside the block to key ``name``."""
+    try:
+        yield
+    except Rejected as exc:
+        raise Rejected(str(exc), name if exc.key is None else "%s.%s" % (name, exc.key)) from None
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: HarnessError, SearchError
+        raise Rejected(str(exc), name) from None
+
+
+@contextmanager
+def reading(path: str, error: type[Exception]):
+    """Raise any failure inside the block as one ``error`` naming ``path``
+    and, when it is known, the key."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as exc:
+        key = getattr(exc, "key", None)
+        where = path if key is None else "%s: key %r" % (path, key)
+        raise error("%s: %s" % (where, exc)) from None
+
+
+_ENVELOPE = ("kind", "schema_version")
+
+
+def check(obj, kind: str, kind_optional: bool = False) -> dict:
+    """``obj`` once it is a JSON object of ``kind``; with ``kind_optional``
+    an object without a ``kind`` key passes too."""
+    if not isinstance(obj, dict):
+        raise Rejected("expected a JSON object, got %s" % type(obj).__name__)
+    if obj.get("kind", kind if kind_optional else None) != kind:
+        raise Rejected("expected %r, got %r" % (kind, obj.get("kind")), "kind")
+    return obj
+
+
+def read(path: str, kind: str, kind_optional: bool = False) -> dict:
+    """Parse the document at ``path`` and :func:`check` it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise Rejected("cannot read: %s" % (exc.strerror or exc)) from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise Rejected("not valid JSON (%s)" % exc) from None
+    return check(obj, kind, kind_optional)
+
+
+def load(path: str, kind: str, cls, error: type[Exception], kind_optional: bool = False):
+    """``cls`` built from the document at ``path``; any failure is ``error``."""
+    with reading(path, error):
+        return build(cls, read(path, kind, kind_optional))
+
+
+def build(cls, obj):
+    """Dataclass ``cls`` from the JSON object ``obj``: unknown keys are
+    rejected, missing keys take the field default, values are converted;
+    ``kind`` and ``schema_version`` are left to :func:`check`."""
+    if not isinstance(obj, dict):
+        raise Rejected("expected a JSON object, got %s" % type(obj).__name__)
+    obj = {k: v for k, v in obj.items() if k not in _ENVELOPE}
+    known = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise Rejected("unknown key (expected one of %s)" % ", ".join(sorted(known)), unknown[0])
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, value in obj.items():
+        with at_key(name):
+            kwargs[name] = convert(hints[name], value)
+    for name, f in known.items():
+        if name not in kwargs and f.default is f.default_factory is dataclasses.MISSING:
+            raise Rejected("required key is missing", name)
+    return cls(**kwargs)
+
+
+def convert(hint, value):
+    """Parsed JSON ``value`` as type ``hint``: ``int`` (integral numbers or
+    numeric strings), ``float``, ``str``, enums, ``Optional[...]``,
+    ``tuple[...]``, ``dict[K, V]``, dataclasses, and ``object`` as is."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return convert(inner, value)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ValueError("expected a list, got %s" % json.dumps(value))
+        if args[-1] is not Ellipsis and len(args) != len(value):
+            raise ValueError("expected %d items, got %d" % (len(args), len(value)))
+        hints = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        return tuple(convert(h, v) for h, v in zip(hints, value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValueError("expected a JSON object, got %s" % json.dumps(value))
+        return {convert(args[0], k): convert(args[1], v) for k, v in value.items()}
+    if dataclasses.is_dataclass(hint):
+        return build(hint, value)
+    if hint is object:
+        return value
+    if hint is int or hint is float:
+        try:
+            if isinstance(value, bool) or (
+                hint is int and isinstance(value, float) and not value.is_integer()
+            ):
+                raise ValueError(value)
+            return hint(value)
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if hint is int else "a number"
+            raise ValueError("expected %s, got %s" % (kind, json.dumps(value))) from None
+    if hint is str:
+        if not isinstance(value, str):
+            raise ValueError("expected a string, got %s" % json.dumps(value))
+        return value
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            choices = ", ".join(m.value for m in hint)
+            raise ValueError("%s is not one of %s" % (json.dumps(value), choices)) from None
+    raise TypeError("no conversion to %r" % hint)
+
+
+def resolve_path(document: str, path: str) -> str:
+    """``path`` as written in the file ``document``: relative to its directory."""
+    return os.path.join(os.path.dirname(os.path.abspath(document)), path)

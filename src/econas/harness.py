@@ -10,10 +10,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional, get_type_hints
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
-from . import analysis
+from . import analysis, documents
 from .bridge import ExternalEvaluator
 from .evaluator import Evaluator, EvaluatorFailure
 from .genotype import (
@@ -28,6 +28,7 @@ from .genotype import (
     random_genotype,
 )
 from .proxy import (
+    BUILTIN_TABLES,
     ReducedSetting,
     ReductionTable,
     format_label,
@@ -45,7 +46,6 @@ from .search import (
     EcoNasConfig,
     FlatConfig,
     SearchEngine,
-    SearchError,
     SearchResult,
     _evaluate_jobs,
     flat_config_to_econas,
@@ -67,6 +67,26 @@ class HarnessError(RuntimeError):
 # -- model zoo -----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ZooEntry:
+    hash: str
+    file: str
+
+
+@dataclass(frozen=True)
+class ZooIndex:
+    op_set: str
+    node_count: int
+    output_rule: OutputRule
+    seed: int
+    count: int
+    models: tuple[ZooEntry, ...]
+
+    def __post_init__(self):
+        if self.count != len(self.models):
+            raise HarnessError("count %d, but %d models listed" % (self.count, len(self.models)))
+
+
 def zoo_generate(
     out_dir: str,
     count: int = 50,
@@ -79,12 +99,7 @@ def zoo_generate(
     """Write ``count`` distinct random genotypes plus an index; idempotent
     for a fixed seed (same bytes every run)."""
     os.makedirs(out_dir, exist_ok=True)
-    existing = [
-        name
-        for name in os.listdir(out_dir)
-        if name == ZOO_INDEX_NAME or name.endswith(".json")
-    ]
-    if existing and not force:
+    if any(name.endswith(".json") for name in os.listdir(out_dir)) and not force:
         raise HarnessError(
             "output directory %s already holds zoo files; pass force to overwrite"
             % out_dir
@@ -105,39 +120,25 @@ def zoo_generate(
         with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as fh:
             fh.write(encode(g))
         entries.append((g.content_hash, filename))
-    index = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "zoo_index",
-        "op_set": op_set.name,
-        "node_count": node_count,
-        "output_rule": output_rule.value,
-        "seed": seed,
-        "count": count,
-        "models": [{"hash": h, "file": f} for h, f in entries],
-    }
+    index = ZooIndex(op_set.name, node_count, output_rule, seed, count, tuple(
+        ZooEntry(h, f) for h, f in entries
+    ))
     with open(os.path.join(out_dir, ZOO_INDEX_NAME), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, sort_keys=True, indent=1)
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "zoo_index", **asdict(index)}
+        json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return entries
 
 
 def load_zoo(zoo_dir: str) -> list[tuple[str, Genotype]]:
     index_path = os.path.join(zoo_dir, ZOO_INDEX_NAME)
-    if not os.path.exists(index_path):
-        raise HarnessError("no zoo index at %s" % index_path)
-    with open(index_path, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    if index.get("kind") != "zoo_index":
-        raise HarnessError("%s is not a zoo index" % index_path)
+    index = documents.load(index_path, "zoo_index", ZooIndex, HarnessError)
     models = []
-    for entry in index.get("models", []):
-        path = os.path.join(zoo_dir, entry["file"])
-        with open(path, "r", encoding="utf-8") as fh:
+    for entry in index.models:
+        with open(documents.resolve_path(index_path, entry.file), "r", encoding="utf-8") as fh:
             g = decode(fh.read())
-        if g.content_hash != entry["hash"]:
-            raise HarnessError(
-                "zoo file %s does not match its indexed hash" % entry["file"]
-            )
+        if g.content_hash != entry.hash:
+            raise HarnessError("zoo file %s does not match its indexed hash" % entry.file)
         models.append((g.content_hash, g))
     return models
 
@@ -160,64 +161,102 @@ class ExperimentManifest:
         return [format_label(s) for s in self.settings]
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """Setting-grid levels; a list left out spans the table's ladder."""
+
+    c: Optional[tuple[int, ...]] = None
+    r: Optional[tuple[int, ...]] = None
+    s: Optional[tuple[int, ...]] = None
+    epochs: Optional[tuple[int, ...]] = None
+
+
+@dataclass(frozen=True)
+class _GridSettings:
+    grid: _Grid = _Grid()
+    include: tuple[str, ...] = ()
+
+
 def _resolve_settings(spec, table: ReductionTable) -> list[ReducedSetting]:
     settings: list[ReducedSetting] = []
-    if isinstance(spec, list):
-        settings = [parse_label(str(lbl), table) for lbl in spec]
-    elif isinstance(spec, dict):
-        grid = spec.get("grid", {})
-        c_levels = grid.get("c", list(range(len(table.channels))))
-        r_levels = grid.get("r", list(range(len(table.resolutions))))
+    if isinstance(spec, dict):
+        spec = documents.build(_GridSettings, spec)
+        g, labels = spec.grid, spec.include
         # Default sample-ratio levels stop at 0.5: the canonical evaluation
         # universe is 25 channel x resolution combos x 2 ratios x 4 epoch
         # choices = 200 settings. Deeper ratios are opt-in.
-        s_levels = grid.get("s", list(range(min(2, len(table.sample_ratios)))))
-        epochs = grid.get("epochs", list(table.epoch_choices))
-        for a in c_levels:
-            for b in r_levels:
-                for c in s_levels:
-                    for e in epochs:
-                        setting = ReducedSetting(int(a), int(b), int(c), int(e))
-                        table.validate_setting(setting)
-                        settings.append(setting)
-        for lbl in spec.get("include", []):
-            settings.append(parse_label(str(lbl), table))
+        settings = [
+            ReducedSetting(a, b, c, e)
+            for a in (g.c if g.c is not None else range(len(table.channels)))
+            for b in (g.r if g.r is not None else range(len(table.resolutions)))
+            for c in (g.s if g.s is not None else range(min(2, len(table.sample_ratios))))
+            for e in (g.epochs if g.epochs is not None else table.epoch_choices)
+        ]
+        for setting in settings:
+            table.validate_setting(setting)
     else:
-        raise HarnessError("settings must be a list of labels or a grid object")
-    unique = sorted(set(settings))
-    if not unique:
+        labels = documents.convert(tuple[str, ...], spec)
+    settings += [parse_label(lbl, table) for lbl in labels]
+    if not settings:
         raise HarnessError("manifest resolves to an empty setting list")
-    return unique
+    return sorted(set(settings))
+
+
+@dataclass(frozen=True)
+class _ManifestDocument:
+    """The keys of an experiment manifest."""
+
+    table: str
+    zoo: str
+    output_log: str
+    settings: object  # a list of labels or a grid object
+    evaluator: str = "surrogate"
+    seed: int = 0
+    surrogate_params: Optional[str] = None
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise HarnessError("workers must be positive")
+
+
+def _companions(path: str, doc) -> tuple[ReductionTable, Optional[SurrogateParams]]:
+    """The table and surrogate parameters a manifest or search config at
+    ``path`` names; a table that is not built in is a path, like the params."""
+    with documents.at_key("table"):
+        table = resolve_table(
+            doc.table if doc.table in BUILTIN_TABLES else documents.resolve_path(path, doc.table)
+        )
+    with documents.at_key("surrogate_params"):
+        params = (
+            SurrogateParams.load(documents.resolve_path(path, doc.surrogate_params))
+            if doc.surrogate_params
+            else None
+        )
+    return table, params
 
 
 def load_manifest(path: str) -> ExperimentManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("kind") != "experiment_manifest":
-        raise HarnessError("%s is not an experiment manifest" % path)
-    base = os.path.dirname(os.path.abspath(path))
-
-    def respath(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    table = resolve_table(
-        obj["table"] if obj["table"] in ("cifar10", "imagenet") else respath(obj["table"])
-    )
-    zoo_dir = respath(str(obj["zoo"]))
-    if not os.path.isdir(zoo_dir):
-        raise HarnessError("manifest zoo directory %s does not exist" % zoo_dir)
-    params = None
-    if obj.get("surrogate_params"):
-        params = SurrogateParams.load(respath(str(obj["surrogate_params"])))
+    """Read an ``experiment_manifest`` document; the paths it holds are
+    relative to its own directory."""
+    with documents.reading(path, HarnessError):
+        doc = documents.build(_ManifestDocument, documents.read(path, "experiment_manifest"))
+        table, params = _companions(path, doc)
+        with documents.at_key("zoo"):
+            zoo_dir = documents.resolve_path(path, doc.zoo)
+            if not os.path.isdir(zoo_dir):
+                raise HarnessError("zoo directory %s does not exist" % zoo_dir)
+        with documents.at_key("settings"):
+            settings = _resolve_settings(doc.settings, table)
     return ExperimentManifest(
         table=table,
-        settings=_resolve_settings(obj.get("settings"), table),
+        settings=settings,
         zoo_dir=zoo_dir,
-        evaluator_spec=str(obj.get("evaluator", "surrogate")),
-        seed=int(obj.get("seed", 0)),
-        output_log=respath(str(obj["output_log"])),
+        evaluator_spec=doc.evaluator,
+        seed=doc.seed,
+        output_log=documents.resolve_path(path, doc.output_log),
         surrogate_params=params,
-        workers=int(obj.get("workers", 1)),
+        workers=doc.workers,
     )
 
 
@@ -255,9 +294,11 @@ def zoo_evaluate(
     Pairs already present in the log are skipped (resume); a last line cut
     short by a crash mid-append is dropped with a warning. The pending pairs
     run as one batch; their records are appended after the whole batch
-    finishes, then the log is rewritten sorted by (model_id, setting) so the
-    final bytes never depend on scheduling. Returns (completed, failed,
-    total-in-grid).
+    finishes, then the log is rewritten from the records in hand, sorted by
+    (model_id, setting) so the final bytes never depend on scheduling. With
+    ``resume`` off every pair runs again and the rewrite replaces any old
+    log, which then holds exactly the fresh records. Returns (completed,
+    failed, total-in-grid).
     """
     models = load_zoo(manifest.zoo_dir)
     own_evaluator = evaluator is None
@@ -306,24 +347,20 @@ def zoo_evaluate(
                 failed += 1
                 logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
                 continue
-            fresh.append(
-                EvaluationRecord(
-                    model_id=mid,
-                    setting=label,
-                    test_accuracy=outcome.accuracy,
-                    train_accuracy=outcome.train_accuracy,
-                    epochs_trained=setting.epochs,
-                )
-            )
-        del outcomes  # the rewrite below reads every record back; keep the peak low
+            fresh.append(EvaluationRecord(
+                mid, label, outcome.accuracy, outcome.train_accuracy, setting.epochs
+            ))
+        del outcomes  # the rewrite below holds every record; keep the peak low
         completed += len(fresh)
-        if fresh:
+        # Without resume the rewrite replaces the old log whole; appending to
+        # it first would pair its stale records with the fresh ones.
+        if fresh and resume:
             append_records(manifest.output_log, fresh)
         # Canonical on-disk order regardless of completion order.
-        if os.path.exists(manifest.output_log):
-            all_records = read_log(manifest.output_log)
-            all_records.sort(key=lambda r: (r.model_id, r.setting))
-            write_log(manifest.output_log, all_records)
+        if fresh or os.path.exists(manifest.output_log):
+            existing.extend(fresh)
+            existing.sort(key=lambda r: (r.model_id, r.setting))
+            write_log(manifest.output_log, existing)
     finally:
         if own_evaluator and isinstance(evaluator, ExternalEvaluator):
             evaluator.close()
@@ -354,110 +391,54 @@ class SearchCommandConfig:
         return flat_config_to_econas(self.flat)
 
 
-def _config_from_obj(cls, obj):
-    """Build ``cls`` from the search config's ``config`` object. Missing keys
-    take the dataclass default; unknown keys and values that do not convert
-    to the field's type are rejected."""
-    if not isinstance(obj, dict):
-        raise HarnessError("search config 'config' must be an object")
-    hints = get_type_hints(cls)
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise HarnessError("unknown search config key(s): %s" % ", ".join(unknown))
-    kwargs = {}
-    for name, value in obj.items():
-        hint = hints[name]
-        try:
-            if value is None and hint == Optional[int]:
-                kwargs[name] = None
-            elif hint in (int, Optional[int]):
-                kwargs[name] = _int_value(name, value)
-            else:  # tier_weights; EcoNasConfig checks its values
-                kwargs[name] = tuple(value)
-        except (TypeError, ValueError):
-            raise HarnessError("search config key %r: bad value %r" % (name, value)) from None
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise HarnessError("search config: %s" % exc) from None
+@dataclass(frozen=True)
+class _SearchDocument:
+    """The keys of a search config; ``config`` holds the engine's fields."""
 
+    algorithm: str = "hierarchical"
+    table: str = "cifar10"
+    setting: str = "c4r4s0"
+    evaluator: str = "surrogate"
+    op_set: str = "search8"
+    node_count: int = NetworkConfig.for_search().node_count
+    stack_n: int = NetworkConfig.for_search().stack_n
+    output_rule: OutputRule = OutputRule.UNUSED_ONLY
+    workers: int = 1
+    config: dict[str, object] = field(default_factory=dict)
+    surrogate_params: Optional[str] = None
 
-def _int_value(name: str, value) -> int:
-    """``value`` as an int; fractional numbers and non-numbers are rejected."""
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)
-        return int(value)
-    except (TypeError, ValueError):
-        raise HarnessError("search config key %r: bad value %r" % (name, value)) from None
-
-
-# Top-level keys of a search config; everything else is a typo.
-_SEARCH_CONFIG_KEYS = frozenset({
-    "schema_version", "kind", "algorithm", "table", "setting", "evaluator", "op_set",
-    "node_count", "stack_n", "output_rule", "workers", "config", "surrogate_params",
-})
+    def __post_init__(self):
+        if self.algorithm not in ("hierarchical", "flat"):
+            raise HarnessError("algorithm must be 'hierarchical' or 'flat'")
+        if self.workers < 1:
+            raise HarnessError("workers must be positive")
 
 
 def load_search_config(path: str) -> SearchCommandConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or obj.get("kind") != "search_config":
-        raise HarnessError("%s is not a search config" % path)
-    unknown = sorted(set(obj) - _SEARCH_CONFIG_KEYS)
-    if unknown:
-        raise HarnessError("unknown search config key(s): %s" % ", ".join(unknown))
-    base = os.path.dirname(os.path.abspath(path))
-    algorithm = obj.get("algorithm", "hierarchical")
-    if algorithm not in ("hierarchical", "flat"):
-        raise HarnessError("algorithm must be 'hierarchical' or 'flat'")
-    table_spec = obj.get("table", "cifar10")
-    table = resolve_table(
-        table_spec
-        if table_spec in ("cifar10", "imagenet")
-        else (table_spec if os.path.isabs(table_spec) else os.path.join(base, table_spec))
-    )
-    raw_setting = str(obj.get("setting", "c4r4s0"))
-    if "e" not in raw_setting:
-        raw_setting += "e1"  # engine substitutes per-span epochs
-    setting = parse_label(raw_setting, table)
-    cfg_obj = obj.get("config", {})
-    econas_cfg = None
-    flat_cfg = None
-    if algorithm == "hierarchical":
-        econas_cfg = _config_from_obj(EcoNasConfig, cfg_obj)
-    else:
-        flat_cfg = _config_from_obj(FlatConfig, cfg_obj)
-    params = None
-    if obj.get("surrogate_params"):
-        ppath = str(obj["surrogate_params"])
-        params = SurrogateParams.load(ppath if os.path.isabs(ppath) else os.path.join(base, ppath))
-    network = replace(
-        NetworkConfig.for_search(),
-        **{
-            f.name: _int_value(f.name, obj[f.name])
-            for f in fields(NetworkConfig)
-            if f.name in obj
-        },
-    )
-    try:
-        output_rule = OutputRule(obj.get("output_rule", "unused_only"))
-    except ValueError:
-        raise HarnessError(
-            "search config key 'output_rule': unknown rule %r (choose from %s)"
-            % (obj["output_rule"], ", ".join(r.value for r in OutputRule))
-        ) from None
+    """Read a ``search_config`` document; the paths it holds are relative to
+    its own directory."""
+    with documents.reading(path, HarnessError):
+        doc = documents.build(_SearchDocument, documents.read(path, "search_config"))
+        table, params = _companions(path, doc)
+        with documents.at_key("setting"):  # the engine substitutes each span's epochs
+            setting = parse_label(doc.setting if "e" in doc.setting else doc.setting + "e1", table)
+        with documents.at_key("op_set"):
+            op_set = resolve_op_set(doc.op_set)
+        with documents.at_key("config"):
+            hierarchical = doc.algorithm == "hierarchical"
+            engine = documents.build(EcoNasConfig if hierarchical else FlatConfig, doc.config)
+        network = NetworkConfig(doc.node_count, doc.stack_n)
     return SearchCommandConfig(
-        algorithm=algorithm,
+        algorithm=doc.algorithm,
         table=table,
         setting=setting,
-        evaluator_spec=str(obj.get("evaluator", "surrogate")),
-        op_set=resolve_op_set(str(obj.get("op_set", "search8"))),
+        evaluator_spec=doc.evaluator,
+        op_set=op_set,
         network=network,
-        output_rule=output_rule,
-        workers=_int_value("workers", obj.get("workers", 1)),
-        econas=econas_cfg,
-        flat=flat_cfg,
+        output_rule=doc.output_rule,
+        workers=doc.workers,
+        econas=engine if hierarchical else None,
+        flat=None if hierarchical else engine,
         surrogate_params=params,
     )
 
@@ -499,15 +480,8 @@ def run_search(
                 "force to start over" % out_dir
             )
         if resume:
-            try:
-                with open(checkpoint_path, "r", encoding="utf-8") as fh:
-                    engine.load_checkpoint_obj(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise HarnessError(
-                    "cannot resume from %s: not valid JSON (%s)" % (checkpoint_path, exc)
-                ) from None
-            except (ValueError, SearchError) as exc:  # not UTF-8, or a bad section
-                raise HarnessError("cannot resume from %s: %s" % (checkpoint_path, exc)) from None
+            with documents.reading(checkpoint_path, HarnessError):
+                engine.load_checkpoint_obj(documents.read(checkpoint_path, "search_checkpoint"))
     try:
         result = engine.run(stop_after_cycle=stop_after_cycle)
     finally:
@@ -525,12 +499,8 @@ def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir
     ledger_path = os.path.join(out_dir, "ledger.jsonl")
     tmp = ledger_path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {"kind": "budget_ledger", "schema_version": SCHEMA_VERSION}, sort_keys=True
-            )
-            + "\n"
-        )
+        header = {"kind": "budget_ledger", "schema_version": SCHEMA_VERSION}
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
         for e in ledger.entries:
             fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
     os.replace(tmp, ledger_path)
@@ -598,18 +568,8 @@ def run_analyze(
 
 
 def default_serve_command(table_name: str, seed: int, params_path: Optional[str] = None) -> list:
-    command = [
-        sys.executable,
-        "-m",
-        "econas.cli",
-        "surrogate-serve",
-        "--table",
-        table_name,
-        "--seed",
-        str(seed),
-    ]
-    if params_path:
-        command += ["--params", params_path]
+    command = [sys.executable, "-m", "econas.cli", "surrogate-serve", "--table", table_name]
+    command += ["--seed", str(seed)] + (["--params", params_path] if params_path else [])
     return command
 
 

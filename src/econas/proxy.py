@@ -11,10 +11,10 @@ at equal epochs.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
+from . import documents
 from .genotype import Genotype, NetworkConfig, OperationKind
 
 SCHEMA_VERSION = 1
@@ -175,26 +175,14 @@ def parse_label(label: str, table: ReductionTable | None = None) -> ReducedSetti
 
 
 def load_table(path: str) -> ReductionTable:
-    """Load a user-defined reduction table from a JSON document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise SettingError("table document must be a JSON object")
-    try:
-        return ReductionTable(
-            name=str(obj["name"]),
-            channels=tuple(int(v) for v in obj["channels"]),
-            resolutions=tuple(int(v) for v in obj["resolutions"]),
-            sample_ratios=tuple(float(v) for v in obj["sample_ratios"]),
-            epoch_choices=tuple(int(v) for v in obj["epoch_choices"]),
-            test_resolutions=(
-                tuple(int(v) for v in obj["test_resolutions"])
-                if obj.get("test_resolutions") is not None
-                else None
-            ),
-        )
-    except KeyError as exc:
-        raise SettingError("table document missing field %s" % exc) from None
+    """Load a user-defined reduction table from a JSON document: an object
+    whose keys are the :class:`ReductionTable` fields (``test_resolutions``
+    may be left out), optionally with ``"kind": "reduction_table"``. An
+    unknown or missing key, a value of the wrong type or a ladder the table
+    rejects raises :class:`SettingError` naming the file and the key."""
+    return documents.load(
+        path, "reduction_table", ReductionTable, SettingError, kind_optional=True
+    )
 
 
 def resolve_table(spec: str) -> ReductionTable:

@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
+from . import documents
 from .evaluator import ContractViolation, EvalResult, check_span
 from .genotype import (
     CellSpec,
@@ -75,7 +76,7 @@ class SurrogateParams:
     saturates, so longer training always sharpens the ranking.
     """
 
-    op_scores: dict = field(default_factory=lambda: dict(DEFAULT_OP_SCORES))
+    op_scores: dict[OperationKind, float] = field(default_factory=lambda: dict(DEFAULT_OP_SCORES))
     op_weight: float = 0.7
     connectivity_weight: float = 0.3
     quality_low: float = 0.30
@@ -153,56 +154,20 @@ class SurrogateParams:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "surrogate_params",
-            "op_scores": {k.value: v for k, v in sorted(self.op_scores.items())},
-            "op_weight": self.op_weight,
-            "connectivity_weight": self.connectivity_weight,
-            "quality_low": self.quality_low,
-            "quality_high": self.quality_high,
-            "tau": self.tau,
-            "beta_c": list(self.beta_c),
-            "beta_r": list(self.beta_r),
-            "beta_s": list(self.beta_s),
-            "sigma_base": self.sigma_base,
-            "sigma_c": list(self.sigma_c),
-            "sigma_r": list(self.sigma_r),
-            "sigma_s": list(self.sigma_s),
-            "sample_epoch_exponent": self.sample_epoch_exponent,
-            "train_gap_scale": self.train_gap_scale,
-            "train_gap_jitter": self.train_gap_jitter,
-            "seed": self.seed,
-        }
+        return {"schema_version": 1, "kind": "surrogate_params", **asdict(self)}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SurrogateParams":
-        if obj.get("kind") != "surrogate_params":
-            raise SurrogateError("not a surrogate_params document")
-        return SurrogateParams(
-            op_scores={OperationKind(k): float(v) for k, v in obj["op_scores"].items()},
-            op_weight=float(obj["op_weight"]),
-            connectivity_weight=float(obj["connectivity_weight"]),
-            quality_low=float(obj["quality_low"]),
-            quality_high=float(obj["quality_high"]),
-            tau=float(obj["tau"]),
-            beta_c=tuple(float(v) for v in obj["beta_c"]),
-            beta_r=tuple(float(v) for v in obj["beta_r"]),
-            beta_s=tuple(float(v) for v in obj["beta_s"]),
-            sigma_base=float(obj["sigma_base"]),
-            sigma_c=tuple(float(v) for v in obj["sigma_c"]),
-            sigma_r=tuple(float(v) for v in obj["sigma_r"]),
-            sigma_s=tuple(float(v) for v in obj["sigma_s"]),
-            sample_epoch_exponent=float(obj["sample_epoch_exponent"]),
-            train_gap_scale=float(obj["train_gap_scale"]),
-            train_gap_jitter=float(obj["train_gap_jitter"]),
-            seed=int(obj["seed"]),
-        )
+        with documents.reading("surrogate params", SurrogateError):
+            return documents.build(SurrogateParams, documents.check(obj, "surrogate_params"))
 
     @staticmethod
     def load(path: str) -> "SurrogateParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SurrogateParams.from_json_obj(json.load(fh))
+        """Read a ``surrogate_params`` document such as the one :meth:`save`
+        writes. Keys left out take the defaults above; an unknown key, a
+        value of the wrong type or one ``__post_init__`` rejects raises
+        :class:`SurrogateError` naming the file and the key."""
+        return documents.load(path, "surrogate_params", SurrogateParams, SurrogateError)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,3 +1,5 @@
+import pytest
+
 from econas.cli import main
 from econas.genotype import OperationKind
 from econas.harness import zoo_generate
@@ -77,8 +79,16 @@ def test_toy_space_quality_extremes(toy_space):
 
 def test_surrogate_serve_help_does_not_crash():
     # argparse exits with SystemExit(0) on --help; ensure wiring is intact
-    import pytest
-
     with pytest.raises(SystemExit) as exc:
         main(["surrogate-serve", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("flag", ["--windows", "--rho-f-sizes"])
+def test_analyze_integer_lists_are_parsed_as_arguments(tmp_path, capsys, flag):
+    argv = ["analyze", "--log", str(tmp_path / "log.jsonl"), "--ground-truth", "c0r0s0e600",
+            "--out", str(tmp_path / "report"), flag, "5,a"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

@@ -155,6 +155,23 @@ def test_zoo_evaluate_resumes_after_a_torn_last_line(tmp_path, caplog):
             assert fh.read() == full_bytes
 
 
+def test_zoo_evaluate_without_resume_replaces_the_log(tmp_path):
+    zoo_evaluate(_mini_manifest(tmp_path))  # 18 records under other settings
+    labels = ("c0r0s0e600", "c4r4s0e60")
+    manifest = _mini_manifest(tmp_path, labels=labels)
+    assert zoo_evaluate(manifest, resume=False) == (12, 0, 12)
+    reference = _mini_manifest(tmp_path / "ref", labels=labels)
+    reference.zoo_dir = manifest.zoo_dir
+    zoo_evaluate(reference)
+    with open(manifest.output_log, "rb") as fh, open(reference.output_log, "rb") as ref:
+        assert fh.read() == ref.read()
+    assert zoo_evaluate(manifest) == (12, 0, 12)  # a later resume reads it
+    assert main([
+        "analyze", "--log", manifest.output_log, "--ground-truth", "c0r0s0e600",
+        "--out", str(tmp_path / "report"), "--top-k", "2", "--windows", "2,3",
+    ]) == 0
+
+
 def test_torn_or_damaged_log_still_rejected_elsewhere(tmp_path):
     manifest = _mini_manifest(tmp_path)
     zoo_evaluate(manifest)

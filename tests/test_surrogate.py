@@ -69,6 +69,15 @@ def test_params_roundtrip_and_packaged_document(tmp_path):
         assert SurrogateParams.load(str(packaged)) == params
 
 
+def test_params_save_writes_the_packaged_document_bytes(tmp_path):
+    import importlib.resources as resources
+
+    path = tmp_path / "params.json"
+    SurrogateParams().save(str(path))
+    packaged = resources.files("econas").joinpath("data/surrogate_cifar10.json")
+    assert path.read_bytes() == packaged.read_bytes()
+
+
 def test_params_fit_both_builtin_tables():
     SurrogateParams().validate_for_table(CIFAR10_TABLE)
     SurrogateParams().validate_for_table(IMAGENET_TABLE)
