@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from . import documents
 from .metrics import (
     ConsistencyRow,
     RankVector,
@@ -227,13 +228,11 @@ def _fmt(value) -> str:
 
 
 def _write_table(path: str, comment: str, header: list, rows: list) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with documents.replacing(path) as fh:
         fh.write("# %s\n" % comment)
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
 
 
 def write_report_files(

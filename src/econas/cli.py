@@ -41,6 +41,13 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("expected comma-separated integers: %r" % text) from None
 
 
+def _workers(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError("expected at least 1 worker, got %d" % workers)
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="econas", description="Proxy-based evolutionary cell search toolkit"
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--evaluator", default="surrogate", help="'surrogate' or 'cmd:...'")
     ev.add_argument("--params", help="surrogate parameters document")
     ev.add_argument("--seed", type=int, default=7)
-    ev.add_argument("--workers", type=int, default=None)
+    ev.add_argument("--workers", type=_workers, default=None)
     ev.add_argument("--no-resume", action="store_true", help="re-evaluate everything")
 
     an = sub.add_parser("analyze", help="build consistency reports from a log")
@@ -96,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--out", required=True, help="result directory")
     se.add_argument("--resume", action="store_true", help="continue from checkpoint")
     se.add_argument("--force", action="store_true", help="ignore an existing checkpoint")
-    se.add_argument("--workers", type=int, default=None)
+    se.add_argument("--workers", type=_workers, default=None)
     se.add_argument("--stop-after-cycle", type=int, default=None,
                     help="stop at a cycle boundary (for testing interrupted runs)")
 

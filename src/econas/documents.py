@@ -1,9 +1,10 @@
-"""JSON input documents: the one reader behind every file a user writes
+"""JSON documents in, whole files out. Every document a user writes
 (experiment manifest, search config, surrogate parameters, reduction table,
-zoo index). A document is a JSON object of a given ``kind`` whose other keys,
-``schema_version`` aside, are the fields of a dataclass. Any failure, including a rejection by the
-dataclass itself, reaches the caller as one error that names the file and,
-where there is one, the key.
+zoo index) is a JSON object of a given ``kind`` whose other keys,
+``schema_version`` aside, are the fields of a dataclass; any failure,
+including a rejection by the dataclass itself, reaches the caller as one
+error that names the file and, where there is one, the key. Every output
+file written whole goes through :func:`replacing`, which is atomic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 import json
 import os
 import types
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Union, get_args, get_origin, get_type_hints
 
 
@@ -49,6 +50,7 @@ def reading(path: str, error: type[Exception]):
 
 
 _ENVELOPE = ("kind", "schema_version")
+SCHEMA_VERSION = 1
 
 
 def check(obj, kind: str, kind_optional: bool = False) -> dict:
@@ -152,3 +154,33 @@ def convert(hint, value):
 def resolve_path(document: str, path: str) -> str:
     """``path`` as written in the file ``document``: relative to its directory."""
     return os.path.join(os.path.dirname(os.path.abspath(document)), path)
+
+
+@contextmanager
+def replacing(path: str):
+    """Yield a text file that replaces ``path`` once the block ends; on any
+    exception, ``path`` keeps its old bytes and the temp file is removed."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write(path: str, kind: str, fields: dict) -> None:
+    """Write the document :func:`read` takes back: sorted keys, ``indent=1``."""
+    doc = {"kind": kind, "schema_version": SCHEMA_VERSION, **fields}
+    with replacing(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def write_lines(path: str, kind: str, objs) -> None:
+    """Write JSON lines: an envelope header, then one object per line."""
+    with replacing(path) as fh:
+        fh.write(json.dumps({"kind": kind, "schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")

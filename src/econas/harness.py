@@ -6,7 +6,6 @@ primary outputs are byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import sys
@@ -56,7 +55,6 @@ from .surrogate import SurrogateEvaluator, SurrogateParams
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
 ZOO_INDEX_NAME = "index.json"
 
 
@@ -117,16 +115,14 @@ def zoo_generate(
             attempt += 1
         seen.add(g.content_hash)
         filename = g.content_hash[:16] + ".json"
+        # Written in place: index.json, written last, is what makes a zoo readable.
         with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as fh:
             fh.write(encode(g))
         entries.append((g.content_hash, filename))
     index = ZooIndex(op_set.name, node_count, output_rule, seed, count, tuple(
         ZooEntry(h, f) for h, f in entries
     ))
-    with open(os.path.join(out_dir, ZOO_INDEX_NAME), "w", encoding="utf-8") as fh:
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "zoo_index", **asdict(index)}
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    documents.write(os.path.join(out_dir, ZOO_INDEX_NAME), "zoo_index", asdict(index))
     return entries
 
 
@@ -495,19 +491,10 @@ def run_search(
 def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir: str) -> None:
     write_log(os.path.join(out_dir, "history.jsonl"), result.history_records())
     ledger = result.ledger
-
-    ledger_path = os.path.join(out_dir, "ledger.jsonl")
-    tmp = ledger_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        header = {"kind": "budget_ledger", "schema_version": SCHEMA_VERSION}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for e in ledger.entries:
-            fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
-    os.replace(tmp, ledger_path)
-
+    documents.write_lines(
+        os.path.join(out_dir, "ledger.jsonl"), "budget_ledger", map(asdict, ledger.entries)
+    )
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "search_summary",
         "algorithm": cfg.algorithm,
         "setting": format_label(cfg.setting),
         "models_trained_from_scratch": ledger.from_scratch_models,
@@ -528,11 +515,9 @@ def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir
     os.makedirs(top_dir, exist_ok=True)
     for i, t in enumerate(result.top):
         path = os.path.join(top_dir, "rank%d_%s.json" % (i + 1, t.model_id[:16]))
-        with open(path, "w", encoding="utf-8") as fh:
+        with documents.replacing(path) as fh:
             fh.write(encode(t.genotype))
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    documents.write(os.path.join(out_dir, "summary.json"), "search_summary", summary)
 
 
 # -- analyze command -----------------------------------------------------------------

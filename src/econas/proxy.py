@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from . import documents
 from .genotype import Genotype, NetworkConfig, OperationKind
 
-SCHEMA_VERSION = 1
-
 
 class SettingError(ValueError):
     """Invalid reduction table, setting, or setting label."""

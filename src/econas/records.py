@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-SCHEMA_VERSION = 1
+from . import documents
+
 _HEADER_KIND = "evaluation_log"
 
 
@@ -45,7 +46,7 @@ class EvaluationRecord:
         return (self.model_id, self.setting)
 
 
-def _record_line(rec: EvaluationRecord) -> str:
+def _record_obj(rec: EvaluationRecord) -> dict:
     obj = {
         "model_id": rec.model_id,
         "setting": rec.setting,
@@ -54,33 +55,21 @@ def _record_line(rec: EvaluationRecord) -> str:
     }
     if rec.train_accuracy is not None:
         obj["train_accuracy"] = rec.train_accuracy
-    return json.dumps(obj, sort_keys=True)
-
-
-def header_line() -> str:
-    return json.dumps(
-        {"kind": _HEADER_KIND, "schema_version": SCHEMA_VERSION}, sort_keys=True
-    )
+    return obj
 
 
 def write_log(path: str, records: Iterable[EvaluationRecord]) -> None:
-    """Write a whole log atomically (temp file + rename)."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(header_line() + "\n")
-        for rec in records:
-            fh.write(_record_line(rec) + "\n")
-    os.replace(tmp, path)
+    """Write a whole log atomically."""
+    documents.write_lines(path, _HEADER_KIND, map(_record_obj, records))
 
 
 def append_records(path: str, records: Iterable[EvaluationRecord]) -> None:
     """Append records, creating the file (with header) if needed."""
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        documents.write_lines(path, _HEADER_KIND, ())
     with open(path, "a", encoding="utf-8") as fh:
-        if new_file:
-            fh.write(header_line() + "\n")
         for rec in records:
-            fh.write(_record_line(rec) + "\n")
+            fh.write(json.dumps(_record_obj(rec), sort_keys=True) + "\n")
         fh.flush()
 
 
@@ -137,7 +126,7 @@ def read_log(path: str, on_duplicate: str = "error") -> list[EvaluationRecord]:
             if lineno == 1:
                 if obj.get("kind") != _HEADER_KIND:
                     raise LogError("line 1: missing evaluation_log header")
-                if obj.get("schema_version") != SCHEMA_VERSION:
+                if obj.get("schema_version") != documents.SCHEMA_VERSION:
                     raise LogError(
                         "line 1: unsupported schema_version %r" % obj.get("schema_version")
                     )

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
+from . import documents
 from .evaluator import Evaluator, EvaluatorFailure
 from .genotype import (
     BUILTIN_OP_SETS,
@@ -622,8 +622,7 @@ class SearchEngine:
             "history": ("[]", st.history_json),
         }
         sections = {**self._small_sections(), **streamed}
-        tmp = self.checkpoint_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with documents.replacing(self.checkpoint_path) as fh:
             for i, key in enumerate(sorted(sections)):
                 fh.write("%s%s: " % ("{" if i == 0 else ", ", json.dumps(key)))
                 if key in streamed:
@@ -631,7 +630,6 @@ class SearchEngine:
                 else:
                     fh.write(json.dumps(sections[key], sort_keys=True))
             fh.write("}\n")
-        os.replace(tmp, self.checkpoint_path)
 
     def load_checkpoint_obj(self, obj: dict) -> None:
         """Restore state from a checkpoint; a ``"ledger"`` section written by

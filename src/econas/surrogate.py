@@ -16,7 +16,6 @@ constants live in data/surrogate_cifar10.json with the default seed.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -73,10 +72,11 @@ class SurrogateParams:
     on purpose: narrower networks are modelled as the MORE faithful proxy.
     ``sigma_*`` scale observation noise the same way. Both decay with
     trained epochs at time constant ``tau`` while the quality signal
-    saturates, so longer training always sharpens the ranking.
+    saturates, so longer training always sharpens the ranking. ``op_scores``
+    overrides ``DEFAULT_OP_SCORES``; operations it leaves out keep theirs.
     """
 
-    op_scores: dict[OperationKind, float] = field(default_factory=lambda: dict(DEFAULT_OP_SCORES))
+    op_scores: dict[OperationKind, float] = field(default_factory=dict)
     op_weight: float = 0.7
     connectivity_weight: float = 0.3
     quality_low: float = 0.30
@@ -95,6 +95,7 @@ class SurrogateParams:
     seed: int = 7
 
     def __post_init__(self):
+        object.__setattr__(self, "op_scores", {**DEFAULT_OP_SCORES, **self.op_scores})
         if self.tau <= 0:
             raise SurrogateError("tau must be positive")
         if not 0 < self.quality_low < self.quality_high < 1:
@@ -153,14 +154,6 @@ class SurrogateParams:
             seed=seed,
         )
 
-    def to_json_obj(self) -> dict:
-        return {"schema_version": 1, "kind": "surrogate_params", **asdict(self)}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "SurrogateParams":
-        with documents.reading("surrogate params", SurrogateError):
-            return documents.build(SurrogateParams, documents.check(obj, "surrogate_params"))
-
     @staticmethod
     def load(path: str) -> "SurrogateParams":
         """Read a ``surrogate_params`` document such as the one :meth:`save`
@@ -170,9 +163,7 @@ class SurrogateParams:
         return documents.load(path, "surrogate_params", SurrogateParams, SurrogateError)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        documents.write(path, "surrogate_params", asdict(self))
 
 
 def true_quality(g: Genotype, params: SurrogateParams) -> float:
@@ -184,8 +175,8 @@ def true_quality(g: Genotype, params: SurrogateParams) -> float:
     for cell in (g.normal, g.reduction):
         refs = set()
         for node in cell.nodes:
-            scores.append(params.op_scores.get(node.op_a, 0.0))
-            scores.append(params.op_scores.get(node.op_b, 0.0))
+            scores.append(params.op_scores[node.op_a])
+            scores.append(params.op_scores[node.op_b])
             refs.add(node.input_a)
             refs.add(node.input_b)
         distinct += len(refs)

@@ -92,3 +92,19 @@ def test_analyze_integer_lists_are_parsed_as_arguments(tmp_path, capsys, flag):
         main(argv)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zoo", "evaluate", "--zoo", "zoo", "--settings", "c4r4s0e30", "--out", "e.jsonl",
+     "--workers", "0"],
+    ["zoo", "evaluate", "--manifest", "manifest.json", "--workers", "-3"],
+    ["search", "--config", "search.json", "--out", "run", "--workers", "0"],
+])
+def test_workers_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    zoo_generate("zoo", count=2, node_count=2, seed=1)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "e.jsonl").exists()

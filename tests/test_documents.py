@@ -41,7 +41,8 @@ def _evaluate_argv(tmp_path):
 
 def _params(tmp_path):
     path = tmp_path / "params.json"
-    return SurrogateParams().to_json_obj(), path, _evaluate_argv(tmp_path) + ["--params", str(path)]
+    SurrogateParams().save(str(path))
+    return json.loads(path.read_text()), path, _evaluate_argv(tmp_path) + ["--params", str(path)]
 
 
 def _table(tmp_path):

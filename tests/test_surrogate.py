@@ -21,6 +21,7 @@ from econas.metrics import spearman_accuracies
 from econas.proxy import CIFAR10_TABLE, IMAGENET_TABLE, ReducedSetting
 from econas.seeding import derive_rng
 from econas.surrogate import (
+    DEFAULT_OP_SCORES,
     SurrogateError,
     SurrogateEvaluator,
     SurrogateParams,
@@ -76,6 +77,13 @@ def test_params_save_writes_the_packaged_document_bytes(tmp_path):
     SurrogateParams().save(str(path))
     packaged = resources.files("econas").joinpath("data/surrogate_cifar10.json")
     assert path.read_bytes() == packaged.read_bytes()
+
+
+def test_params_op_scores_left_out_keep_their_defaults(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text('{"kind": "surrogate_params", "op_scores": {"conv_3x3": 0.9}}')
+    params = SurrogateParams.load(str(path))
+    assert params.op_scores == {**DEFAULT_OP_SCORES, OperationKind.CONV_3X3: 0.9}
 
 
 def test_params_fit_both_builtin_tables():
