@@ -4,7 +4,9 @@ zoo index) is a JSON object of a given ``kind`` whose other keys,
 ``schema_version`` aside, are the fields of a dataclass; any failure,
 including a rejection by the dataclass itself, reaches the caller as one
 error that names the file and, where there is one, the key. Every output
-file written whole goes through :func:`replacing`, which is atomic.
+file written whole goes through :func:`replacing`, which is atomic; JSON
+lines are appended through :func:`append_lines` and read back through
+:func:`read_lines`.
 """
 
 from __future__ import annotations
@@ -184,3 +186,35 @@ def write_lines(path: str, kind: str, objs) -> None:
         fh.write(json.dumps({"kind": kind, "schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
         for obj in objs:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def append_lines(path: str, kind: str, objs) -> None:
+    """Append JSON lines to a file :func:`write_lines` started, and flush
+    them; a missing or empty file gets its envelope header first. A crash
+    mid-append leaves at most a last line without its newline."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        write_lines(path, kind, ())
+    with open(path, "a", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.flush()
+
+
+def read_lines(path: str, kind: str):
+    """Yield ``(line number, object)`` for each line after the envelope
+    header of a JSON-lines file of ``kind``; blank lines are skipped and a
+    line that is not JSON is rejected with its number."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > 1 and not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise Rejected("line %d: not valid JSON (%s)" % (lineno, exc)) from None
+            if lineno > 1:
+                yield lineno, obj
+            elif not isinstance(obj, dict) or obj.get("kind") != kind:
+                raise Rejected("line 1: missing %s header" % kind)
+            elif obj.get("schema_version") != SCHEMA_VERSION:
+                raise Rejected("line 1: unsupported schema_version %r" % obj.get("schema_version"))

@@ -465,3 +465,16 @@ def decode(doc: str) -> Genotype:
         return Genotype(normal, reduction, op_set)
     except GenotypeError as exc:
         raise ParseError(str(exc)) from None
+
+
+def decode_stored(model_id: str, doc) -> Genotype:
+    """The genotype stored as ``doc`` under ``model_id``, which must be the
+    SHA-256 of ``doc``. The instance keeps ``doc`` as its document and
+    ``model_id`` as its hash, so neither is built again."""
+    if not isinstance(doc, str):
+        raise ParseError("genotype %s: expected a document string" % model_id)
+    if hashlib.sha256(doc.encode("utf-8")).hexdigest() != model_id:
+        raise ParseError("genotype %s: the id is not the SHA-256 of its document" % model_id)
+    g = decode(doc)
+    g.__dict__.update(_document=doc, content_hash=model_id)  # the cached_property slots
+    return g

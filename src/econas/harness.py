@@ -42,6 +42,7 @@ from .records import (
     write_log,
 )
 from .search import (
+    JOURNAL_KIND,
     EcoNasConfig,
     FlatConfig,
     SearchEngine,
@@ -152,6 +153,7 @@ class ExperimentManifest:
     output_log: str
     surrogate_params: Optional[SurrogateParams] = None
     workers: int = 1
+    evaluator_timeout: float = 60.0
 
     def setting_labels(self) -> list[str]:
         return [format_label(s) for s in self.settings]
@@ -210,10 +212,18 @@ class _ManifestDocument:
     seed: int = 0
     surrogate_params: Optional[str] = None
     workers: int = 1
+    evaluator_timeout: float = 60.0
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise HarnessError("workers must be positive")
+        _check_shared_keys(self)
+
+
+def _check_shared_keys(doc) -> None:
+    """The checks a manifest and a search config share."""
+    if doc.workers < 1:
+        raise HarnessError("workers must be positive")
+    if not doc.evaluator_timeout > 0:
+        raise HarnessError("evaluator_timeout must be a positive number of seconds")
 
 
 def _companions(path: str, doc) -> tuple[ReductionTable, Optional[SurrogateParams]]:
@@ -253,6 +263,7 @@ def load_manifest(path: str) -> ExperimentManifest:
         output_log=documents.resolve_path(path, doc.output_log),
         surrogate_params=params,
         workers=doc.workers,
+        evaluator_timeout=doc.evaluator_timeout,
     )
 
 
@@ -261,11 +272,12 @@ def make_evaluator(
     table: ReductionTable,
     params: Optional[SurrogateParams] = None,
     seed: int = 0,
+    timeout: float = 60.0,
 ) -> Evaluator:
     """'surrogate' for the in-process bench, 'cmd:<command line>' for an
     external trainer speaking the wire protocol: one child of the command
     per concurrent evaluation, started lazily, so a search with N workers
-    runs up to N children."""
+    runs up to N children, each given ``timeout`` seconds per reply."""
     if spec == "surrogate":
         p = params if params is not None else SurrogateParams().with_seed(seed)
         return SurrogateEvaluator(p, table)
@@ -273,7 +285,7 @@ def make_evaluator(
         command = spec[len("cmd:") :].strip()
         if not command:
             raise HarnessError("empty evaluator command")
-        return ExternalEvaluator(command)
+        return ExternalEvaluator(command, timeout=timeout)
     raise HarnessError("unknown evaluator spec %r" % spec)
 
 
@@ -304,6 +316,7 @@ def zoo_evaluate(
             manifest.table,
             manifest.surrogate_params,
             manifest.seed,
+            manifest.evaluator_timeout,
         )
     jobs = [
         (mid, g, setting)
@@ -379,6 +392,7 @@ class SearchCommandConfig:
     econas: Optional[EcoNasConfig]
     flat: Optional[FlatConfig]
     surrogate_params: Optional[SurrogateParams]
+    evaluator_timeout: float = 60.0
 
     @property
     def engine_config(self) -> EcoNasConfig:
@@ -402,12 +416,12 @@ class _SearchDocument:
     workers: int = 1
     config: dict[str, object] = field(default_factory=dict)
     surrogate_params: Optional[str] = None
+    evaluator_timeout: float = 60.0
 
     def __post_init__(self):
         if self.algorithm not in ("hierarchical", "flat"):
             raise HarnessError("algorithm must be 'hierarchical' or 'flat'")
-        if self.workers < 1:
-            raise HarnessError("workers must be positive")
+        _check_shared_keys(self)
 
 
 def load_search_config(path: str) -> SearchCommandConfig:
@@ -436,7 +450,25 @@ def load_search_config(path: str) -> SearchCommandConfig:
         econas=engine if hierarchical else None,
         flat=None if hierarchical else engine,
         surrogate_params=params,
+        evaluator_timeout=doc.evaluator_timeout,
     )
+
+
+def load_checkpoint(engine: SearchEngine) -> None:
+    """Restore ``engine`` from its ``checkpoint.json`` and then replay its
+    ``checkpoint.journal``, if there is one, in cycle order. A last journal
+    line cut short by a crash mid-append is dropped with a warning; any
+    other damage is a HarnessError naming the file."""
+    path, journal = engine.checkpoint_path, engine.journal_path
+    with documents.reading(path, HarnessError):
+        engine.load_checkpoint_obj(documents.read(path, "search_checkpoint"))
+    if not os.path.exists(journal):
+        return
+    if truncate_torn_tail(journal):
+        logger.warning("dropped an unfinished last line from %s; its cycle runs again", journal)
+    with documents.reading(journal, HarnessError):
+        for _, line in documents.read_lines(journal, JOURNAL_KIND):
+            engine.replay(line)
 
 
 def run_search(
@@ -448,15 +480,17 @@ def run_search(
     evaluator: Optional[Evaluator] = None,
     stop_after_cycle: Optional[int] = None,
 ) -> SearchResult:
-    """Run (or resume) a search into ``out_dir``: checkpoint each cycle,
-    then history, ledger, summary, and the top genotype files on completion."""
+    """Run (or resume) a search into ``out_dir``: checkpoint each cycle
+    (``checkpoint.json`` and ``checkpoint.journal``, see
+    :class:`SearchEngine`), then history, ledger, summary, and the top
+    genotype files on completion."""
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     seed = cfg.engine_config.seed
     own_evaluator = evaluator is None
     if evaluator is None:
         evaluator = make_evaluator(
-            cfg.evaluator_spec, cfg.table, cfg.surrogate_params, seed
+            cfg.evaluator_spec, cfg.table, cfg.surrogate_params, seed, cfg.evaluator_timeout
         )
     engine = SearchEngine(
         evaluator,
@@ -476,8 +510,7 @@ def run_search(
                 "force to start over" % out_dir
             )
         if resume:
-            with documents.reading(checkpoint_path, HarnessError):
-                engine.load_checkpoint_obj(documents.read(checkpoint_path, "search_checkpoint"))
+            load_checkpoint(engine)
     try:
         result = engine.run(stop_after_cycle=stop_after_cycle)
     finally:

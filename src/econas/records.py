@@ -9,7 +9,6 @@ by newer tools stay readable.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Iterable
@@ -65,12 +64,7 @@ def write_log(path: str, records: Iterable[EvaluationRecord]) -> None:
 
 def append_records(path: str, records: Iterable[EvaluationRecord]) -> None:
     """Append records, creating the file (with header) if needed."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        documents.write_lines(path, _HEADER_KIND, ())
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(_record_obj(rec), sort_keys=True) + "\n")
-        fh.flush()
+    documents.append_lines(path, _HEADER_KIND, map(_record_obj, records))
 
 
 def truncate_torn_tail(path: str) -> bool:
@@ -114,23 +108,8 @@ def read_log(path: str, on_duplicate: str = "error") -> list[EvaluationRecord]:
         raise LogError("on_duplicate must be 'error' or 'keep_last'")
     records: dict[tuple[str, str], EvaluationRecord] = {}
     order: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogError("line %d: not valid JSON (%s)" % (lineno, exc)) from None
-            if lineno == 1:
-                if obj.get("kind") != _HEADER_KIND:
-                    raise LogError("line 1: missing evaluation_log header")
-                if obj.get("schema_version") != documents.SCHEMA_VERSION:
-                    raise LogError(
-                        "line 1: unsupported schema_version %r" % obj.get("schema_version")
-                    )
-                continue
+    try:
+        for lineno, obj in documents.read_lines(path, _HEADER_KIND):
             rec = _parse_record(obj, lineno)
             if rec.key() in records:
                 if on_duplicate == "error":
@@ -141,6 +120,8 @@ def read_log(path: str, on_duplicate: str = "error") -> list[EvaluationRecord]:
             else:
                 order.append(rec.key())
             records[rec.key()] = rec
+    except documents.Rejected as exc:
+        raise LogError(str(exc)) from None
     return [records[k] for k in order]
 
 

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+import os
+from contextlib import contextmanager, suppress
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from typing import Optional
 
 from . import documents
@@ -33,7 +36,7 @@ from .genotype import (
     OperationSet,
     OutputRule,
     SEARCH8,
-    decode,
+    decode_stored,
     encode,
     mutate,
     random_genotype,
@@ -282,28 +285,27 @@ def remove_dead(tiers: PopulationTiers, cfg: EcoNasConfig) -> None:
 
 
 def _evaluate_jobs(evaluator, jobs, workers: int):
-    """Run evaluation jobs, returning (result | exception) per slot in order."""
+    """Run evaluation jobs, returning (result | EvaluatorFailure) per slot in
+    order. Any other exception, from a job or an interrupt of the caller,
+    drops the jobs not yet started; only those in flight finish before it
+    propagates."""
 
     def run(job):
         g, setting, start, end, token = job
-        return evaluator.evaluate(g, setting, start, end, token)
+        try:
+            return evaluator.evaluate(g, setting, start, end, token)
+        except EvaluatorFailure as exc:
+            return exc
 
-    outcomes = []
     if workers <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            try:
-                outcomes.append(run(job))
-            except EvaluatorFailure as exc:
-                outcomes.append(exc)
-        return outcomes
+        return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, job) for job in jobs]
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except EvaluatorFailure as exc:
-                outcomes.append(exc)
-    return outcomes
+        try:
+            futures = [pool.submit(run, job) for job in jobs]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        return [future.result() for future in futures]
 
 
 def promote(
@@ -385,15 +387,35 @@ class _EngineState:
     genotypes: dict
     seq_counter: int
     next_cycle: int  # 0 = initialization still pending
-    # JSON text of the two append-only checkpoint sections, made by the first
-    # write that needs it. It lives with the state, so a restored state starts
-    # without any.
-    genotype_json: dict = field(default_factory=dict)  # id -> '"<id>": "<doc>"'
-    history_json: list = field(default_factory=list)  # one object per entry
+
+
+@dataclass
+class _Written:
+    """What the checkpoint files hold: the first ``genotypes`` registered
+    genotypes, the first ``history`` entries, and each live candidate's
+    record by ``seq``."""
+
+    genotypes: int
+    history: int
+    candidates: dict
+
+
+JOURNAL_KIND = "search_journal"
 
 
 class SearchEngine:
-    """Owner of all mutable search state; see :func:`econas_search`."""
+    """Owner of all mutable search state; see :func:`econas_search`.
+
+    With a ``checkpoint_path`` (``checkpoint.json``) the engine saves its
+    state after initialization and after every cycle in two files. The
+    checkpoint itself is a whole snapshot: ``json.dumps(checkpoint_obj(),
+    sort_keys=True)`` plus a newline, replaced atomically. It is written
+    after initialization, at the first write after :meth:`load_checkpoint_obj`
+    and when :meth:`run` returns; every other write appends one line to
+    ``checkpoint.journal`` (:attr:`journal_path`) with what the cycle
+    changed. A resume loads the snapshot and passes each journal line to
+    :meth:`replay`; a snapshot removes the journal it makes obsolete.
+    """
 
     def __init__(
         self,
@@ -423,19 +445,23 @@ class SearchEngine:
             seq_counter=0,
             next_cycle=0,
         )
+        self._written: Optional[_Written] = None  # None: the next write is a snapshot
 
     # -- lifecycle ---------------------------------------------------------
 
     def run(self, stop_after_cycle: Optional[int] = None) -> SearchResult:
+        """Run the cycles still pending, or those up to ``stop_after_cycle``;
+        the last checkpoint write before returning is a snapshot."""
+        last = self.cfg.cycles
+        if stop_after_cycle is not None:
+            last = min(last, stop_after_cycle)
         if self.state.next_cycle == 0:
             self._initialize()
-            self._write_checkpoint()
-        while self.state.next_cycle <= self.cfg.cycles:
-            if stop_after_cycle is not None and self.state.next_cycle > stop_after_cycle:
-                break
+            self._write_checkpoint(snapshot=True)
+        while self.state.next_cycle <= last:
             self._run_cycle(self.state.next_cycle)
             self.state.next_cycle += 1
-            self._write_checkpoint()
+            self._write_checkpoint(snapshot=self.state.next_cycle > last)
         return self.result()
 
     def result(self) -> SearchResult:
@@ -561,6 +587,13 @@ class SearchEngine:
 
     # -- checkpointing -------------------------------------------------------
 
+    @property
+    def journal_path(self) -> Optional[str]:
+        """The journal next to the checkpoint: ``checkpoint.journal``."""
+        if self.checkpoint_path is None:
+            return None
+        return os.path.splitext(self.checkpoint_path)[0] + ".journal"
+
     def _checkpoint_header(self) -> dict:
         """What a checkpoint must agree on with the engine that resumes it."""
         return {
@@ -575,65 +608,57 @@ class SearchEngine:
             "output_rule": self.output_rule.value,
         }
 
-    def _small_sections(self) -> dict:
-        """Every checkpoint section except the append-only genotypes and history."""
+    def checkpoint_obj(self) -> dict:
         st = self.state
         return {
             **self._checkpoint_header(),
             "next_cycle": st.next_cycle,
             "seq_counter": st.seq_counter,
-            "tiers": {
-                _tier_key(f): [
-                    {k: getattr(c, k) for k in _CANDIDATE_KEYS}
-                    for c in getattr(st.tiers, f.name)
-                ]
-                for f in fields(PopulationTiers)
-            },
-        }
-
-    def checkpoint_obj(self) -> dict:
-        st = self.state
-        return {
-            **self._small_sections(),
+            "tiers": {key: [_candidate_obj(c) for c in tier] for key, tier in _tiers(st.tiers)},
             "genotypes": {mid: encode(g) for mid, g in sorted(st.genotypes.items())},
             "history": [_history_obj(h) for h in st.history],
         }
 
-    def _write_checkpoint(self) -> None:
-        """Write ``json.dumps(self.checkpoint_obj(), sort_keys=True)`` plus a
-        newline, atomically. The genotypes and history are streamed from JSON
-        text made once per genotype and per entry, never joined into one
-        checkpoint-sized string."""
+    def _write_checkpoint(self, snapshot: bool = False) -> None:
+        """Save the state: a snapshot, when asked for or when the files do
+        not hold this engine's state yet, else one journal line.
+
+        A snapshot streams ``json.dumps(self.checkpoint_obj(),
+        sort_keys=True)`` plus a newline over ``checkpoint.json`` without
+        joining it into one string, then removes the journal. A journal line
+        holds the genotypes and history entries added since the last write,
+        ``next_cycle``, ``seq_counter``, each tier's member ``seq``s in order,
+        and the records of the candidates added or changed since then."""
         if self.checkpoint_path is None:
             return
-        st = self.state
-        for mid in st.genotypes.keys() - st.genotype_json.keys():
-            g = st.genotypes[mid]
-            st.genotype_json[mid] = "%s: %s" % (json.dumps(mid), json.dumps(encode(g)))
-            # An equal genotype without the cached document, so the table does
-            # not keep a second copy of what the fragment already holds.
-            st.genotypes[mid] = replace(g)
-        st.history_json.extend(
-            json.dumps(_history_obj(h), sort_keys=True)
-            for h in st.history[len(st.history_json):]
-        )
-        streamed = {
-            "genotypes": ("{}", [st.genotype_json[mid] for mid in sorted(st.genotype_json)]),
-            "history": ("[]", st.history_json),
-        }
-        sections = {**self._small_sections(), **streamed}
-        with documents.replacing(self.checkpoint_path) as fh:
-            for i, key in enumerate(sorted(sections)):
-                fh.write("%s%s: " % ("{" if i == 0 else ", ", json.dumps(key)))
-                if key in streamed:
-                    _write_members(fh, *streamed[key])
-                else:
-                    fh.write(json.dumps(sections[key], sort_keys=True))
-            fh.write("}\n")
+        st, written = self.state, self._written
+        candidates = {c.seq: _candidate_obj(c) for c in st.tiers.all_candidates()}
+        if snapshot or written is None:
+            with documents.replacing(self.checkpoint_path) as fh:
+                _write_sections(fh, self.checkpoint_obj())
+            # A crash before this line leaves journal lines the snapshot
+            # already holds; a resume skips them.
+            with suppress(FileNotFoundError):
+                os.remove(self.journal_path)
+        else:
+            new_genotypes = islice(st.genotypes.items(), written.genotypes, None)
+            documents.append_lines(self.journal_path, JOURNAL_KIND, [{
+                "next_cycle": st.next_cycle,
+                "seq_counter": st.seq_counter,
+                "genotypes": {mid: encode(g) for mid, g in new_genotypes},
+                "history": [_history_obj(h) for h in st.history[written.history:]],
+                "tiers": {key: [c.seq for c in tier] for key, tier in _tiers(st.tiers)},
+                "candidates": [
+                    obj for seq, obj in candidates.items() if written.candidates.get(seq) != obj
+                ],
+            }])
+        self._written = _Written(len(st.genotypes), len(st.history), candidates)
 
     def load_checkpoint_obj(self, obj: dict) -> None:
-        """Restore state from a checkpoint; a ``"ledger"`` section written by
-        older versions is ignored, since the ledger is derived from history."""
+        """Restore state from a snapshot. Every genotype's id must be the
+        SHA-256 of its document, which the genotype then keeps. A
+        ``"ledger"`` section written by older versions is ignored, since the
+        ledger is derived from history. The next write is a snapshot."""
         if not isinstance(obj, dict):
             raise SearchError("checkpoint is not a JSON object")
         for key, expected in self._checkpoint_header().items():
@@ -649,43 +674,99 @@ class SearchEngine:
         ]
         if missing:
             raise SearchError("checkpoint lacks section(s): %s" % ", ".join(missing))
-        genotypes = {mid: decode(doc) for mid, doc in obj["genotypes"].items()}
-        tiers = {
-            f.name: [
-                Candidate(genotype=genotypes[c["model_id"]], **c)
-                for c in obj["tiers"][_tier_key(f)]
-            ]
-            for f in fields(PopulationTiers)
-        }
-        self.state = _EngineState(
-            tiers=PopulationTiers(**tiers),
-            history=[HistoryEntry(**h) for h in obj["history"]],
-            genotypes=genotypes,
-            seq_counter=obj["seq_counter"],
-            next_cycle=obj["next_cycle"],
-        )
+        with _malformed("checkpoint"):
+            genotypes = {mid: decode_stored(mid, doc) for mid, doc in obj["genotypes"].items()}
+            tiers = {
+                f.name: [
+                    Candidate(genotype=genotypes[c["model_id"]], **c)
+                    for c in obj["tiers"][_tier_key(f)]
+                ]
+                for f in fields(PopulationTiers)
+            }
+            self.state = _EngineState(
+                tiers=PopulationTiers(**tiers),
+                history=[HistoryEntry(**h) for h in obj["history"]],
+                genotypes=genotypes,
+                seq_counter=obj["seq_counter"],
+                next_cycle=obj["next_cycle"],
+            )
+        self._written = None
+
+    def replay(self, line: dict) -> None:
+        """Apply one journal line. A line at or below the current
+        ``next_cycle`` is one the loaded snapshot already holds and is
+        skipped; a line further ahead than the next cycle is an error."""
+        st = self.state
+        with _malformed("journal line"):
+            next_cycle = line["next_cycle"]
+            if next_cycle <= st.next_cycle:
+                return
+            if next_cycle != st.next_cycle + 1:
+                raise SearchError(
+                    "journal jumps from cycle %d to %d" % (st.next_cycle, next_cycle)
+                )
+            st.genotypes.update(
+                (mid, decode_stored(mid, doc)) for mid, doc in line["genotypes"].items()
+            )
+            live = {c.seq: c for c in st.tiers.all_candidates()}
+            for c in line["candidates"]:
+                live[c["seq"]] = Candidate(genotype=st.genotypes[c["model_id"]], **c)
+            st.tiers = PopulationTiers(**{
+                f.name: [live[seq] for seq in line["tiers"][_tier_key(f)]]
+                for f in fields(PopulationTiers)
+            })
+            st.history.extend(HistoryEntry(**h) for h in line["history"])
+            st.seq_counter = line["seq_counter"]
+            st.next_cycle = next_cycle
 
 
 _CANDIDATE_KEYS = tuple(f.name for f in fields(Candidate) if f.name != "genotype")
 _HISTORY_KEYS = tuple(f.name for f in fields(HistoryEntry))
 
 
+def _candidate_obj(c: Candidate) -> dict:
+    return {k: getattr(c, k) for k in _CANDIDATE_KEYS}
+
+
 def _history_obj(h: HistoryEntry) -> dict:
     return {k: getattr(h, k) for k in _HISTORY_KEYS}
+
+
+def _tiers(tiers: PopulationTiers) -> list:
+    """(checkpoint key, members) per tier."""
+    return [(_tier_key(f), getattr(tiers, f.name)) for f in fields(PopulationTiers)]
+
+
+@contextmanager
+def _malformed(what: str):
+    """A missing key or a value of the wrong type in a stored section is a
+    SearchError."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SearchError("malformed %s (%s: %s)" % (what, type(exc).__name__, exc)) from None
 
 
 _JOIN_CHUNK = 64
 
 
-def _write_members(fh, brackets: str, members: list) -> None:
-    """Write a JSON container from its members' serialized text, joining at
-    most ``_JOIN_CHUNK`` members at a time."""
-    fh.write(brackets[0])
-    for start in range(0, len(members), _JOIN_CHUNK):
-        if start:
-            fh.write(", ")
-        fh.write(", ".join(members[start:start + _JOIN_CHUNK]))
-    fh.write(brackets[1])
+def _write_sections(fh, sections: dict) -> None:
+    """Write ``json.dumps(sections, sort_keys=True)``, serializing a list or
+    dict section at most ``_JOIN_CHUNK`` members at a time."""
+    for i, key in enumerate(sorted(sections)):
+        fh.write("%s%s: " % ("{" if i == 0 else ", ", json.dumps(key)))
+        value = sections[key]
+        if not isinstance(value, (list, dict)):
+            fh.write(json.dumps(value))
+            continue
+        members = sorted(value.items()) if isinstance(value, dict) else value
+        brackets = json.dumps(type(value)())
+        fh.write(brackets[0])
+        for start in range(0, len(members), _JOIN_CHUNK):
+            chunk = type(value)(members[start:start + _JOIN_CHUNK])
+            fh.write((", " if start else "") + json.dumps(chunk, sort_keys=True)[1:-1])
+        fh.write(brackets[1])
+    fh.write("}\n")
 
 
 def _tier_key(tier_field) -> str:

@@ -8,11 +8,11 @@ from typing import Optional
 
 import pytest
 
-from econas import documents
+from econas import documents, harness
 from econas.cli import main
 from econas.harness import load_manifest, load_search_config, load_zoo, zoo_generate
-from econas.proxy import load_table
-from econas.surrogate import SurrogateParams
+from econas.proxy import CIFAR10_TABLE, load_table
+from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
 
 def _manifest(tmp_path):
@@ -160,6 +160,46 @@ def test_unbroken_documents_load(tmp_path, zoo, name):
     doc, path, _ = DOCUMENTS[name](tmp_path)
     path.write_text(json.dumps(doc))
     assert LOADERS[name](str(path))
+
+
+# The documents that name an evaluator and may give it a wire timeout.
+EVALUATOR_DOCUMENTS = ["manifest", "search_config"]
+
+
+@pytest.mark.parametrize("value", ["soon", 0, -1.5])
+@pytest.mark.parametrize("name", EVALUATOR_DOCUMENTS)
+def test_bad_evaluator_timeout_is_a_user_error(tmp_path, capsys, zoo, name, value):
+    doc, path, argv = DOCUMENTS[name](tmp_path)
+    path.write_text(json.dumps(dict(doc, evaluator_timeout=value)))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "evaluator_timeout" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", EVALUATOR_DOCUMENTS)
+def test_evaluator_timeout_reaches_the_trainer_client(tmp_path, monkeypatch, zoo, name):
+    timeouts = []
+
+    class Recorded:
+        """Stands in for the wire-protocol client and evaluates in-process."""
+
+        def __init__(self, command, timeout):
+            timeouts.append(timeout)
+            self._inner = SurrogateEvaluator(SurrogateParams(), CIFAR10_TABLE)
+
+        def evaluate(self, *args):
+            return self._inner.evaluate(*args)
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(harness, "ExternalEvaluator", Recorded)
+    doc, path, argv = DOCUMENTS[name](tmp_path)
+    path.write_text(json.dumps(dict(doc, evaluator="cmd:trainer --long", evaluator_timeout=7200)))
+    assert main(argv) == 0
+    assert timeouts == [7200.0]
 
 
 def test_relative_paths_follow_the_document(tmp_path, zoo):

@@ -1,13 +1,17 @@
 import json
 import os
+import pathlib
 import random
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from econas.analysis import AnalysisError, build_report
 from econas.cli import main
@@ -19,7 +23,9 @@ from econas.harness import (
     load_manifest,
     load_search_config,
     load_zoo,
+    make_evaluator,
     run_analyze,
+    run_search,
     zoo_evaluate,
     zoo_generate,
 )
@@ -581,6 +587,121 @@ def test_kill_and_resume_identical_outputs(tmp_path, workers):
     assert main(["search", "--config", config, "--out", str(victim), "--resume"]) == 0
     for name in ("history.jsonl", "ledger.jsonl", "summary.json"):
         assert (victim / name).read_bytes() == (reference / name).read_bytes()
+
+
+# -- killed mid-run: the snapshot and its journal ---------------------------------------
+
+
+class _Killed(BaseException):
+    """Stands in for a kill: no handler inside econas catches it."""
+
+
+class _KilledAt:
+    """Evaluates in-process; call number ``n`` (from 1) raises ``_Killed``."""
+
+    def __init__(self, inner, n):
+        self.inner = inner
+        self.n = n
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def evaluate(self, *args):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.n:
+            raise _Killed()
+        return self.inner.evaluate(*args)
+
+
+# _search_config runs 8 initial evaluations, then 4 + 2 + 1 per cycle.
+_EVALUATIONS = 8 + 6 * 7
+_IN_CYCLE_5 = 8 + 4 * 7 + 3
+
+
+def _killed_run(config, out, n, workers=1):
+    cfg = load_search_config(config)
+    surrogate = make_evaluator("surrogate", cfg.table, cfg.surrogate_params, cfg.engine_config.seed)
+    with pytest.raises(_Killed):
+        run_search(cfg, str(out), workers=workers, evaluator=_KilledAt(surrogate, n))
+
+
+def _assert_same_outputs(out, reference):
+    for name in ("history.jsonl", "ledger.jsonl", "summary.json"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def search_reference(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reference")
+    config = _search_config(root)
+    assert main(["search", "--config", config, "--out", str(root / "full")]) == 0
+    return config, root / "full"
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, _EVALUATIONS), workers=st.sampled_from([1, 3]))
+def test_killed_at_any_evaluation_resumes_identically(search_reference, n, workers):
+    config, reference = search_reference
+    with tempfile.TemporaryDirectory() as root:
+        out = pathlib.Path(root) / "run"
+        _killed_run(config, out, n, workers)
+        run_search(load_search_config(config), str(out), resume=True, workers=workers)
+        _assert_same_outputs(out, reference)
+
+
+@pytest.mark.parametrize("keep", ["all_but_the_newline", "half_the_line"])
+def test_journal_cut_mid_line_resumes_identically(tmp_path, search_reference, caplog, keep):
+    config, reference = search_reference
+    out = tmp_path / "run"
+    _killed_run(config, out, _IN_CYCLE_5)
+    journal = out / "checkpoint.journal"
+    data = journal.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    cut = len(data) - 1 if keep == "all_but_the_newline" else (last + len(data)) // 2
+    journal.write_bytes(data[:cut])
+    run_search(load_search_config(config), str(out), resume=True)
+    assert "unfinished last line" in caplog.text
+    _assert_same_outputs(out, reference)
+    assert not journal.exists()  # the final snapshot holds everything
+
+
+def _tamper(doc):
+    """The same genotype, but a document whose SHA-256 is not its id."""
+    return doc + " "
+
+
+@pytest.mark.parametrize(
+    "damage", ["garbage_line", "cycle_gap", "journal_genotype_id", "checkpoint_genotype_id"]
+)
+def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
+    config = _search_config(tmp_path)
+    out = tmp_path / "run"
+    _killed_run(config, out, _IN_CYCLE_5)
+    journal, ckpt = out / "checkpoint.journal", out / "checkpoint.json"
+    lines = journal.read_text().splitlines(keepends=True)  # a header, then cycles 1-4
+    damaged, reason = journal, {"garbage_line": "JSON", "cycle_gap": "jumps"}.get(damage, "SHA-256")
+    if damage == "garbage_line":
+        lines[2] = "}{ not json\n"
+    elif damage == "cycle_gap":
+        del lines[2]
+    elif damage == "journal_genotype_id":
+        line = json.loads(lines[2])
+        mid = sorted(line["genotypes"])[0]
+        line["genotypes"][mid] = _tamper(line["genotypes"][mid])
+        lines[2] = json.dumps(line) + "\n"
+    else:
+        damaged = ckpt
+        obj = json.loads(ckpt.read_text())
+        mid = sorted(obj["genotypes"])[0]
+        obj["genotypes"][mid] = _tamper(obj["genotypes"][mid])
+        ckpt.write_text(json.dumps(obj))
+    journal.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["search", "--config", config, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(damaged) in err and reason in err
+    assert "Traceback" not in err
 
 
 # -- search config parsing ----------------------------------------------------------------

@@ -10,7 +10,9 @@ import pytest
 
 from econas.analysis import build_report, write_report_files
 from econas.genotype import NetworkConfig
-from econas.harness import load_search_config, run_search, write_search_outputs, zoo_generate
+from econas.harness import (
+    load_checkpoint, load_search_config, run_search, write_search_outputs, zoo_generate,
+)
 from econas.proxy import CIFAR10_TABLE, ReducedSetting, parse_label
 from econas.records import EvaluationRecord, write_log
 from econas.search import EcoNasConfig, SearchEngine
@@ -92,19 +94,22 @@ class _TornFile:
 
 @pytest.fixture
 def tear_writes_to(monkeypatch):
-    """``tear(name)`` makes every later write-mode ``open`` of a file whose
-    name starts with ``name`` (so its temp file too) return a torn file."""
+    """``tear(name)`` makes every later write- or append-mode ``open`` of a
+    file whose name starts with ``name`` (so its temp file too) return a
+    torn file; ``tear(None)`` ends that."""
+    torn = [None]
+    real_open = builtins.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if torn[0] and mode[0] in "wa" and os.path.basename(str(file)).startswith(torn[0]):
+            return _TornFile(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", torn_open)
 
     def tear(name):
-        real_open = builtins.open
-
-        def torn_open(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            if "w" in mode and os.path.basename(str(file)).startswith(name):
-                return _TornFile(fh)
-            return fh
-
-        monkeypatch.setattr(builtins, "open", torn_open)
+        torn[0] = name
 
     return tear
 
@@ -140,7 +145,7 @@ def _report_table(root):
     return os.path.join(out, "report.tsv"), lambda: write_report_files(report, out)
 
 
-def _checkpoint(root):
+def _checkpoint_engine(root):
     path = os.path.join(root, "checkpoint.json")
     cfg = EcoNasConfig(
         n_init=6, cycles=3, epoch_unit=5, mutants_per_cycle=3, promote_to_2e=2,
@@ -151,7 +156,43 @@ def _checkpoint(root):
         network=NetworkConfig(node_count=1), checkpoint_path=path,
     )
     engine.run(stop_after_cycle=1)
-    return path, engine._write_checkpoint
+    return engine
+
+
+def _checkpoint(root):
+    engine = _checkpoint_engine(root)
+    return engine.checkpoint_path, lambda: engine._write_checkpoint(snapshot=True)
+
+
+def _journaled_cycle(engine):
+    """One cycle of ``SearchEngine.run`` that is not its last: the write
+    appends a journal line."""
+    engine._run_cycle(engine.state.next_cycle)
+    engine.state.next_cycle += 1
+    engine._write_checkpoint()
+
+
+def _resumed_state(engine):
+    fresh = SearchEngine(
+        engine.evaluator, engine.cfg, engine.setting_base, network=engine.network,
+        checkpoint_path=engine.checkpoint_path,
+    )
+    load_checkpoint(fresh)
+    return fresh.checkpoint_obj()
+
+
+def _tear_a_journal_append(root, tear_writes_to, previous):
+    """The checkpoint's other file: an append torn part-way, to a journal
+    with a line or to none, leaves a state that resumes as it was before."""
+    tear_writes_to(None)
+    engine = _checkpoint_engine(root)
+    if previous:
+        _journaled_cycle(engine)
+    before = _resumed_state(engine)
+    tear_writes_to("checkpoint.journal")
+    with pytest.raises(Interrupted):
+        _journaled_cycle(engine)
+    assert _resumed_state(engine) == before
 
 
 def _zoo_index(root):
@@ -200,5 +241,8 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path, tear_writes_to, wri
     with pytest.raises(Interrupted):
         write()
     assert _read(path) == before
+    if writer == "checkpoint":
+        os.mkdir(tmp_path / "journal")
+        _tear_a_journal_append(str(tmp_path / "journal"), tear_writes_to, previous)
     left = [name for _, _, files in os.walk(tmp_path) for name in files if name.endswith(".tmp")]
     assert left == []

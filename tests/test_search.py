@@ -1,10 +1,14 @@
 import json
 import os
+import signal
+import threading
+import time
 
 import pytest
 
 from econas.evaluator import EvaluatorFailure
 from econas.genotype import NetworkConfig
+from econas.harness import load_checkpoint
 from econas.proxy import CIFAR10_TABLE, ReducedSetting
 from econas.search import (
     Candidate,
@@ -13,6 +17,7 @@ from econas.search import (
     PopulationTiers,
     SearchEngine,
     SearchError,
+    _evaluate_jobs,
     econas_search,
     flat_baseline_search,
     promote,
@@ -360,23 +365,49 @@ def test_checkpoint_config_mismatch_refused(tmp_path):
         wrong_setting.load_checkpoint_obj(obj)
 
 
+def _reloaded(engine):
+    """A fresh engine restored from ``engine``'s checkpoint and journal."""
+    fresh = SearchEngine(
+        engine.evaluator, engine.cfg, engine.setting_base, op_set=engine.op_set,
+        network=engine.network, output_rule=engine.output_rule,
+        checkpoint_path=engine.checkpoint_path, algorithm=engine.algorithm,
+    )
+    load_checkpoint(fresh)
+    return fresh
+
+
+def _assert_snapshot_is_reference(engine):
+    with open(engine.checkpoint_path, "rb") as fh:
+        written = fh.read()
+    reference = json.dumps(engine.checkpoint_obj(), sort_keys=True) + "\n"
+    assert written == reference.encode("utf-8"), "cycle %d" % engine.state.next_cycle
+
+
 @pytest.fixture
 def checked_writes(monkeypatch):
-    """Compare every checkpoint file, right after it is written, with the
-    reference serialization of ``checkpoint_obj``; collects ``next_cycle``
-    per write."""
+    """After every checkpoint write, a fresh engine that loads the snapshot
+    and replays the journal must hold the writer's state. Every snapshot
+    (a write that leaves no journal), and the checkpoint left when ``run``
+    returns, must be the reference serialization of ``checkpoint_obj``.
+    Collects ``next_cycle`` per write."""
     cycles = []
-    write = SearchEngine._write_checkpoint
+    write, run = SearchEngine._write_checkpoint, SearchEngine.run
 
-    def checked(engine):
-        write(engine)
-        with open(engine.checkpoint_path, "rb") as fh:
-            written = fh.read()
-        reference = json.dumps(engine.checkpoint_obj(), sort_keys=True) + "\n"
-        assert written == reference.encode("utf-8"), "cycle %d" % engine.state.next_cycle
+    def checked(engine, *args, **kwargs):
+        write(engine, *args, **kwargs)
+        assert _reloaded(engine).checkpoint_obj() == engine.checkpoint_obj()
+        if not os.path.exists(engine.journal_path):
+            _assert_snapshot_is_reference(engine)
         cycles.append(engine.state.next_cycle)
 
+    def checked_run(engine, *args, **kwargs):
+        result = run(engine, *args, **kwargs)
+        assert not os.path.exists(engine.journal_path)
+        _assert_snapshot_is_reference(engine)
+        return result
+
     monkeypatch.setattr(SearchEngine, "_write_checkpoint", checked)
+    monkeypatch.setattr(SearchEngine, "run", checked_run)
     return cycles
 
 
@@ -454,6 +485,46 @@ def test_streamed_checkpoint_after_load_into_used_engine(tmp_path, checked_write
     del checked_writes[:]
     engine.run()
     assert checked_writes == list(range(4, cfg.cycles + 2))
+
+
+# -- interrupted batches -----------------------------------------------------------------
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+class _InterruptedAt:
+    """Every call takes a little while; call number ``n`` (from 1) raises
+    ``_Interrupt`` in its worker, or sends SIGINT to the main thread."""
+
+    def __init__(self, n, by_signal):
+        self.n = n
+        self.by_signal = by_signal
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def evaluate(self, *args):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.n:
+            if not self.by_signal:
+                raise _Interrupt()
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.05)
+        return call
+
+
+@pytest.mark.parametrize("by_signal", [False, True], ids=["in_a_job", "sigint"])
+@pytest.mark.parametrize("workers,n", [(2, 3), (4, 10)])
+def test_interruption_drops_jobs_not_yet_started(workers, n, by_signal):
+    ev = _InterruptedAt(n, by_signal)
+    jobs = [(None, None, 0, 1, None)] * 100
+    with pytest.raises(KeyboardInterrupt if by_signal else _Interrupt):
+        _evaluate_jobs(ev, jobs, workers)
+    # Only the jobs in flight when the interruption came have run.
+    assert ev.calls <= n + workers
 
 
 # -- flat baseline ------------------------------------------------------------------------
