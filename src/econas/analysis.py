@@ -23,7 +23,7 @@ from .metrics import (
     overfit_gap,
     recommend_settings,
     retained_top,
-    rho_f_subsample,
+    rho_f_subsamples,
     spearman,
     tolerant_spearman,
 )
@@ -210,10 +210,7 @@ def rho_f_curve(
         label: {mid: rec.test_accuracy for mid, rec in group.items()}
         for label, group in grouped.items()
     }
-    return [
-        (m, rho_f_subsample(accuracies, gt_label, m, trials=trials, seed=seed))
-        for m in sizes
-    ]
+    return list(zip(sizes, rho_f_subsamples(accuracies, gt_label, sizes, trials, seed)))
 
 
 # -- delimited table output ---------------------------------------------------

@@ -180,23 +180,31 @@ def write(path: str, kind: str, fields: dict) -> None:
         fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def write_lines(path: str, kind: str, objs) -> None:
-    """Write JSON lines: an envelope header, then one object per line."""
+def json_line(obj) -> str:
+    """``obj`` as one JSON line: sorted keys, then a newline."""
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def write_lines(path: str, kind: str, items, line=json_line) -> None:
+    """Write JSON lines: an envelope header, then ``line(item)`` for each
+    item; ``line`` must give what :func:`json_line` gives for its JSON
+    object."""
     with replacing(path) as fh:
-        fh.write(json.dumps({"kind": kind, "schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.write(json_line({"kind": kind, "schema_version": SCHEMA_VERSION}))
+        for item in items:
+            fh.write(line(item))
 
 
-def append_lines(path: str, kind: str, objs) -> None:
-    """Append JSON lines to a file :func:`write_lines` started, and flush
-    them; a missing or empty file gets its envelope header first. A crash
-    mid-append leaves at most a last line without its newline."""
+def append_lines(path: str, kind: str, items, line=json_line) -> None:
+    """Append lines, as :func:`write_lines` makes them, to a file it
+    started, and flush them; a missing or empty file gets its envelope
+    header first. A crash mid-append leaves at most a last line without its
+    newline."""
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         write_lines(path, kind, ())
     with open(path, "a", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        for item in items:
+            fh.write(line(item))
         fh.flush()
 
 

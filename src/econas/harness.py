@@ -10,6 +10,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from . import analysis, documents
@@ -301,12 +302,14 @@ def zoo_evaluate(
 
     Pairs already present in the log are skipped (resume); a last line cut
     short by a crash mid-append is dropped with a warning. The pending pairs
-    run as one batch; their records are appended after the whole batch
-    finishes, then the log is rewritten from the records in hand, sorted by
-    (model_id, setting) so the final bytes never depend on scheduling. With
-    ``resume`` off every pair runs again and the rewrite replaces any old
-    log, which then holds exactly the fresh records. Returns (completed,
-    failed, total-in-grid).
+    run as one batch in (model_id, setting label) order, the log's canonical
+    order, and their records are appended after the whole batch finishes. A
+    log this call created is then already sorted and stays as appended; any
+    other log is rewritten from the records in hand, sorted by (model_id,
+    setting), so the final bytes never depend on scheduling or on what an
+    earlier run left. With ``resume`` off every pair runs again and the
+    rewrite replaces any old log, which then holds exactly the fresh
+    records. Returns (completed, failed, total-in-grid).
     """
     models = load_zoo(manifest.zoo_dir)
     own_evaluator = evaluator is None
@@ -318,40 +321,30 @@ def zoo_evaluate(
             manifest.seed,
             manifest.evaluator_timeout,
         )
-    jobs = [
-        (mid, g, setting)
-        for mid, g in sorted(models)
-        for setting in manifest.settings
-    ]
+    log = manifest.output_log
+    labelled = sorted(((format_label(s), s) for s in manifest.settings), key=itemgetter(0))
+    jobs = [(mid, label, g, s) for mid, g in sorted(models) for label, s in labelled]
     total = len(jobs)
-    done_keys: set[tuple[str, str]] = set()
+    existed = os.path.exists(log)
     existing: list[EvaluationRecord] = []
-    if resume and os.path.exists(manifest.output_log):
-        if truncate_torn_tail(manifest.output_log):
-            logger.warning(
-                "dropped an unfinished last line from %s; its pair runs again",
-                manifest.output_log,
-            )
-        existing = read_log(manifest.output_log)
-        done_keys = {rec.key() for rec in existing}
-    pending = [
-        (mid, g, setting)
-        for mid, g, setting in jobs
-        if (mid, format_label(setting)) not in done_keys
-    ]
+    if resume and existed:
+        if truncate_torn_tail(log):
+            logger.warning("dropped an unfinished last line from %s; its pair runs again", log)
+        existing = read_log(log)
+    done_keys = {rec.key() for rec in existing}
+    pending = [job for job in jobs if job[:2] not in done_keys]
 
     failed = 0
-    completed = len(done_keys & {(m, format_label(s)) for m, _, s in jobs})
-    os.makedirs(os.path.dirname(os.path.abspath(manifest.output_log)), exist_ok=True)
+    completed = total - len(pending)
+    os.makedirs(os.path.dirname(os.path.abspath(log)), exist_ok=True)
     try:
         outcomes = _evaluate_jobs(
             evaluator,
-            [(g, setting, 0, setting.epochs, None) for _, g, setting in pending],
+            [(g, setting, 0, setting.epochs, None) for _, _, g, setting in pending],
             manifest.workers,
         )
         fresh = []
-        for (mid, _, setting), outcome in zip(pending, outcomes):
-            label = format_label(setting)
+        for (mid, label, _, setting), outcome in zip(pending, outcomes):
             if isinstance(outcome, EvaluatorFailure):
                 failed += 1
                 logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
@@ -364,12 +357,13 @@ def zoo_evaluate(
         # Without resume the rewrite replaces the old log whole; appending to
         # it first would pair its stale records with the fresh ones.
         if fresh and resume:
-            append_records(manifest.output_log, fresh)
-        # Canonical on-disk order regardless of completion order.
-        if fresh or os.path.exists(manifest.output_log):
+            append_records(log, fresh)
+        # The batch ran in canonical order, so a log the append created is
+        # sorted already; any other log is rewritten in that order.
+        if existed or (fresh and not resume):
             existing.extend(fresh)
-            existing.sort(key=lambda r: (r.model_id, r.setting))
-            write_log(manifest.output_log, existing)
+            existing.sort(key=EvaluationRecord.key)
+            write_log(log, existing)
     finally:
         if own_evaluator and isinstance(evaluator, ExternalEvaluator):
             evaluator.close()

@@ -240,11 +240,24 @@ def rho_f_subsample(
     the Spearman between that score vector and the full-zoo score vector.
     Returns the mean over trials. Each trial derives its own random stream
     from (seed, trial), so results do not depend on execution order.
+    """
+    return rho_f_subsamples(setting_accuracies, gt_label, [m], trials, seed)[0]
 
-    Cost: one O(K log K) sort per setting per call, then per trial and
-    setting one O(m log m) sort of the subsample by the full-zoo order.
-    Doubled ranks are integers, so every squared rank difference is summed
-    exactly and the result equals re-ranking each subsample from scratch.
+
+def rho_f_subsamples(
+    setting_accuracies: Mapping[str, Mapping[str, float]],
+    gt_label: str,
+    sizes: Sequence[int],
+    trials: int = 100,
+    seed: int = 0,
+) -> list[float]:
+    """:func:`rho_f_subsample` for each subsample size in ``sizes``.
+
+    Cost: one O(K log K) sort per setting and the full-zoo score ranks,
+    shared by every size; then per size, trial and setting one O(m log m)
+    sort of the subsample by the full-zoo order. Doubled ranks are
+    integers, so every squared rank difference is summed exactly and the
+    result equals re-ranking each subsample from scratch.
     """
     if gt_label not in setting_accuracies:
         raise MetricError("ground-truth label %r not present" % gt_label)
@@ -254,10 +267,11 @@ def rho_f_subsample(
     gt_map = setting_accuracies[gt_label]
     ids = sorted(gt_map)
     k = len(ids)
-    if m < 3:
-        raise MetricError("subsample size must be >= 3, got %d" % m)
-    if m > k:
-        raise MetricError("subsample size %d exceeds zoo size %d" % (m, k))
+    for m in sizes:
+        if m < 3:
+            raise MetricError("subsample size must be >= 3, got %d" % m)
+        if m > k:
+            raise MetricError("subsample size %d exceeds zoo size %d" % (m, k))
     for label in labels:
         if set(setting_accuracies[label]) != set(gt_map):
             raise MetricError("setting %r covers a different model id set" % label)
@@ -280,12 +294,15 @@ def rho_f_subsample(
         return out
 
     full_ranks = fractional_ranks(scores(range(k)))
-    total = 0.0
-    for trial in range(trials):
-        rng = derive_rng(seed, "rho_f", m, trial)
-        rho_sub = scores(rng.sample(range(k), m))
-        total += _spearman_from_ranks(fractional_ranks(rho_sub), full_ranks)
-    return total / trials
+    means = []
+    for m in sizes:
+        total = 0.0
+        for trial in range(trials):
+            rng = derive_rng(seed, "rho_f", m, trial)
+            rho_sub = scores(rng.sample(range(k), m))
+            total += _spearman_from_ranks(fractional_ranks(rho_sub), full_ranks)
+        means.append(total / trials)
+    return means
 
 
 def _best_first(values: Sequence[float]) -> tuple[list[int], list[int] | None]:

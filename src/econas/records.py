@@ -9,8 +9,11 @@ by newer tools stay readable.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from . import documents
@@ -45,26 +48,42 @@ class EvaluationRecord:
         return (self.model_id, self.setting)
 
 
-def _record_obj(rec: EvaluationRecord) -> dict:
-    obj = {
-        "model_id": rec.model_id,
-        "setting": rec.setting,
-        "test_accuracy": rec.test_accuracy,
-        "epochs_trained": rec.epochs_trained,
-    }
-    if rec.train_accuracy is not None:
-        obj["train_accuracy"] = rec.train_accuracy
-    return obj
+def _float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# How json.dumps writes a value of exactly this type; any other type goes
+# through json.dumps itself.
+_SCALAR = {str: encode_basestring_ascii, float: _float, int: int.__repr__}
+
+
+def _scalar(value) -> str:
+    return _SCALAR.get(type(value), json.dumps)(value)
+
+
+def _line(rec: EvaluationRecord) -> str:
+    """The record's log line: the bytes of ``json.dumps(obj, sort_keys=True)``
+    plus a newline, for the object of its fields with ``train_accuracy``
+    left out when it is None, formatted directly because the schema is
+    fixed."""
+    train = rec.train_accuracy
+    return '{"epochs_trained": %s, "model_id": %s, "setting": %s, "test_accuracy": %s%s}\n' % (
+        _scalar(rec.epochs_trained),
+        _scalar(rec.model_id),
+        _scalar(rec.setting),
+        _scalar(rec.test_accuracy),
+        "" if train is None else ', "train_accuracy": ' + _scalar(train),
+    )
 
 
 def write_log(path: str, records: Iterable[EvaluationRecord]) -> None:
     """Write a whole log atomically."""
-    documents.write_lines(path, _HEADER_KIND, map(_record_obj, records))
+    documents.write_lines(path, _HEADER_KIND, records, _line)
 
 
 def append_records(path: str, records: Iterable[EvaluationRecord]) -> None:
     """Append records, creating the file (with header) if needed."""
-    documents.append_lines(path, _HEADER_KIND, map(_record_obj, records))
+    documents.append_lines(path, _HEADER_KIND, records, _line)
 
 
 def truncate_torn_tail(path: str) -> bool:

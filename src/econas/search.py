@@ -477,6 +477,9 @@ class SearchEngine:
 
     def _register(self, genotype: Genotype) -> str:
         mid = genotype.content_hash
+        if self.checkpoint_path is None:
+            # Only checkpoint writes read the cached document; drop it.
+            genotype.__dict__.pop("_document", None)
         self.state.genotypes.setdefault(mid, genotype)
         return mid
 

@@ -26,7 +26,7 @@ from econas.proxy import CIFAR10_TABLE
 
 GROUND_TRUTH = "c0r0s0e600"
 RHO_F_SIZES = [5, 10, 15, 20, 30, 50]
-KERNELS = ("tolerant_spearman", "hard_rank_error", "rho_f_subsample")
+KERNELS = ("tolerant_spearman", "hard_rank_error", "rho_f_subsamples")
 
 
 def make_log(work: str, k: int) -> str:

@@ -103,3 +103,7 @@ def rho_f_subsample(setting_accuracies, gt_label, m, trials=100, seed=0):
         ]
         total += spearman_values(rho_sub, rho_full)
     return total / trials
+
+
+def rho_f_subsamples(setting_accuracies, gt_label, sizes, trials=100, seed=0):
+    return [rho_f_subsample(setting_accuracies, gt_label, m, trials, seed) for m in sizes]

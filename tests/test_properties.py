@@ -23,6 +23,7 @@ from econas.metrics import (
     fractional_ranks,
     hard_rank_error,
     rho_f_subsample,
+    rho_f_subsamples,
     spearman_values,
     tolerant_spearman,
 )
@@ -151,8 +152,7 @@ def test_pair_kernels_equal_their_pairwise_definitions(maps, b):
 def test_rho_f_equals_re_ranking_every_subsample(maps, fractions, seed):
     by_label = {"s%d" % i: accuracies for i, accuracies in enumerate(maps)}
     k = len(maps[0])
-    for fraction in fractions:
-        m = 3 + round(fraction * (k - 3))
-        assert rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) == (
-            oracle.rho_f_subsample(by_label, "s0", m, trials=4, seed=seed)
-        )
+    sizes = [3 + round(fraction * (k - 3)) for fraction in fractions]
+    expected = [oracle.rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) for m in sizes]
+    assert [rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) for m in sizes] == expected
+    assert rho_f_subsamples(by_label, "s0", sizes, trials=4, seed=seed) == expected

@@ -20,6 +20,7 @@ from econas.search import (
     _evaluate_jobs,
     econas_search,
     flat_baseline_search,
+    flat_config_to_econas,
     promote,
     remove_dead,
     sample_parent,
@@ -342,6 +343,27 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert [(t.model_id, t.accuracy) for t in resumed.top] == [
         (t.model_id, t.accuracy) for t in full.top
     ]
+
+
+@pytest.mark.parametrize("algorithm", ["hierarchical", "flat"])
+def test_engine_without_checkpoint_path_keeps_no_genotype_document(tmp_path, algorithm):
+    if algorithm == "flat":
+        cfg = flat_config_to_econas(
+            FlatConfig(n_init=6, cycles=5, mutants_per_cycle=3, epochs=10, seed=1)
+        )
+    else:
+        cfg = toy_config(cycles=5)
+
+    def engine(**kwargs):
+        return SearchEngine(
+            toy_evaluator(), cfg, SETTING, network=TOY_NET, algorithm=algorithm, **kwargs
+        )
+
+    plain, checkpointed = engine(), engine(checkpoint_path=str(tmp_path / "checkpoint.json"))
+    assert plain.run().history == checkpointed.run().history
+    assert plain.state.genotypes.keys() == checkpointed.state.genotypes.keys()
+    assert not [g for g in plain.state.genotypes.values() if "_document" in vars(g)]
+    assert all("_document" in vars(g) for g in checkpointed.state.genotypes.values())
 
 
 def test_checkpoint_config_mismatch_refused(tmp_path):
