@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional, Sequence, Union
 
 from . import documents
 from .metrics import (
     ConsistencyRow,
-    RankVector,
     entropy,
-    hard_rank_error,
+    fractional_ranks,
     overfit_gap,
     recommend_settings,
-    retained_top,
-    rho_f_subsamples,
-    spearman,
-    tolerant_spearman,
+    rho_f_columns,
+    setting_scores,
 )
 from .proxy import ReductionTable, nominal_speedup, parse_label
 from .records import EvaluationRecord, by_setting
@@ -67,6 +65,34 @@ class ConsistencyReport:
     scatter: list
 
 
+@dataclass(frozen=True)
+class SettingColumns:
+    """A log's records grouped once per setting label. ``columns`` holds
+    each setting's sorted model ids, as a tuple shared by every setting over
+    the same models, and their test accuracies in that order; ``gaps`` holds
+    each setting's :func:`~econas.metrics.overfit_gap`, or None when a record
+    lacks a train accuracy. :func:`build_report` and :func:`rho_f_curve`
+    take it in place of the records, so one grouping serves both."""
+
+    columns: dict
+    gaps: dict
+
+    @classmethod
+    def of(cls, records) -> "SettingColumns":
+        """The columns of ``records``; given columns, those columns."""
+        if isinstance(records, cls):
+            return records
+        columns, gaps, shared = {}, {}, {}
+        for label, group in by_setting(records).items():
+            ids = tuple(sorted(group))
+            ids = shared.setdefault(ids, ids)
+            columns[label] = ids, [group[mid].test_accuracy for mid in ids]
+            # In record order: the gap is a float sum, which depends on it.
+            complete = all(rec.train_accuracy is not None for rec in group.values())
+            gaps[label] = overfit_gap(group.values()) if complete else None
+        return cls(columns, gaps)
+
+
 def acceleration_ratio(label: str, gt_label: str, table: ReductionTable) -> float:
     """Training-cost ratio of the Ground-Truth setting over a reduced one:
     the nominal per-iteration speed-up times the epoch ratio. The built-in
@@ -78,28 +104,24 @@ def acceleration_ratio(label: str, gt_label: str, table: ReductionTable) -> floa
 
 
 def build_report(
-    records: Iterable[EvaluationRecord],
+    records: Union[Iterable[EvaluationRecord], SettingColumns],
     gt_label: str,
     table: ReductionTable,
     top_k: int = 10,
     windows: Sequence[int] = (15, 20),
     tolerant_b: float = 0.0015,
 ) -> ConsistencyReport:
-    grouped = by_setting(records)
-    if gt_label not in grouped:
+    """Every reduced setting's scores against ``gt_label``. Ground Truth is
+    ranked once per distinct model set, and each setting goes through
+    :func:`~econas.metrics.setting_scores` once."""
+    grouped = SettingColumns.of(records)
+    columns = grouped.columns
+    if gt_label not in columns:
         raise AnalysisError("log has no records for ground-truth setting %s" % gt_label)
     parse_label(gt_label, table)
-    gt_records = grouped[gt_label]
-    gt_ids = set(gt_records)
-
-    missing = sorted(
-        {
-            mid
-            for label, group in grouped.items()
-            for mid in group
-            if mid not in gt_ids
-        }
-    )
+    gt_acc = dict(zip(*columns[gt_label]))
+    model_sets = {ids for ids, _ in columns.values()}
+    missing = sorted(set().union(*model_sets) - gt_acc.keys())
     if missing:
         raise AnalysisError(
             "models missing ground-truth records: %s" % ", ".join(m[:16] for m in missing)
@@ -108,42 +130,37 @@ def build_report(
     rows = []
     scatter = []
     rho_by_dims: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
+    gt_by_models: dict[tuple, tuple] = {}
     labels = sorted(
-        (label for label in grouped if label != gt_label),
+        (label for label in columns if label != gt_label),
         key=lambda l: parse_label(l, table),
     )
     for label in labels:
         setting = parse_label(label, table)
-        group = grouped[label]
-        gt_acc = {mid: gt_records[mid].test_accuracy for mid in group}
-        red_acc = {mid: rec.test_accuracy for mid, rec in group.items()}
-        gt_vec = RankVector.from_accuracies(gt_acc)
-        red_vec = RankVector.from_accuracies(red_acc)
-        rho = spearman(gt_vec, red_vec)
-        retained = tuple(
-            retained_top(gt_vec, red_vec, top_k=top_k, window=w) for w in windows
+        ids, values = columns[label]
+        if ids not in gt_by_models:
+            gt_values = [gt_acc[mid] for mid in ids]
+            gt_by_models[ids] = gt_values, fractional_ranks(gt_values)
+        gt_values, gt_ranks = gt_by_models[ids]
+        rho, retained, tolerant, hre, ranks = setting_scores(
+            gt_values, gt_ranks, values, tolerant_b, top_k, windows
         )
-        gap = None
-        if all(rec.train_accuracy is not None for rec in group.values()):
-            gap = overfit_gap(group.values())
         rows.append(
             ConsistencyRow(
                 label=label,
                 rho_sp=rho,
-                tolerant_rho=tolerant_spearman(gt_acc, red_acc, tolerant_b),
-                hre=hard_rank_error(gt_vec, red_vec),
+                tolerant_rho=tolerant,
+                hre=hre,
                 speedup=nominal_speedup(setting),
                 acceleration=acceleration_ratio(label, gt_label, table),
                 retained=retained,
-                overfit_gap=gap,
+                overfit_gap=grouped.gaps[label],
             )
         )
         rho_by_dims.setdefault((setting.s_idx, setting.epochs), {})[
             (setting.c_idx, setting.r_idx)
         ] = rho
-        red_ranks = red_vec.rank_of()
-        for mid, rank in sorted(gt_vec.rank_of().items()):
-            scatter.append(ScatterPoint(label, mid, rank, red_ranks[mid]))
+        scatter += map(ScatterPoint, repeat(label), ids, gt_ranks, ranks)
 
     entropy_rows = _entropy_tables(rho_by_dims, table)
     return ConsistencyReport(
@@ -199,18 +216,14 @@ def mean_entropy(report: ConsistencyReport, dimension: str, s_idx: int, epochs: 
 
 
 def rho_f_curve(
-    records: Iterable[EvaluationRecord],
+    records: Union[Iterable[EvaluationRecord], SettingColumns],
     gt_label: str,
     sizes: Sequence[int],
     trials: int = 100,
     seed: int = 0,
 ) -> list[tuple[int, float]]:
-    grouped = by_setting(records)
-    accuracies = {
-        label: {mid: rec.test_accuracy for mid, rec in group.items()}
-        for label, group in grouped.items()
-    }
-    return list(zip(sizes, rho_f_subsamples(accuracies, gt_label, sizes, trials, seed)))
+    columns = SettingColumns.of(records).columns
+    return list(zip(sizes, rho_f_columns(columns, gt_label, sizes, trials, seed)))
 
 
 # -- delimited table output ---------------------------------------------------
@@ -224,12 +237,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(path: str, comment: str, header: list, rows: list) -> None:
+def _row(values) -> str:
+    return "\t".join(map(_fmt, values)) + "\n"
+
+
+def _scatter_row(p: ScatterPoint) -> str:
+    """:func:`_row` of a scatter point, whose ranks are floats."""
+    return "%s\t%s\t%r\t%r\n" % (p.label, p.model_id, p.gt_rank, p.red_rank)
+
+
+def _write_table(path: str, comment: str, header: list, rows, row=_row) -> None:
     with documents.replacing(path) as fh:
         fh.write("# %s\n" % comment)
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(row, rows))
 
 
 def write_report_files(
@@ -299,7 +320,8 @@ def write_report_files(
         path,
         "kind=rank_scatter " + meta,
         ["label", "model_id", "gt_rank", "red_rank"],
-        [[p.label, p.model_id, p.gt_rank, p.red_rank] for p in report.scatter],
+        report.scatter,
+        _scatter_row,
     )
     paths.append(path)
 

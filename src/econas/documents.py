@@ -14,9 +14,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import os
 import types
 from contextlib import contextmanager, suppress
+from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
 
@@ -185,6 +187,22 @@ def json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# How json.dumps writes a value of exactly this type; any other type goes
+# through json.dumps itself.
+_SCALAR = {str: encode_basestring_ascii, float: _float, int: int.__repr__}
+
+
+def json_scalar(value) -> str:
+    """``json.dumps(value)`` for a scalar, formatted directly when its type is
+    exactly ``str``, ``float`` or ``int``; fixed-schema line formatters build
+    their lines from it."""
+    return _SCALAR.get(type(value), json.dumps)(value)
+
+
 def write_lines(path: str, kind: str, items, line=json_line) -> None:
     """Write JSON lines: an envelope header, then ``line(item)`` for each
     item; ``line`` must give what :func:`json_line` gives for its JSON
@@ -208,16 +226,18 @@ def append_lines(path: str, kind: str, items, line=json_line) -> None:
         fh.flush()
 
 
-def read_lines(path: str, kind: str):
-    """Yield ``(line number, object)`` for each line after the envelope
+def read_lines(path: str, kind: str, parse=json.loads):
+    """Yield ``(line number, parse(line))`` for each line after the envelope
     header of a JSON-lines file of ``kind``; blank lines are skipped and a
-    line that is not JSON is rejected with its number."""
+    line that ``parse`` rejects with a ValueError is rejected with its
+    number. ``parse`` must give what ``json.loads`` gives, or a value the
+    caller reads as that."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno > 1 and not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse(line) if lineno > 1 else json.loads(line)
             except ValueError as exc:
                 raise Rejected("line %d: not valid JSON (%s)" % (lineno, exc)) from None
             if lineno > 1:

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import analysis, documents
 from .bridge import ExternalEvaluator
+from .documents import json_scalar
 from .evaluator import Evaluator, EvaluatorFailure
 from .genotype import (
     BUILTIN_OP_SETS,
@@ -46,6 +47,7 @@ from .search import (
     JOURNAL_KIND,
     EcoNasConfig,
     FlatConfig,
+    LedgerEntry,
     SearchEngine,
     SearchResult,
     _evaluate_jobs,
@@ -323,28 +325,32 @@ def zoo_evaluate(
         )
     log = manifest.output_log
     labelled = sorted(((format_label(s), s) for s in manifest.settings), key=itemgetter(0))
-    jobs = [(mid, label, g, s) for mid, g in sorted(models) for label, s in labelled]
-    total = len(jobs)
+    total = len(models) * len(labelled)
     existed = os.path.exists(log)
     existing: list[EvaluationRecord] = []
     if resume and existed:
         if truncate_torn_tail(log):
             logger.warning("dropped an unfinished last line from %s; its pair runs again", log)
         existing = read_log(log)
-    done_keys = {rec.key() for rec in existing}
-    pending = [job for job in jobs if job[:2] not in done_keys]
+    done: dict[str, set] = {}
+    for rec in existing:
+        done.setdefault(rec.model_id, set()).add(rec.setting)
+    # The pending pairs as (model id, label) and their evaluator jobs.
+    keys, jobs = [], []
+    for mid, g in sorted(models):
+        skip = done.get(mid, ())
+        for label, setting in labelled:
+            if label not in skip:
+                keys.append((mid, label))
+                jobs.append((g, setting, 0, setting.epochs, None))
 
     failed = 0
-    completed = total - len(pending)
+    completed = total - len(jobs)
     os.makedirs(os.path.dirname(os.path.abspath(log)), exist_ok=True)
     try:
-        outcomes = _evaluate_jobs(
-            evaluator,
-            [(g, setting, 0, setting.epochs, None) for _, _, g, setting in pending],
-            manifest.workers,
-        )
+        outcomes = _evaluate_jobs(evaluator, jobs, manifest.workers)
         fresh = []
-        for (mid, label, _, setting), outcome in zip(pending, outcomes):
+        for (mid, label), (_, setting, *_), outcome in zip(keys, jobs, outcomes):
             if isinstance(outcome, EvaluatorFailure):
                 failed += 1
                 logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
@@ -515,11 +521,23 @@ def run_search(
     return result
 
 
+def _ledger_line(entry: LedgerEntry) -> str:
+    """The entry's ``ledger.jsonl`` line: the bytes of
+    ``documents.json_line(asdict(entry))``, formatted directly because the
+    schema is fixed."""
+    return '{"cycle": %s, "end_epoch": %s, "model_id": %s, "start_epoch": %s}\n' % (
+        json_scalar(entry.cycle),
+        json_scalar(entry.end_epoch),
+        json_scalar(entry.model_id),
+        json_scalar(entry.start_epoch),
+    )
+
+
 def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir: str) -> None:
     write_log(os.path.join(out_dir, "history.jsonl"), result.history_records())
     ledger = result.ledger
     documents.write_lines(
-        os.path.join(out_dir, "ledger.jsonl"), "budget_ledger", map(asdict, ledger.entries)
+        os.path.join(out_dir, "ledger.jsonl"), "budget_ledger", ledger.entries, _ledger_line
     )
     summary = {
         "algorithm": cfg.algorithm,
@@ -564,13 +582,15 @@ def run_analyze(
     allow_duplicates: bool = False,
 ):
     records = read_log(log_path, on_duplicate="keep_last" if allow_duplicates else "error")
+    columns = analysis.SettingColumns.of(records)
+    del records  # frees the records; the columns hold every value the report reads
     report = analysis.build_report(
-        records, gt_label, table, top_k=top_k, windows=windows, tolerant_b=tolerant_b
+        columns, gt_label, table, top_k=top_k, windows=windows, tolerant_b=tolerant_b
     )
     rho_f = None
     if rho_f_sizes:
         rho_f = analysis.rho_f_curve(
-            records, gt_label, rho_f_sizes, trials=rho_f_trials, seed=seed
+            columns, gt_label, rho_f_sizes, trials=rho_f_trials, seed=seed
         )
     paths = analysis.write_report_files(report, out_dir, rho_f=rho_f)
     return report, paths

@@ -12,6 +12,13 @@ K(K-1)/2 pairs, and :func:`rho_f_subsample` ranks each subsample from the
 full zoo's sort order instead of re-ranking it. Every count they combine is
 an integer, so each returns exactly (``==``) the float of its pairwise
 definition; the test suite keeps those O(K^2) loops as oracles.
+
+A report scores every reduced setting through one kernel,
+:func:`setting_scores`: given the Ground Truth's ranks, it ranks the
+setting once and counts its pairs once, and the Spearman, retained-top,
+tolerant-Spearman and hard-rank-error values all come from those. rho_F
+works on columns (:func:`rho_f_columns`): each setting's sorted model ids
+and its accuracies in that order.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .seeding import derive_rng
@@ -34,8 +41,13 @@ def fractional_ranks(values: Sequence[float], best_high: bool = True) -> list[fl
     """Ranks with 1 = best; runs of exactly equal values share their average
     position."""
     n = len(values)
-    order = sorted(range(n), key=lambda i: -values[i] if best_high else values[i])
+    # The sort is stable, so equal values stay in index order either way.
+    order = sorted(range(n), key=values.__getitem__, reverse=best_high)
     ranks = [0.0] * n
+    if len(set(values)) == n:  # no two values equal: each rank is its position
+        for rank, i in enumerate(order, 1):
+            ranks[i] = float(rank)
+        return ranks
     start = 0
     while start < n:
         stop = start
@@ -91,27 +103,68 @@ def _spearman_from_ranks(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _tied_pairs(values: Iterable) -> int:
-    return sum(n * (n - 1) // 2 for n in Counter(values).values())
+    counts = Counter(values).values()
+    return (sum(map(mul, counts, counts)) - sum(counts)) // 2
 
 
-def _pair_counts(x: Sequence[float], y: Sequence[float]) -> tuple[int, int]:
-    """(discordant, tied) over all unordered position pairs: discordant pairs
-    are ordered strictly oppositely by ``x`` and ``y``; tied pairs are equal
-    in ``x``, in ``y`` or in both.
+def _pair_counts(pairs: Sequence[tuple]) -> tuple[int, int]:
+    """(discordant, tied) over all unordered pairs of the (x, y) ``pairs``,
+    given sorted: discordant pairs are ordered strictly oppositely by x and
+    y; tied pairs are equal in x, in y or in both.
 
-    After sorting by (x, y), a discordant pair is exactly a strict inversion
-    of y (Knight, JASA 1966); a sorted list counts the earlier y values
-    above each one by bisection. O(K log K) comparisons; each insertion is
-    one memmove. Tied pairs come from the sizes of groups of equal values.
+    Sorted by (x, y), a discordant pair is exactly a strict inversion of y
+    (Knight, JASA 1966); a sorted list counts the earlier y values above
+    each one by bisection. O(K log K) comparisons; each insertion is one
+    memmove. Tied pairs come from the sizes of groups of equal values. The
+    counts are the same on accuracies as on their fractional ranks, which
+    reverse the order and keep exactly the ties.
     """
     seen: list = []
     discordant = 0
-    for n, (_, v) in enumerate(sorted(zip(x, y))):
+    for n, (_, v) in enumerate(pairs):
         at = bisect_right(seen, v)
         discordant += n - at
         seen.insert(at, v)
-    tied = _tied_pairs(x) + _tied_pairs(y) - _tied_pairs(zip(x, y))
+    # ``seen`` now holds every y value.
+    tied = _tied_pairs(map(itemgetter(0), pairs)) + _tied_pairs(seen) - _tied_pairs(pairs)
     return discordant, tied
+
+
+def _tolerant(pairs: Sequence[tuple], discordant: int, tied: int, b: float) -> float:
+    """Tolerant Spearman from the sorted (Ground Truth, reduced) accuracy
+    ``pairs`` and their :func:`_pair_counts`."""
+    k = len(pairs)
+    scored = k * (k - 1) // 2
+    concordant = scored - tied - discordant
+    # Take the neutral pairs back out. Sorted by Ground Truth, a model's gaps
+    # to the models after it only grow (rounded subtraction is monotone), so
+    # each scan stops at the first gap above b.
+    for i, (gi, ri) in enumerate(pairs):
+        for j in range(i + 1, k):
+            gj, rj = pairs[j]
+            if gj - gi > b:
+                break
+            if abs(rj - ri) <= b:
+                scored -= 1
+                if gj > gi and rj > ri:
+                    concordant -= 1
+                elif gj > gi and rj < ri:
+                    discordant -= 1
+    if scored == 0:
+        return 1.0
+    return (concordant - discordant) / scored
+
+
+def _hard_rank_error(discordant: int, tied: int, k: int) -> float:
+    return (discordant + 0.5 * tied) / (k * (k - 1) / 2)
+
+
+def _retained(x: Sequence[float], y: Sequence[float], top_k: int, window: int) -> int:
+    if len(x) < window:
+        raise MetricError(
+            "retained_top needs at least window=%d models, got %d" % (window, len(x))
+        )
+    return sum(1 for rg, rr in zip(x, y) if rg <= top_k and rr <= window)
 
 
 def spearman(gt: RankVector, red: RankVector) -> float:
@@ -155,30 +208,8 @@ def tolerant_spearman(
         raise MetricError("accuracy maps cover different model id sets")
     if b < 0:
         raise MetricError("tolerance b must be >= 0")
-    g = list(gt_acc.values())
-    r = [red_acc[i] for i in gt_acc]
-    k = len(g)
-    discordant, tied = _pair_counts(g, r)
-    scored = k * (k - 1) // 2
-    concordant = scored - tied - discordant
-    # Take the neutral pairs back out. Sorted by Ground Truth, a model's gaps
-    # to the models after it only grow (rounded subtraction is monotone), so
-    # each scan stops at the first gap above b.
-    by_gt = sorted(zip(g, r))
-    for i, (gi, ri) in enumerate(by_gt):
-        for j in range(i + 1, k):
-            gj, rj = by_gt[j]
-            if gj - gi > b:
-                break
-            if abs(rj - ri) <= b:
-                scored -= 1
-                if gj > gi and rj > ri:
-                    concordant -= 1
-                elif gj > gi and rj < ri:
-                    discordant -= 1
-    if scored == 0:
-        return 1.0
-    return (concordant - discordant) / scored
+    pairs = sorted(zip(gt_acc.values(), map(red_acc.__getitem__, gt_acc)))
+    return _tolerant(pairs, *_pair_counts(pairs), b)
 
 
 def hard_rank_error(gt: RankVector, red: RankVector) -> float:
@@ -191,9 +222,31 @@ def hard_rank_error(gt: RankVector, red: RankVector) -> float:
     k = len(x)
     if k < 2:
         raise MetricError("hard rank error needs at least 2 models, got %d" % k)
-    discordant, tied = _pair_counts(x, y)
-    errors = discordant + 0.5 * tied
-    return errors / (k * (k - 1) / 2)
+    return _hard_rank_error(*_pair_counts(sorted(zip(x, y))), k)
+
+
+def setting_scores(
+    gt_values: Sequence[float],
+    gt_ranks: Sequence[float],
+    values: Sequence[float],
+    b: float,
+    top_k: int,
+    windows: Sequence[int],
+) -> tuple[float, tuple[int, ...], float, float, list[float]]:
+    """One reduced setting against Ground Truth, from accuracy lists aligned
+    on the same models and the Ground Truth's fractional ranks: (Spearman,
+    :func:`retained_top` per window, tolerant Spearman, hard rank error, the
+    setting's fractional ranks). One ranking and one :func:`_pair_counts`
+    serve every score; each equals its public function's result exactly."""
+    ranks = fractional_ranks(values)
+    rho = _spearman_from_ranks(gt_ranks, ranks)
+    retained = tuple(_retained(gt_ranks, ranks, top_k, w) for w in windows)
+    if b < 0:
+        raise MetricError("tolerance b must be >= 0")
+    pairs = sorted(zip(gt_values, values))
+    discordant, tied = _pair_counts(pairs)
+    tolerant = _tolerant(pairs, discordant, tied, b)
+    return rho, retained, tolerant, _hard_rank_error(discordant, tied, len(pairs)), ranks
 
 
 def entropy(values: Sequence[float], base: Sequence[float] | None = None) -> float:
@@ -221,8 +274,7 @@ def retained_top(
         raise MetricError(
             "retained_top needs at least window=%d models, got %d" % (window, len(gt))
         )
-    x, y = _aligned_ranks(gt, red)
-    return sum(1 for rg, rr in zip(x, y) if rg <= top_k and rr <= window)
+    return _retained(*_aligned_ranks(gt, red), top_k, window)
 
 
 def rho_f_subsample(
@@ -254,44 +306,94 @@ def rho_f_subsamples(
     """:func:`rho_f_subsample` for each subsample size in ``sizes``.
 
     Cost: one O(K log K) sort per setting and the full-zoo score ranks,
-    shared by every size; then per size, trial and setting one O(m log m)
-    sort of the subsample by the full-zoo order. Doubled ranks are
-    integers, so every squared rank difference is summed exactly and the
-    result equals re-ranking each subsample from scratch.
+    shared by every size; then per size, trial and setting one ordering of
+    the subsample by the full-zoo order: a filter of that order in C for
+    zoos of up to 256 models and samples of up to 127, an O(m log m) sort
+    otherwise. Doubled ranks are integers, so every squared rank difference
+    is summed exactly and the result equals re-ranking each subsample from
+    scratch.
     """
-    if gt_label not in setting_accuracies:
+    columns = {}
+    for label, accuracies in setting_accuracies.items():
+        ids = tuple(sorted(accuracies))
+        columns[label] = ids, [accuracies[i] for i in ids]
+    return rho_f_columns(columns, gt_label, sizes, trials, seed)
+
+
+def rho_f_columns(
+    columns: Mapping[str, tuple[tuple[str, ...], Sequence[float]]],
+    gt_label: str,
+    sizes: Sequence[int],
+    trials: int = 100,
+    seed: int = 0,
+) -> list[float]:
+    """:func:`rho_f_subsamples` from each setting's column: its sorted model
+    ids, as a tuple, and their accuracies in that order."""
+    if gt_label not in columns:
         raise MetricError("ground-truth label %r not present" % gt_label)
-    labels = sorted(l for l in setting_accuracies if l != gt_label)
+    labels = sorted(l for l in columns if l != gt_label)
     if len(labels) < 2:
         raise MetricError("need at least 2 reduced settings for rho_F")
-    gt_map = setting_accuracies[gt_label]
-    ids = sorted(gt_map)
-    k = len(ids)
+    ids, gt = columns[gt_label]
     for m in sizes:
         if m < 3:
             raise MetricError("subsample size must be >= 3, got %d" % m)
-        if m > k:
-            raise MetricError("subsample size %d exceeds zoo size %d" % (m, k))
+        if m > len(ids):
+            raise MetricError("subsample size %d exceeds zoo size %d" % (m, len(ids)))
     for label in labels:
-        if set(setting_accuracies[label]) != set(gt_map):
+        if columns[label][0] != ids:
             raise MetricError("setting %r covers a different model id set" % label)
 
-    gt_order = _best_first([gt_map[i] for i in ids])
-    red_orders = [
-        _best_first([setting_accuracies[label][i] for i in ids]) for label in labels
-    ]
+    k = len(gt)
+    _, gt_pos, gt_group = _best_first(gt)
+    # The settings without ties come first; rho_F does not depend on the
+    # order of the settings, since squared half-integer rank gaps sum exactly.
+    orders = [_best_first(columns[label][1]) for label in labels]
+    untied = [(order, pos.__getitem__) for order, pos, group in orders if group is None]
+    tied = [(pos.__getitem__, group) for _, pos, group in orders if group is not None]
+    # With at most 256 models each model index fits in a byte, and so does a
+    # doubled rank in a sample of at most 127. Then a setting's sample in
+    # best-first order is its whole best-first order with the other models
+    # deleted, which bytes.translate does while it looks up each model's
+    # Ground-Truth rank.
+    as_bytes = k <= 256
+    if as_bytes:
+        untied_bytes = [bytes(order) for order, _ in untied]
+        everyone = bytes(range(k))
+    gt_rank = [0] * k  # doubled Ground-Truth rank of each model in the sample
+    gt_rank_of = gt_rank.__getitem__
 
     def scores(idx) -> list[float]:
-        """Every reduced setting's Spearman against Ground Truth on ``idx``."""
+        """Every reduced setting's Spearman against Ground Truth on ``idx``,
+        each from one ordering of ``idx`` and one sum of rank products."""
         n = len(idx)
-        order, ranks, gt_sq = _doubled_ranks(idx, *gt_order)
-        gt_rank = dict(zip(order, ranks))
-        out = []
-        for pos, group in red_orders:
-            order, ranks, sq = _doubled_ranks(idx, pos, group)
-            cross = sum(map(mul, map(gt_rank.__getitem__, order), ranks))
-            out.append(_spearman_from_d2((gt_sq + sq - 2 * cross) / 4, n))
-        return out
+        order = sorted(idx, key=gt_pos.__getitem__)
+        ranks, gt_sq = _doubled_ranks(order, gt_group)
+        for i, rank in zip(order, ranks):
+            gt_rank[i] = rank
+        evens, evens_sq = _doubled_ranks(range(n), None)
+        base = gt_sq + evens_sq
+        # 4 * sum(d^2) for each setting, exact because doubled ranks are
+        # integers.
+        if as_bytes and 2 * n < 256:
+            table = bytearray(256)
+            for i, rank in zip(order, ranks):
+                table[i] = rank
+            others = everyone.translate(None, bytes(idx))
+            d2x4 = [
+                base - 2 * sum(map(mul, whole.translate(table, others), evens))
+                for whole in untied_bytes
+            ]
+        else:
+            d2x4 = [
+                base - 2 * sum(map(mul, map(gt_rank_of, sorted(idx, key=key)), evens))
+                for _, key in untied
+            ]
+        for key, group in tied:
+            order = sorted(idx, key=key)
+            ranks, sq = _doubled_ranks(order, group)
+            d2x4.append(gt_sq + sq - 2 * sum(map(mul, map(gt_rank_of, order), ranks)))
+        return [_spearman_from_d2(d / 4, n) for d in d2x4]
 
     full_ranks = fractional_ranks(scores(range(k)))
     means = []
@@ -305,9 +407,10 @@ def rho_f_subsamples(
     return means
 
 
-def _best_first(values: Sequence[float]) -> tuple[list[int], list[int] | None]:
-    """Each position's place in the best-first order of ``values`` and its
-    tie-group id, or None for the groups when no two values are equal."""
+def _best_first(values: Sequence[float]) -> tuple:
+    """The positions of ``values`` in best-first order, each position's place
+    in that order, and its tie-group id, or None for the groups when no two
+    values are equal."""
     order = sorted(range(len(values)), key=lambda i: -values[i])
     pos = [0] * len(values)
     group = [0] * len(values)
@@ -317,17 +420,16 @@ def _best_first(values: Sequence[float]) -> tuple[list[int], list[int] | None]:
         if p and values[i] != values[order[p - 1]]:
             gid += 1
         group[i] = gid
-    return pos, (group if gid + 1 < len(values) else None)
+    return order, pos, (group if gid + 1 < len(values) else None)
 
 
-def _doubled_ranks(idx, pos: list[int], group: list[int] | None) -> tuple:
-    """The positions ``idx`` in best-first order, their fractional ranks
-    among themselves times two (always integers), and the sum of the
-    squares of those."""
-    order = sorted(idx, key=pos.__getitem__)
+def _doubled_ranks(order, group: list[int] | None) -> tuple:
+    """The fractional ranks, times two (always integers), of the positions
+    ``order``, given best first, among themselves, and the sum of their
+    squares; ``group`` holds each position's tie group, None for no ties."""
     n = len(order)
     if group is None:
-        return order, range(2, 2 * n + 1, 2), 2 * n * (n + 1) * (2 * n + 1) // 3
+        return range(2, 2 * n + 1, 2), 2 * n * (n + 1) * (2 * n + 1) // 3
     ranks: list[int] = []
     start = 0
     while start < n:
@@ -336,7 +438,7 @@ def _doubled_ranks(idx, pos: list[int], group: list[int] | None) -> tuple:
             stop += 1
         ranks += [start + stop + 2] * (stop - start + 1)
         start = stop + 1
-    return order, ranks, sum(map(mul, ranks, ranks))
+    return ranks, sum(map(mul, ranks, ranks))
 
 
 def overfit_gap(records: Iterable) -> float:

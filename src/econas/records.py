@@ -5,18 +5,23 @@ version. A record is the atom every metric consumes: which model, under
 which setting label, reached which test (and optionally train) accuracy
 after how many epochs. Unknown fields in a line are ignored so logs written
 by newer tools stay readable.
+
+Lines are written by one fixed-schema formatter and read back by one
+compiled pattern for exactly that shape; every other line falls back to
+``json.loads``. Both directions give what the JSON codec would, which the
+tests check against it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from . import documents
+from .documents import json_scalar
 
 _HEADER_KIND = "evaluation_log"
 
@@ -48,19 +53,6 @@ class EvaluationRecord:
         return (self.model_id, self.setting)
 
 
-def _float(value: float) -> str:
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
-# How json.dumps writes a value of exactly this type; any other type goes
-# through json.dumps itself.
-_SCALAR = {str: encode_basestring_ascii, float: _float, int: int.__repr__}
-
-
-def _scalar(value) -> str:
-    return _SCALAR.get(type(value), json.dumps)(value)
-
-
 def _line(rec: EvaluationRecord) -> str:
     """The record's log line: the bytes of ``json.dumps(obj, sort_keys=True)``
     plus a newline, for the object of its fields with ``train_accuracy``
@@ -68,11 +60,11 @@ def _line(rec: EvaluationRecord) -> str:
     fixed."""
     train = rec.train_accuracy
     return '{"epochs_trained": %s, "model_id": %s, "setting": %s, "test_accuracy": %s%s}\n' % (
-        _scalar(rec.epochs_trained),
-        _scalar(rec.model_id),
-        _scalar(rec.setting),
-        _scalar(rec.test_accuracy),
-        "" if train is None else ', "train_accuracy": ' + _scalar(train),
+        json_scalar(rec.epochs_trained),
+        json_scalar(rec.model_id),
+        json_scalar(rec.setting),
+        json_scalar(rec.test_accuracy),
+        "" if train is None else ', "train_accuracy": ' + json_scalar(train),
     )
 
 
@@ -111,8 +103,43 @@ def _parse_record(obj: dict, lineno: int) -> EvaluationRecord:
             ),
             epochs_trained=int(obj.get("epochs_trained", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise LogError("line %d: bad record (%s)" % (lineno, exc)) from None
+
+
+# The lines _line writes, as far as a pattern tells them apart from other
+# JSON: strings without escapes, and JSON numbers (ASCII digits only). An
+# accuracy is either a float's text (with a fraction or an exponent) or an
+# integer's, which json.loads reads as an int first, so "-0" is 0.0, not
+# -0.0. The digit bounds keep such an integer within float range and the
+# epochs within int()'s smallest conversion limit; longer ones take the
+# JSON path.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_EPOCHS = r"(-?(?:0|[1-9]\d{0,600}))"
+_FLOAT = r"-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)"
+_NUMBER = r"(?:(%s)|(-?(?:0|[1-9]\d{0,300})))" % _FLOAT
+_LINE = re.compile(
+    r'\{"epochs_trained": %s, "model_id": %s, "setting": %s, "test_accuracy": %s'
+    r'(?:, "train_accuracy": %s)?\}\n?' % (_EPOCHS, _STRING, _STRING, _NUMBER, _NUMBER),
+    re.ASCII,
+).fullmatch
+
+
+def _parse_line(line: str):
+    """A line :func:`_line` could have written as the tuple of its record's
+    fields; any other line as ``json.loads`` reads it."""
+    m = _LINE(line)
+    if m is None:
+        return json.loads(line)
+    # Of each number's two groups, the one that matched is a non-empty string.
+    epochs, model_id, setting, test, test_int, train, train_int = m.groups()
+    return (
+        model_id,
+        setting,
+        float(test) if test else float(int(test_int)),
+        float(train) if train else float(int(train_int)) if train_int else None,
+        int(epochs),
+    )
 
 
 def read_log(path: str, on_duplicate: str = "error") -> list[EvaluationRecord]:
@@ -122,26 +149,35 @@ def read_log(path: str, on_duplicate: str = "error") -> list[EvaluationRecord]:
     Search histories legitimately repeat a key when mutation rediscovers an
     architecture, so history ingestion passes 'keep_last'; zoo evaluation
     logs are expected unique.
+
+    A line in the exact shape :func:`_line` writes (strings without escapes)
+    is read by one compiled pattern; every other line, such as one with
+    reordered keys, extra fields or escaped text, is parsed as JSON. Both
+    give the same record.
     """
     if on_duplicate not in ("error", "keep_last"):
         raise LogError("on_duplicate must be 'error' or 'keep_last'")
+    keep_last = on_duplicate == "keep_last"
     records: dict[tuple[str, str], EvaluationRecord] = {}
-    order: list[tuple[str, str]] = []
     try:
-        for lineno, obj in documents.read_lines(path, _HEADER_KIND):
-            rec = _parse_record(obj, lineno)
-            if rec.key() in records:
-                if on_duplicate == "error":
-                    raise LogError(
-                        "line %d: duplicate record for (%s, %s)"
-                        % (lineno, rec.model_id, rec.setting)
-                    )
+        for lineno, fields in documents.read_lines(path, _HEADER_KIND, _parse_line):
+            if type(fields) is tuple:
+                try:
+                    rec = EvaluationRecord(*fields)
+                except LogError as exc:
+                    raise LogError("line %d: bad record (%s)" % (lineno, exc)) from None
             else:
-                order.append(rec.key())
-            records[rec.key()] = rec
+                rec = _parse_record(fields, lineno)
+            key = (rec.model_id, rec.setting)
+            if key in records and not keep_last:
+                raise LogError(
+                    "line %d: duplicate record for (%s, %s)"
+                    % (lineno, rec.model_id, rec.setting)
+                )
+            records[key] = rec
     except documents.Rejected as exc:
         raise LogError(str(exc)) from None
-    return [records[k] for k in order]
+    return list(records.values())
 
 
 def by_setting(records: Iterable[EvaluationRecord]) -> dict[str, dict[str, EvaluationRecord]]:

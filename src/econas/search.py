@@ -226,44 +226,53 @@ class SearchResult:
         return [entry.to_record() for entry in self.history]
 
 
-def _rank_weighted_choice(pool: list, rng) -> Candidate:
-    """Linear rank weighting: the best of n candidates has weight n, the
-    worst weight 1."""
-    ranked = sorted(pool, key=lambda cand: (-cand.accuracy, cand.seq))
-    n = len(ranked)
-    total = n * (n + 1) / 2.0
+def _rank_tiers(tiers: PopulationTiers, weights: tuple[float, float, float]) -> list:
+    """Each non-empty tier, best first (accuracy, then insertion order), with
+    its weight."""
+    pools = [
+        (tiers.tier_e, weights[0]),
+        (tiers.tier_2e, weights[1]),
+        (tiers.tier_3e, weights[2]),
+    ]
+    return [
+        (sorted(pool, key=lambda cand: (-cand.accuracy, cand.seq)), w)
+        for pool, w in pools
+        if pool
+    ]
+
+
+def _draw_parent(ranked: list, rng) -> Candidate:
+    """Pick a tier of :func:`_rank_tiers` with probability proportional to
+    its weight, then a member by linear rank weighting: the best of n
+    candidates has weight n, the worst weight 1."""
+    if not ranked:
+        raise SearchError("cannot sample a parent: all tiers are empty")
+    total = sum(w for _, w in ranked)
     x = rng.random() * total
+    chosen = ranked[-1][0]
+    for pool, w in ranked:
+        if x < w:
+            chosen = pool
+            break
+        x -= w
+    n = len(chosen)
+    x = rng.random() * (n * (n + 1) / 2.0)
     weight = n
-    for cand in ranked:
+    for cand in chosen:
         if x < weight:
             return cand
         x -= weight
         weight -= 1
-    return ranked[-1]
+    return chosen[-1]
 
 
 def sample_parent(
     tiers: PopulationTiers, weights: tuple[float, float, float], rng
 ) -> Candidate:
     """Pick a tier with probability proportional to its weight (renormalized
-    over non-empty tiers), then a member by linear rank weighting."""
-    pools = [
-        (tiers.tier_e, weights[0]),
-        (tiers.tier_2e, weights[1]),
-        (tiers.tier_3e, weights[2]),
-    ]
-    nonempty = [(pool, w) for pool, w in pools if pool]
-    if not nonempty:
-        raise SearchError("cannot sample a parent: all tiers are empty")
-    total = sum(w for _, w in nonempty)
-    x = rng.random() * total
-    chosen = nonempty[-1][0]
-    for pool, w in nonempty:
-        if x < w:
-            chosen = pool
-            break
-        x -= w
-    return _rank_weighted_choice(chosen, rng)
+    over non-empty tiers), then a member by linear rank weighting. A search
+    cycle ranks its tiers once and draws every parent from that ranking."""
+    return _draw_parent(_rank_tiers(tiers, weights), rng)
 
 
 def remove_dead(tiers: PopulationTiers, cfg: EcoNasConfig) -> None:
@@ -496,6 +505,7 @@ class SearchEngine:
         jobs = [(g, setting, 0, span, None) for g in genotypes]
         outcomes = _evaluate_jobs(self.evaluator, jobs, self.workers)
         survivors = 0
+        live = self._live_hashes()
         for g, outcome in zip(genotypes, outcomes):
             mid = self._register(g)
             if isinstance(outcome, EvaluatorFailure):
@@ -503,7 +513,7 @@ class SearchEngine:
                 continue
             survivors += 1
             self.state.history.append(HistoryEntry.from_outcome(0, mid, setting, outcome))
-            self._insert_tier_e(g, mid, outcome, birth_cycle=0)
+            self._insert_tier_e(g, mid, outcome, 0, live)
         if survivors == 0:
             raise SearchError("every initial evaluation failed")
         self.state.next_cycle = 1
@@ -511,11 +521,15 @@ class SearchEngine:
     def _live_hashes(self) -> set:
         return {c.model_id for c in self.state.tiers.all_candidates()}
 
-    def _insert_tier_e(self, g: Genotype, mid: str, outcome, birth_cycle: int) -> None:
+    def _insert_tier_e(
+        self, g: Genotype, mid: str, outcome, birth_cycle: int, live: set
+    ) -> None:
         # One live candidate per architecture: a rediscovered hash is logged
         # to history by the caller but does not enter the tiers twice.
-        if mid in self._live_hashes():
+        # ``live`` is the caller's _live_hashes(), kept current here.
+        if mid in live:
             return
+        live.add(mid)
         self.state.tiers.tier_e.append(
             Candidate(
                 genotype=g,
@@ -534,12 +548,13 @@ class SearchEngine:
         span = cfg.epoch_unit
         setting = self.setting_base.with_epochs(span)
 
-        # Parents are sampled against the cycle-start population so the N0
-        # mutant jobs are independent of each other.
+        # Parents are sampled against the cycle-start population, ranked
+        # once, so the N0 mutant jobs are independent of each other.
+        ranked = _rank_tiers(self.state.tiers, cfg.tier_weights)
         children = []
         for slot in range(cfg.mutants_per_cycle):
             rng = derive_rng(cfg.seed, "cycle", cycle, "slot", slot)
-            parent = sample_parent(self.state.tiers, cfg.tier_weights, rng)
+            parent = _draw_parent(ranked, rng)
             try:
                 children.append(mutate(parent.genotype, rng))
             except GenotypeError as exc:
@@ -549,6 +564,7 @@ class SearchEngine:
         jobs = [(g, setting, 0, span, None) for g in children if g is not None]
         outcomes = iter(_evaluate_jobs(self.evaluator, jobs, self.workers))
         failures = 0
+        live = self._live_hashes()
         for g in children:
             if g is None:
                 failures += 1
@@ -560,7 +576,7 @@ class SearchEngine:
                 logger.warning("child %s dropped in cycle %d: %s", mid[:12], cycle, outcome)
                 continue
             self.state.history.append(HistoryEntry.from_outcome(cycle, mid, setting, outcome))
-            self._insert_tier_e(g, mid, outcome, birth_cycle=cycle)
+            self._insert_tier_e(g, mid, outcome, cycle, live)
         if failures >= cfg.mutants_per_cycle:
             raise SearchError("all %d child evaluations failed in cycle %d" % (failures, cycle))
 

@@ -1,16 +1,19 @@
-"""Time ``analyze`` on a surrogate zoo log at K=200 and K=400 models, with
-the rank kernels of ``econas.metrics`` and with the O(K^2) loops of
-``tests/rank_oracles.py`` patched in their place.
+"""Time ``analyze`` on a surrogate zoo log at K=200 and K=400 models, phase
+by phase, as econas runs it and as the oracles of ``tests/rank_oracles.py``
+run it: every line parsed as JSON, every setting scored through the public
+O(K^2) pair loops, rho_F re-ranking every subsample.
 
     PYTHONPATH=src python3 tests/analyze_scaling.py
 
 Not collected by pytest (the file name does not start with ``test_``). Each
 zoo is evaluated over the canonical 200-setting CIFAR-10 grid plus the
-Ground-Truth setting, then ``harness.run_analyze`` runs with rho_F over
-subsample sizes 5-50 at 100 trials, as in the benchmark's ``zoo_analyze``
-workload. The script asserts that both variants write byte-identical TSV
-files and prints one JSON object with the wall time of ``run_analyze``, of
-``build_report`` and of ``rho_f_curve`` per variant, and the speed-ups.
+Ground-Truth setting; then analyze runs with rho_F over subsample sizes
+5-50 at 100 trials, as in the benchmark's ``zoo_analyze`` workload. The
+script asserts that both variants write byte-identical TSV files and prints
+one JSON object with, per variant, the wall time of the whole analyze and
+of ``read_log``, ``build_report``, ``rho_f_curve`` and
+``write_report_files``, and the speed-ups. Both variants write through
+econas's ``write_report_files``.
 """
 
 import json
@@ -26,7 +29,6 @@ from econas.proxy import CIFAR10_TABLE
 
 GROUND_TRUTH = "c0r0s0e600"
 RHO_F_SIZES = [5, 10, 15, 20, 30, 50]
-KERNELS = ("tolerant_spearman", "hard_rank_error", "rho_f_subsamples")
 
 
 def make_log(work: str, k: int) -> str:
@@ -55,45 +57,57 @@ def make_log(work: str, k: int) -> str:
     return manifest.output_log
 
 
-def timed_analyze(log: str, out_dir: str) -> dict:
-    """run_analyze's wall time, with build_report and rho_f_curve timed
-    where harness calls them."""
-    phases = {}
-    originals = {name: getattr(analysis, name) for name in ("build_report", "rho_f_curve")}
+class Phases(dict):
+    """Wall time per phase, in seconds."""
 
-    def timer(name, fn):
+    def timed(self, name, fn):
         def wrapped(*args, **kwargs):
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                phases[name + "_s"] = round(time.perf_counter() - start, 3)
+                self[name + "_s"] = round(time.perf_counter() - start, 3)
         return wrapped
 
-    for name, fn in originals.items():
-        setattr(analysis, name, timer(name, fn))
+
+def econas_analyze(log: str, out_dir: str) -> dict:
+    """harness.run_analyze, with each phase timed where harness calls it."""
+    phases = Phases()
+    patched = [(harness, "read_log")] + [
+        (analysis, name) for name in ("build_report", "rho_f_curve", "write_report_files")
+    ]
+    originals = [getattr(owner, name) for owner, name in patched]
+    for (owner, name), fn in zip(patched, originals):
+        setattr(owner, name, phases.timed(name, fn))
     try:
-        start = time.perf_counter()
-        harness.run_analyze(
+        phases.timed("analyze", harness.run_analyze)(
             log, GROUND_TRUTH, out_dir, CIFAR10_TABLE,
             rho_f_sizes=RHO_F_SIZES, rho_f_trials=100, seed=3,
         )
-        phases["analyze_s"] = round(time.perf_counter() - start, 3)
     finally:
-        for name, fn in originals.items():
-            setattr(analysis, name, fn)
+        for (owner, name), fn in zip(patched, originals):
+            setattr(owner, name, fn)
     return phases
 
 
-def with_oracles(fn):
-    originals = {name: getattr(analysis, name) for name in KERNELS}
-    for name in KERNELS:
-        setattr(analysis, name, getattr(rank_oracles, name))
-    try:
-        return fn()
-    finally:
-        for name, kernel in originals.items():
-            setattr(analysis, name, kernel)
+def oracle_analyze(log: str, out_dir: str) -> dict:
+    """The same steps through the oracles, each given the records."""
+    phases = Phases()
+
+    def run():
+        records = phases.timed("read_log", rank_oracles.read_log)(log)
+        report = phases.timed("build_report", rank_oracles.build_report)(
+            records, GROUND_TRUTH, CIFAR10_TABLE
+        )
+        rho_f = phases.timed("rho_f_curve", rank_oracles.rho_f_curve)(
+            records, GROUND_TRUTH, RHO_F_SIZES, trials=100, seed=3
+        )
+        phases.timed("write_report_files", analysis.write_report_files)(
+            report, out_dir, rho_f=rho_f
+        )
+
+    phases.timed("analyze", run)()
+    return phases
 
 
 def tsv_bytes(out_dir: str) -> dict:
@@ -111,17 +125,13 @@ def main() -> None:
             log = make_log(work, k)
             kernels_dir = os.path.join(work, "kernels")
             oracle_dir = os.path.join(work, "oracle")
-            fast = timed_analyze(log, kernels_dir)
-            slow = with_oracles(lambda: timed_analyze(log, oracle_dir))
+            fast = econas_analyze(log, kernels_dir)
+            slow = oracle_analyze(log, oracle_dir)
             if tsv_bytes(kernels_dir) != tsv_bytes(oracle_dir):
                 raise SystemExit("K=%d: report files differ between kernels and oracles" % k)
-        result["k%d" % k] = {
-            "kernels": fast,
-            "oracles": slow,
-            "build_report_speedup": round(slow["build_report_s"] / fast["build_report_s"], 2),
-            "rho_f_curve_speedup": round(slow["rho_f_curve_s"] / fast["rho_f_curve_s"], 2),
-            "analyze_speedup": round(slow["analyze_s"] / fast["analyze_s"], 2),
-        }
+        result["k%d" % k] = {"kernels": fast, "oracles": slow}
+        for phase in sorted(fast):
+            result["k%d" % k][phase[:-2] + "_speedup"] = round(slow[phase] / fast[phase], 2)
         print("K=%d done" % k, file=sys.stderr)
     print(json.dumps(result))
 

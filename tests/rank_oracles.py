@@ -1,18 +1,36 @@
-"""The pairwise definitions of the rank kernels in ``econas.metrics``.
+"""The code the fast ``analyze`` path replaced, kept as oracles.
 
-These are the O(K^2) loops (and the rho_F loop that re-ranks every
-subsample from scratch) that the fast kernels replaced. Tests compare the
-kernels with them using ``==``; ``tests/analyze_scaling.py`` times
+These are the O(K^2) pair loops, the rho_F loop that re-ranks every
+subsample from scratch, ``read_log`` parsing every line as JSON, and
+``build_report`` and ``rho_f_curve`` grouping the records themselves and
+scoring every setting through the public metric functions. Tests compare
+the fast code with them using ``==``; ``tests/analyze_scaling.py`` times
 ``analyze`` with them patched in.
 """
 
+from econas import documents, records as records_module
+from econas.analysis import (
+    AnalysisError,
+    ConsistencyReport,
+    ScatterPoint,
+    _entropy_tables,
+    acceleration_ratio,
+)
 from econas.metrics import (
+    ConsistencyRow,
     MetricError,
+    RankVector,
     _aligned_ranks,
     _spearman_from_ranks,
     fractional_ranks,
+    overfit_gap,
+    recommend_settings,
+    retained_top,
+    spearman,
     spearman_values,
 )
+from econas.proxy import nominal_speedup, parse_label
+from econas.records import LogError, by_setting
 from econas.seeding import derive_rng
 
 
@@ -63,22 +81,31 @@ def hard_rank_error(gt, red):
     return errors / (k * (k - 1) / 2)
 
 
-def rho_f_subsample(setting_accuracies, gt_label, m, trials=100, seed=0):
+def _check_rho_f(setting_accuracies, gt_label, sizes):
+    """Every size is checked before the settings' model sets."""
     if gt_label not in setting_accuracies:
         raise MetricError("ground-truth label %r not present" % gt_label)
     labels = sorted(l for l in setting_accuracies if l != gt_label)
     if len(labels) < 2:
         raise MetricError("need at least 2 reduced settings for rho_F")
     gt_map = setting_accuracies[gt_label]
-    ids = sorted(gt_map)
-    k = len(ids)
-    if m < 3:
-        raise MetricError("subsample size must be >= 3, got %d" % m)
-    if m > k:
-        raise MetricError("subsample size %d exceeds zoo size %d" % (m, k))
+    k = len(gt_map)
+    for m in sizes:
+        if m < 3:
+            raise MetricError("subsample size must be >= 3, got %d" % m)
+        if m > k:
+            raise MetricError("subsample size %d exceeds zoo size %d" % (m, k))
     for label in labels:
         if set(setting_accuracies[label]) != set(gt_map):
             raise MetricError("setting %r covers a different model id set" % label)
+
+
+def rho_f_subsample(setting_accuracies, gt_label, m, trials=100, seed=0):
+    _check_rho_f(setting_accuracies, gt_label, [m])
+    labels = sorted(l for l in setting_accuracies if l != gt_label)
+    gt_map = setting_accuracies[gt_label]
+    ids = sorted(gt_map)
+    k = len(ids)
 
     gt_all = [gt_map[i] for i in ids]
     red_all = {label: [setting_accuracies[label][i] for i in ids] for label in labels}
@@ -106,4 +133,109 @@ def rho_f_subsample(setting_accuracies, gt_label, m, trials=100, seed=0):
 
 
 def rho_f_subsamples(setting_accuracies, gt_label, sizes, trials=100, seed=0):
+    _check_rho_f(setting_accuracies, gt_label, sizes)
     return [rho_f_subsample(setting_accuracies, gt_label, m, trials, seed) for m in sizes]
+
+
+def read_log(path, on_duplicate="error"):
+    if on_duplicate not in ("error", "keep_last"):
+        raise LogError("on_duplicate must be 'error' or 'keep_last'")
+    records = {}
+    order = []
+    try:
+        for lineno, obj in documents.read_lines(path, "evaluation_log"):
+            rec = records_module._parse_record(obj, lineno)
+            if rec.key() in records:
+                if on_duplicate == "error":
+                    raise LogError(
+                        "line %d: duplicate record for (%s, %s)"
+                        % (lineno, rec.model_id, rec.setting)
+                    )
+            else:
+                order.append(rec.key())
+            records[rec.key()] = rec
+    except documents.Rejected as exc:
+        raise LogError(str(exc)) from None
+    return [records[k] for k in order]
+
+
+def build_report(records, gt_label, table, top_k=10, windows=(15, 20), tolerant_b=0.0015):
+    grouped = by_setting(records)
+    if gt_label not in grouped:
+        raise AnalysisError("log has no records for ground-truth setting %s" % gt_label)
+    parse_label(gt_label, table)
+    gt_records = grouped[gt_label]
+    gt_ids = set(gt_records)
+
+    missing = sorted(
+        {
+            mid
+            for label, group in grouped.items()
+            for mid in group
+            if mid not in gt_ids
+        }
+    )
+    if missing:
+        raise AnalysisError(
+            "models missing ground-truth records: %s" % ", ".join(m[:16] for m in missing)
+        )
+
+    rows = []
+    scatter = []
+    rho_by_dims = {}
+    labels = sorted(
+        (label for label in grouped if label != gt_label),
+        key=lambda l: parse_label(l, table),
+    )
+    for label in labels:
+        setting = parse_label(label, table)
+        group = grouped[label]
+        gt_acc = {mid: gt_records[mid].test_accuracy for mid in group}
+        red_acc = {mid: rec.test_accuracy for mid, rec in group.items()}
+        gt_vec = RankVector.from_accuracies(gt_acc)
+        red_vec = RankVector.from_accuracies(red_acc)
+        rho = spearman(gt_vec, red_vec)
+        retained = tuple(
+            retained_top(gt_vec, red_vec, top_k=top_k, window=w) for w in windows
+        )
+        gap = None
+        if all(rec.train_accuracy is not None for rec in group.values()):
+            gap = overfit_gap(group.values())
+        rows.append(
+            ConsistencyRow(
+                label=label,
+                rho_sp=rho,
+                tolerant_rho=tolerant_spearman(gt_acc, red_acc, tolerant_b),
+                hre=hard_rank_error(gt_vec, red_vec),
+                speedup=nominal_speedup(setting),
+                acceleration=acceleration_ratio(label, gt_label, table),
+                retained=retained,
+                overfit_gap=gap,
+            )
+        )
+        rho_by_dims.setdefault((setting.s_idx, setting.epochs), {})[
+            (setting.c_idx, setting.r_idx)
+        ] = rho
+        red_ranks = red_vec.rank_of()
+        for mid, rank in sorted(gt_vec.rank_of().items()):
+            scatter.append(ScatterPoint(label, mid, rank, red_ranks[mid]))
+
+    return ConsistencyReport(
+        gt_label=gt_label,
+        table_name=table.name,
+        top_k=top_k,
+        windows=tuple(windows),
+        tolerant_b=tolerant_b,
+        rows=rows,
+        entropy_rows=_entropy_tables(rho_by_dims, table),
+        recommendations=recommend_settings(rows),
+        scatter=scatter,
+    )
+
+
+def rho_f_curve(records, gt_label, sizes, trials=100, seed=0):
+    accuracies = {
+        label: {mid: rec.test_accuracy for mid, rec in group.items()}
+        for label, group in by_setting(records).items()
+    }
+    return list(zip(sizes, rho_f_subsamples(accuracies, gt_label, sizes, trials, seed)))

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import rank_oracles as oracle
 from econas.analysis import (
     AnalysisError,
+    SettingColumns,
     acceleration_ratio,
     build_report,
     mean_entropy,
@@ -11,6 +14,7 @@ from econas.analysis import (
     write_report_files,
 )
 from econas.proxy import CIFAR10_TABLE, parse_label
+from econas.records import EvaluationRecord
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +108,89 @@ def test_report_files_written_and_stable(grid_report, tmp_path, grid_records):
     lines = open(paths_a[0]).read().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 2 + 200  # comment + header + one row per setting
+
+
+# -- the report and rho_F against the code they replaced -------------------------
+
+GRID_LABELS = sorted(
+    "c%dr%ds%de%d" % (c, r, s, e)
+    for c in range(5) for r in range(5) for s in range(2) for e in (30, 60, 90, 120)
+)
+# One (s, epochs) slice's full channel x resolution grid, for entropy rows.
+SLICE = ["c%dr%ds0e30" % (c, r) for c in range(5) for r in range(5)]
+SUBNORMAL = (0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1.0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of ``fn``, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:  # AnalysisError, MetricError, SettingError
+        return type(exc), str(exc)
+
+
+@st.composite
+def zoo_logs(draw):
+    """Records of a small zoo over random settings, in random order. Values
+    may tie heavily or differ by subnormal gaps; a reduced setting may cover
+    a subset of the models; train accuracies may be missing; a key may
+    repeat, and then its last record counts."""
+    ids = ["m%02d" % i for i in range(draw(st.integers(3, 14)))]
+    kind = draw(st.sampled_from(["spread", "ties", "subnormal"]))
+    if kind == "spread":
+        values = st.floats(0.0, 1.0)
+    elif kind == "ties":
+        values = st.sampled_from(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)))
+    else:
+        values = st.sampled_from(SUBNORMAL)
+    labels = draw(st.lists(st.sampled_from(GRID_LABELS), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        labels = sorted(set(labels) | set(SLICE))
+    records = []
+    for label in ["c0r0s0e600"] + labels:
+        covered = ids
+        if label != "c0r0s0e600" and draw(st.booleans()):
+            covered = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        train = draw(st.sampled_from(["all", "none", "some"]))
+        for mid in covered:
+            has_train = train == "all" or (train == "some" and draw(st.booleans()))
+            records.append(EvaluationRecord(
+                mid, label, draw(values), draw(values) if has_train else None, 1
+            ))
+    if draw(st.booleans()):
+        again = draw(st.sampled_from(records))
+        records.append(EvaluationRecord(again.model_id, again.setting, draw(values), None, 2))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    zoo_logs(),
+    st.sampled_from([0.0, 0.0015, 0.3]),
+    st.sampled_from([((2,), 1), ((2, 3), 2), ((15,), 10)]),
+)
+def test_report_equals_the_oracle(records, b, windows_top_k):
+    windows, top_k = windows_top_k
+    args = ("c0r0s0e600", CIFAR10_TABLE)
+    kwargs = dict(top_k=top_k, windows=windows, tolerant_b=b)
+    expected = _outcome(oracle.build_report, records, *args, **kwargs)
+    assert _outcome(build_report, records, *args, **kwargs) == expected
+    assert _outcome(build_report, SettingColumns.of(records), *args, **kwargs) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(zoo_logs(), st.lists(st.integers(3, 14), min_size=1, max_size=3), st.integers(0, 99))
+def test_rho_f_curve_equals_the_oracle(records, sizes, seed):
+    expected = _outcome(oracle.rho_f_curve, records, "c0r0s0e600", sizes, trials=3, seed=seed)
+    assert _outcome(rho_f_curve, records, "c0r0s0e600", sizes, trials=3, seed=seed) == expected
+    columns = SettingColumns.of(records)
+    assert _outcome(rho_f_curve, columns, "c0r0s0e600", sizes, trials=3, seed=seed) == expected
+
+
+def test_the_grid_report_equals_the_oracle(grid_records, grid_report):
+    assert grid_report == oracle.build_report(
+        grid_records, "c0r0s0e600", CIFAR10_TABLE, top_k=10, windows=(15, 20)
+    )
+    assert rho_f_curve(grid_records, "c0r0s0e600", (5, 50), trials=4, seed=1) == (
+        oracle.rho_f_curve(grid_records, "c0r0s0e600", (5, 50), trials=4, seed=1)
+    )

@@ -1,6 +1,7 @@
-"""Evaluation-log bytes: the fixed-schema line formatter against the
-``json.dumps`` writer it replaced, and the logs ``econas zoo evaluate``
-writes against SHA-256 digests pinned from that writer's logs."""
+"""Evaluation logs: the fixed-schema line formatter against the
+``json.dumps`` writer it replaced, the pattern reader against the JSON
+parser it skips, and the logs ``econas zoo evaluate`` writes against SHA-256
+digests pinned from that writer's logs."""
 
 import hashlib
 import json
@@ -12,9 +13,13 @@ from hypothesis import given, strategies as st
 
 from econas.cli import main
 from econas.evaluator import EvaluatorFailure
-from econas.harness import ExperimentManifest, load_zoo, zoo_evaluate, zoo_generate
+import rank_oracles as oracle
+from econas import records as records_module
+from econas.harness import (
+    ExperimentManifest, load_zoo, run_analyze, zoo_evaluate, zoo_generate,
+)
 from econas.proxy import CIFAR10_TABLE, format_label, parse_label
-from econas.records import EvaluationRecord, _line, append_records, read_log, write_log
+from econas.records import EvaluationRecord, LogError, _line, append_records, read_log, write_log
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
 
@@ -81,6 +86,139 @@ def test_write_and_append_give_the_oracle_bytes(tmp_path):
     append_records(str(appended), records[:1])
     append_records(str(appended), records[1:])
     assert whole.read_bytes() == appended.read_bytes() == _oracle_log(records)
+
+
+# -- the reader: the pattern path against the JSON path it skips ---------------------
+
+def _fields(records):
+    """Each record's fields as (type, repr) pairs, so 0.0 and -0.0, or 1 and
+    1.0, differ."""
+    return [
+        [(type(v), repr(v)) for v in (r.model_id, r.setting, r.test_accuracy,
+                                      r.train_accuracy, r.epochs_trained)]
+        for r in records
+    ]
+
+
+_READ_ACCURACY = st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-05, 2.5e-300, 1 - 2 ** -53]),
+    st.integers(0, 1),
+)
+_READ_EPOCHS = st.one_of(
+    st.integers(0, 600), st.integers(-(10 ** 40), 10 ** 40), st.booleans(),
+)
+
+
+_READ_ROW = st.tuples(_TEXT, _TEXT, _READ_ACCURACY, st.none() | _READ_ACCURACY, _READ_EPOCHS)
+
+
+@given(st.lists(_READ_ROW, max_size=8))
+def test_read_log_equals_the_json_path(tmp_path_factory, rows):
+    records = [EvaluationRecord(*row) for row in rows]
+    path = str(tmp_path_factory.mktemp("log") / "eval.jsonl")
+    write_log(path, records)
+    expected = oracle.read_log(path, on_duplicate="keep_last")
+    assert _fields(read_log(path, on_duplicate="keep_last")) == _fields(expected)
+
+
+def test_canonical_lines_take_the_pattern_path(tmp_path):
+    records = [
+        EvaluationRecord("m1", "c0r0s0e600", 0.5, None, 600),
+        EvaluationRecord("m2", "c4r4s0e60", 1e-05, 0.75, 60),
+        EvaluationRecord("m3", "c2r2s1e30", 0, 1, 10 ** 30),
+    ]
+    path = tmp_path / "eval.jsonl"
+    write_log(str(path), records)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    assert [records_module._parse_line(line) for line in lines] == [
+        ("m1", "c0r0s0e600", 0.5, None, 600),
+        ("m2", "c4r4s0e60", 1e-05, 0.75, 60),
+        ("m3", "c2r2s1e30", 0.0, 1.0, 10 ** 30),
+    ]
+    assert read_log(str(path)) == records
+
+
+NON_CANONICAL = [
+    # reordered keys
+    '{"model_id": "a", "setting": "s", "test_accuracy": 0.5, "epochs_trained": 3}',
+    # an extra field
+    '{"epochs_trained": 3, "model_id": "b", "note": "x", "setting": "s", "test_accuracy": 0.5}',
+    '{"epochs_trained": 3, "model_id": "c", "setting": "s", "test_accuracy": 0.5, '
+    '"train_accuracy": null}',
+    # extra spaces
+    '{"epochs_trained": 3,  "model_id": "d", "setting": "s", "test_accuracy": 0.5 }',
+    ' {"epochs_trained": 3, "model_id": "e", "setting": "s", "test_accuracy": 0.5}',
+    # -0 is an integer to json.loads, so it reads as 0.0; -0.0 stays -0.0
+    '{"epochs_trained": -0, "model_id": "f", "setting": "s", "test_accuracy": -0, '
+    '"train_accuracy": -0.0}',
+    '{"epochs_trained": 3, "model_id": "g", "setting": "s", "test_accuracy": 1E-5, '
+    '"train_accuracy": 1}',
+    '{"epochs_trained": 3, "model_id": "h", "setting": "s", "test_accuracy": "0.5"}',
+    '{"epochs_trained": 3, "model_id": "i\\u00e9\\"", "setting": "s", "test_accuracy": 0.5}',
+    '{"epochs_trained": 3, "model_id": "j\u00e9", "setting": "s", "test_accuracy": 0.5}',
+    # canonical, for contrast
+    '{"epochs_trained": 3, "model_id": "k", "setting": "s", "test_accuracy": 0.25, '
+    '"train_accuracy": 0.5}',
+]
+
+
+def test_non_canonical_lines_read_as_json(tmp_path):
+    path = tmp_path / "eval.jsonl"
+    path.write_text('{"kind": "evaluation_log", "schema_version": 1}\n'
+                    + "\n".join(NON_CANONICAL) + "\n\n", encoding="utf-8")
+    records = read_log(str(path))
+    assert _fields(records) == _fields(oracle.read_log(str(path)))
+    by_id = {r.model_id: r for r in records}
+    assert repr(by_id["f"].test_accuracy) == "0.0" and repr(by_id["f"].train_accuracy) == "-0.0"
+    assert by_id["f"].epochs_trained == 0
+    assert (by_id["g"].test_accuracy, by_id["g"].train_accuracy) == (1e-05, 1.0)
+    assert by_id["h"].test_accuracy == 0.5 and by_id["c"].train_accuracy is None
+    assert {"i\u00e9\"", "j\u00e9"} <= set(by_id)
+
+
+@pytest.mark.parametrize("line, error", [
+    ('{"epochs_trained": 3, "model_id": "a", "setting": "s", "test_accuracy": 1.5}', "outside"),
+    ('{"epochs_trained": 3, "model_id": "a", "setting": "s", "test_accuracy": 01}', "JSON"),
+    ('{"epochs_trained": 3, "model_id": "a\x01", "setting": "s", "test_accuracy": 0.5}', "JSON"),
+    # digits other than ASCII ones, which float() and int() would take
+    ('{"epochs_trained": 3, "model_id": "a", "setting": "s", "test_accuracy": 0.5٣}', "JSON"),
+    ('{"epochs_trained": 1٣, "model_id": "a", "setting": "s", "test_accuracy": 0.5}', "JSON"),
+    # an integer past float range, and one past int()'s digit limit
+    ('{"epochs_trained": 3, "model_id": "a", "setting": "s", "test_accuracy": 1%s}' % ("0" * 400),
+     "bad record"),
+    ('{"epochs_trained": 1%s, "model_id": "a", "setting": "s", "test_accuracy": 0.5}'
+     % ("0" * 5000), "JSON"),
+    ('{"epochs_trained": 3, "model_id": "a", "setting": "s"}', "bad record"),
+], ids=[
+    "accuracy_above_1", "leading_zero", "control_character", "non_ascii_digit",
+    "non_ascii_digit_epochs", "integer_past_float_range", "integer_past_digit_limit",
+    "missing_key",
+])
+def test_bad_lines_fail_as_on_the_json_path(tmp_path, line, error):
+    path = tmp_path / "eval.jsonl"
+    path.write_text('{"kind": "evaluation_log", "schema_version": 1}\n' + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(LogError, match=error) as got:
+        read_log(str(path))
+    with pytest.raises(LogError) as expected:
+        oracle.read_log(str(path))
+    assert str(got.value) == str(expected.value)
+
+
+def test_analyze_rejects_every_torn_last_line(tmp_path):
+    path = tmp_path / "eval.jsonl"
+    write_log(str(path), [
+        EvaluationRecord("m%d" % i, label, 0.5 + i / 100, 0.75, 30)
+        for i in range(3) for label in ("c0r0s0e600", "c1r0s0e30", "c2r0s0e30")
+    ])
+    data = path.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    for keep in range(last + 1, len(data) - 1):  # cut inside the last line, before its "}"
+        path.write_bytes(data[:keep])
+        with pytest.raises(LogError, match="not valid JSON"):
+            run_analyze(str(path), "c0r0s0e600", str(tmp_path / "out"), CIFAR10_TABLE,
+                        top_k=1, windows=(2,))
 
 
 # -- zoo evaluate logs ---------------------------------------------------------------

@@ -3,19 +3,22 @@ earlier versions wrote, and a write interrupted part-way leaves the previous
 file, or none, and no temp file."""
 
 import builtins
+import dataclasses
 import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from econas.analysis import build_report, write_report_files
 from econas.genotype import NetworkConfig
 from econas.harness import (
-    load_checkpoint, load_search_config, run_search, write_search_outputs, zoo_generate,
+    _ledger_line, load_checkpoint, load_search_config, run_search, write_search_outputs,
+    zoo_generate,
 )
 from econas.proxy import CIFAR10_TABLE, ReducedSetting, parse_label
 from econas.records import EvaluationRecord, write_log
-from econas.search import EcoNasConfig, SearchEngine
+from econas.search import EcoNasConfig, LedgerEntry, SearchEngine
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
 # Written by the writers these replaced, from write_outputs below.
@@ -62,6 +65,16 @@ def test_outputs_keep_their_bytes(tmp_path):
     for name, written in GOLDEN.items():
         with open(os.path.join(DATA, name), "rb") as fh:
             assert (tmp_path / written).read_bytes() == fh.read(), name
+
+
+_ID = st.text(st.sampled_from('"\\/\x00\x1f\x7fé\U0001f600') | st.characters())
+_INT = st.integers(-(10 ** 30), 10 ** 30)
+
+
+@given(_INT, _ID, _INT, _INT)
+def test_ledger_line_is_the_bytes_of_json_dumps(cycle, model_id, start, end):
+    entry = LedgerEntry(cycle, model_id, start, end)
+    assert _ledger_line(entry) == json.dumps(dataclasses.asdict(entry), sort_keys=True) + "\n"
 
 
 # -- interrupted writes ------------------------------------------------------------------

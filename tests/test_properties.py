@@ -156,3 +156,25 @@ def test_rho_f_equals_re_ranking_every_subsample(maps, fractions, seed):
     expected = [oracle.rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) for m in sizes]
     assert [rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) for m in sizes] == expected
     assert rho_f_subsamples(by_label, "s0", sizes, trials=4, seed=seed) == expected
+
+
+@settings(max_examples=10)
+@given(
+    k=st.sampled_from([127, 128, 256, 257, 300]),
+    ties=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_rho_f_on_zoos_past_a_byte_equals_re_ranking(k, ties, seed):
+    # Up to 256 models and samples of up to 127, ranks are looked up through
+    # bytes; other sizes sort. Both meet the oracle.
+    rng = derive_rng("big-zoo", k, seed)
+    by_label = {
+        "s%d" % s: {
+            "m%03d" % i: (rng.randrange(5) / 4 if ties and s == 1 else rng.random())
+            for i in range(k)
+        }
+        for s in range(4)
+    }
+    sizes = sorted({3, 127, min(128, k), k})
+    expected = [oracle.rho_f_subsample(by_label, "s0", m, trials=2, seed=seed) for m in sizes]
+    assert rho_f_subsamples(by_label, "s0", sizes, trials=2, seed=seed) == expected
