@@ -44,7 +44,6 @@ from .records import (
     write_log,
 )
 from .search import (
-    JOURNAL_KIND,
     EcoNasConfig,
     FlatConfig,
     LedgerEntry,
@@ -454,23 +453,6 @@ def load_search_config(path: str) -> SearchCommandConfig:
     )
 
 
-def load_checkpoint(engine: SearchEngine) -> None:
-    """Restore ``engine`` from its ``checkpoint.json`` and then replay its
-    ``checkpoint.journal``, if there is one, in cycle order. A last journal
-    line cut short by a crash mid-append is dropped with a warning; any
-    other damage is a HarnessError naming the file."""
-    path, journal = engine.checkpoint_path, engine.journal_path
-    with documents.reading(path, HarnessError):
-        engine.load_checkpoint_obj(documents.read(path, "search_checkpoint"))
-    if not os.path.exists(journal):
-        return
-    if truncate_torn_tail(journal):
-        logger.warning("dropped an unfinished last line from %s; its cycle runs again", journal)
-    with documents.reading(journal, HarnessError):
-        for _, line in documents.read_lines(journal, JOURNAL_KIND):
-            engine.replay(line)
-
-
 def run_search(
     cfg: SearchCommandConfig,
     out_dir: str,
@@ -480,10 +462,10 @@ def run_search(
     evaluator: Optional[Evaluator] = None,
     stop_after_cycle: Optional[int] = None,
 ) -> SearchResult:
-    """Run (or resume) a search into ``out_dir``: checkpoint each cycle
-    (``checkpoint.json`` and ``checkpoint.journal``, see
-    :class:`SearchEngine`), then history, ledger, summary, and the top
-    genotype files on completion."""
+    """Run (or resume, :meth:`SearchEngine.load_checkpoint`) a search into
+    ``out_dir``: checkpoint each cycle (``checkpoint.json`` and
+    ``checkpoint.journal``, see :class:`SearchEngine`), then history,
+    ledger, summary, and the top genotype files on completion."""
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     seed = cfg.engine_config.seed
@@ -510,7 +492,7 @@ def run_search(
                 "force to start over" % out_dir
             )
         if resume:
-            load_checkpoint(engine)
+            engine.load_checkpoint()
     try:
         result = engine.run(stop_after_cycle=stop_after_cycle)
     finally:

@@ -18,6 +18,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable
 
 from . import documents
@@ -57,14 +58,18 @@ def _line(rec: EvaluationRecord) -> str:
     """The record's log line: the bytes of ``json.dumps(obj, sort_keys=True)``
     plus a newline, for the object of its fields with ``train_accuracy``
     left out when it is None, formatted directly because the schema is
-    fixed."""
-    train = rec.train_accuracy
+    fixed. A value of exactly the type the field declares is formatted in
+    place (an exact ``float`` accuracy is finite, which the record checked);
+    any other value goes through :func:`documents.json_scalar`."""
+    epochs, model_id, setting = rec.epochs_trained, rec.model_id, rec.setting
+    test, train = rec.test_accuracy, rec.train_accuracy
     return '{"epochs_trained": %s, "model_id": %s, "setting": %s, "test_accuracy": %s%s}\n' % (
-        json_scalar(rec.epochs_trained),
-        json_scalar(rec.model_id),
-        json_scalar(rec.setting),
-        json_scalar(rec.test_accuracy),
-        "" if train is None else ', "train_accuracy": ' + json_scalar(train),
+        int.__repr__(epochs) if type(epochs) is int else json_scalar(epochs),
+        _string(model_id) if type(model_id) is str else json_scalar(model_id),
+        _string(setting) if type(setting) is str else json_scalar(setting),
+        float.__repr__(test) if type(test) is float else json_scalar(test),
+        "" if train is None else ', "train_accuracy": '
+        + (float.__repr__(train) if type(train) is float else json_scalar(train)),
     )
 
 

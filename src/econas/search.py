@@ -42,7 +42,7 @@ from .genotype import (
     random_genotype,
 )
 from .proxy import ReducedSetting, format_label
-from .records import EvaluationRecord
+from .records import EvaluationRecord, truncate_torn_tail
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -402,7 +402,7 @@ class _EngineState:
 class _Written:
     """What the checkpoint files hold: the first ``genotypes`` registered
     genotypes, the first ``history`` entries, and each live candidate's
-    record by ``seq``."""
+    :func:`_promoted_fields` by ``seq``."""
 
     genotypes: int
     history: int
@@ -419,11 +419,14 @@ class SearchEngine:
     state after initialization and after every cycle in two files. The
     checkpoint itself is a whole snapshot: ``json.dumps(checkpoint_obj(),
     sort_keys=True)`` plus a newline, replaced atomically. It is written
-    after initialization, at the first write after :meth:`load_checkpoint_obj`
-    and when :meth:`run` returns; every other write appends one line to
-    ``checkpoint.journal`` (:attr:`journal_path`) with what the cycle
-    changed. A resume loads the snapshot and passes each journal line to
-    :meth:`replay`; a snapshot removes the journal it makes obsolete.
+    after initialization, when :meth:`run` returns, and at the first write
+    after :meth:`load_checkpoint_obj` of a state the files do not hold;
+    every other write appends one line to ``checkpoint.journal``
+    (:attr:`journal_path`) with what the cycle changed. A resume,
+    :meth:`load_checkpoint`, loads the snapshot and passes each journal
+    line to :meth:`replay`; the files then hold the engine's state, so its
+    next write appends to that journal. A snapshot removes the journal it
+    makes obsolete.
     """
 
     def __init__(
@@ -640,25 +643,30 @@ class SearchEngine:
 
     def _write_checkpoint(self, snapshot: bool = False) -> None:
         """Save the state: a snapshot, when asked for or when the files do
-        not hold this engine's state yet, else one journal line.
+        not hold this engine's state, else one journal line.
 
         A snapshot streams ``json.dumps(self.checkpoint_obj(),
         sort_keys=True)`` plus a newline over ``checkpoint.json`` without
-        joining it into one string, then removes the journal. A journal line
-        holds the genotypes and history entries added since the last write,
-        ``next_cycle``, ``seq_counter``, each tier's member ``seq``s in order,
-        and the records of the candidates added or changed since then."""
+        joining it into one string. When the files held another state (a
+        fresh engine, or one that loaded an object from elsewhere), the
+        journal is removed before the snapshot is written; otherwise after
+        it. A journal line holds the genotypes and history entries added
+        since the last write, ``next_cycle``, ``seq_counter``, each tier's
+        member ``seq``s in order, and the records of the candidates added
+        since then or changed by a promotion."""
         if self.checkpoint_path is None:
             return
         st, written = self.state, self._written
-        candidates = {c.seq: _candidate_obj(c) for c in st.tiers.all_candidates()}
+        if written is None:
+            # The journal may continue another state: a crash must not
+            # leave it next to this engine's snapshot.
+            self._remove_journal()
         if snapshot or written is None:
             with documents.replacing(self.checkpoint_path) as fh:
                 _write_sections(fh, self.checkpoint_obj())
             # A crash before this line leaves journal lines the snapshot
             # already holds; a resume skips them.
-            with suppress(FileNotFoundError):
-                os.remove(self.journal_path)
+            self._remove_journal()
         else:
             new_genotypes = islice(st.genotypes.items(), written.genotypes, None)
             documents.append_lines(self.journal_path, JOURNAL_KIND, [{
@@ -668,16 +676,52 @@ class SearchEngine:
                 "history": [_history_obj(h) for h in st.history[written.history:]],
                 "tiers": {key: [c.seq for c in tier] for key, tier in _tiers(st.tiers)},
                 "candidates": [
-                    obj for seq, obj in candidates.items() if written.candidates.get(seq) != obj
+                    _candidate_obj(c)
+                    for c in st.tiers.all_candidates()
+                    if written.candidates.get(c.seq) != _promoted_fields(c)
                 ],
             }])
-        self._written = _Written(len(st.genotypes), len(st.history), candidates)
+        self._mark_written()
+
+    def _mark_written(self) -> None:
+        """Record that the checkpoint files now hold the state."""
+        st = self.state
+        self._written = _Written(
+            len(st.genotypes),
+            len(st.history),
+            {c.seq: _promoted_fields(c) for c in st.tiers.all_candidates()},
+        )
+
+    def _remove_journal(self) -> None:
+        with suppress(FileNotFoundError):
+            os.remove(self.journal_path)
+
+    def load_checkpoint(self) -> None:
+        """Restore the state from ``checkpoint.json``, then replay
+        ``checkpoint.journal``, if there is one, in cycle order. A last
+        journal line cut short by a crash mid-append is cut off with a
+        warning; any other damage is a SearchError naming the file. The
+        files then hold this engine's state, so the next write appends to
+        the journal."""
+        path, journal = self.checkpoint_path, self.journal_path
+        with documents.reading(path, SearchError):
+            self.load_checkpoint_obj(documents.read(path, "search_checkpoint"))
+        if os.path.exists(journal):
+            if truncate_torn_tail(journal):
+                logger.warning(
+                    "dropped an unfinished last line from %s; its cycle runs again", journal
+                )
+            with documents.reading(journal, SearchError):
+                for _, line in documents.read_lines(journal, JOURNAL_KIND):
+                    self.replay(line)
+        self._mark_written()
 
     def load_checkpoint_obj(self, obj: dict) -> None:
-        """Restore state from a snapshot. Every genotype's id must be the
-        SHA-256 of its document, which the genotype then keeps. A
+        """Restore state from a snapshot object. Every genotype's id must be
+        the SHA-256 of its document, which the genotype then keeps. A
         ``"ledger"`` section written by older versions is ignored, since the
-        ledger is derived from history. The next write is a snapshot."""
+        ledger is derived from history. The next write is a snapshot, unless
+        :meth:`load_checkpoint` read the object from this engine's files."""
         if not isinstance(obj, dict):
             raise SearchError("checkpoint is not a JSON object")
         for key, expected in self._checkpoint_header().items():
@@ -745,6 +789,12 @@ _HISTORY_KEYS = tuple(f.name for f in fields(HistoryEntry))
 
 def _candidate_obj(c: Candidate) -> dict:
     return {k: getattr(c, k) for k in _CANDIDATE_KEYS}
+
+
+def _promoted_fields(c: Candidate) -> tuple:
+    """The fields of a candidate that change after it is created: those
+    :func:`promote` sets."""
+    return (c.epochs_trained, c.accuracy, c.resume_token)
 
 
 def _history_obj(h: HistoryEntry) -> dict:

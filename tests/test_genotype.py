@@ -1,6 +1,10 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import genotype_oracle as oracle
 
 from econas.genotype import (
     CellSpec,
@@ -229,6 +233,116 @@ def test_decode_malformed_document():
     obj["node_count"] = 99
     with pytest.raises(ParseError, match="node_count"):
         decode(json.dumps(obj))
+
+
+# -- decode against the per-field oracle ------------------------------------------------
+
+
+# Input tokens: canonical ones on both sides of the decoder's table limit
+# (16 nodes), and text str.isdigit or int() reads differently from the table.
+_TOKENS = [
+    "cell:0", "cell:1", "node:0", "node:1", "node:3", "node:15", "node:16", "node:17",
+    "node:01", "cell:2", "node:\uff11", " cell:0", "node:j", "node:-1", "cell:", "node",
+    "", 0, 1, -1, 1.5, True, None, ["cell:0"], {"cell": 0},
+]
+_OPS = [op.value for op in OperationKind] + [
+    "conv_9x9", "Zeros", " zeros", "", None, 3, True, ["zeros"], {"op": "zeros"},
+]
+_NODE_KEYS = ["input_a", "input_b", "op_a", "op_b"]
+_ANY = st.sampled_from(_TOKENS + _OPS + [[], {}, "x"])
+
+
+@st.composite
+def _mutation(draw, obj):
+    """Change one place of a genotype document object in place."""
+    cell = obj[draw(st.sampled_from(["normal", "reduction"]))]
+    node = cell["nodes"][draw(st.integers(0, len(cell["nodes"]) - 1))]
+    where = draw(st.sampled_from([
+        "token", "op", "drop_node_key", "node", "cell", "op_set_name", "op_set_members",
+        "op_set", "top", "drop_last_node",
+    ]))
+    if where == "token":
+        node[draw(st.sampled_from(_NODE_KEYS[:2]))] = draw(st.sampled_from(_TOKENS))
+    elif where == "op":
+        node[draw(st.sampled_from(_NODE_KEYS[2:]))] = draw(st.sampled_from(_OPS))
+    elif where == "drop_node_key":
+        del node[draw(st.sampled_from(_NODE_KEYS))]
+    elif where == "node":
+        cell["nodes"][draw(st.integers(0, len(cell["nodes"]) - 1))] = draw(_ANY)
+    elif where == "cell":
+        key = draw(st.sampled_from(["output_rule", "nodes"]))
+        if draw(st.booleans()):
+            del cell[key]
+        else:
+            cell[key] = draw(_ANY | st.sampled_from([r.value for r in OutputRule]))
+    elif where == "op_set_name":
+        obj["op_set"]["name"] = draw(st.sampled_from(["search8", "zoo13", "custom", "", 8, None]))
+    elif where == "op_set_members":
+        members = obj["op_set"]["members"]
+        choice = draw(st.sampled_from(["shuffle", "subset", "replace", "empty", "duplicate"]))
+        if choice == "shuffle":
+            members[:] = draw(st.permutations(members))
+        elif choice == "subset":
+            del members[draw(st.integers(0, len(members) - 1)):]
+        elif choice == "replace":
+            members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(_OPS))
+        elif choice == "empty":
+            members.clear()
+        else:
+            members.append(members[0])
+    elif where == "op_set":
+        key = draw(st.sampled_from(["name", "members", None]))
+        if key is None:
+            obj["op_set"] = draw(_ANY)
+        else:
+            del obj["op_set"][key]
+    elif where == "top":
+        key = draw(st.sampled_from(["kind", "node_count", "op_set", "normal", "reduction"]))
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_ANY | st.integers(0, 20))
+    else:
+        cell["nodes"].pop()
+
+
+@st.composite
+def _documents(draw):
+    """The canonical document of a random search8 or zoo13 genotype, or one
+    with a few places changed (a custom op-set name included)."""
+    g = random_genotype(
+        random.Random(draw(st.integers(0, 2 ** 32))),
+        NetworkConfig(node_count=draw(st.integers(1, 5) | st.integers(15, 18))),
+        draw(st.sampled_from([SEARCH8, ZOO13])),
+        draw(st.sampled_from(list(OutputRule))),
+    )
+    doc = encode(g)
+    mutations = draw(st.integers(0, 3))
+    if not mutations:
+        return doc
+    obj = json.loads(doc)
+    for _ in range(mutations):
+        try:
+            draw(_mutation(obj))
+        except (KeyError, IndexError, TypeError, AttributeError):
+            break  # an earlier change removed what this one would change
+    return json.dumps(obj, sort_keys=True, indent=draw(st.sampled_from([None, 1])))
+
+
+def _outcome(decoder, doc):
+    try:
+        return decoder(doc)
+    except Exception as exc:  # the type and the text must match too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_decode_equals_the_per_field_oracle(doc):
+    got, expected = _outcome(decode, doc), _outcome(oracle.decode, doc)
+    assert got == expected
+    if isinstance(got, Genotype):
+        assert got.op_set == expected.op_set and encode(got) == encode(expected)
 
 
 def test_hash_equality_iff_structural_equality():

@@ -616,14 +616,17 @@ class _KilledAt:
 
 # _search_config runs 8 initial evaluations, then 4 + 2 + 1 per cycle.
 _EVALUATIONS = 8 + 6 * 7
+_IN_CYCLE_2 = 8 + 1 * 7 + 3
 _IN_CYCLE_5 = 8 + 4 * 7 + 3
 
 
-def _killed_run(config, out, n, workers=1):
+def _killed_run(config, out, n, workers=1, resume=False):
     cfg = load_search_config(config)
     surrogate = make_evaluator("surrogate", cfg.table, cfg.surrogate_params, cfg.engine_config.seed)
     with pytest.raises(_Killed):
-        run_search(cfg, str(out), workers=workers, evaluator=_KilledAt(surrogate, n))
+        run_search(
+            cfg, str(out), resume=resume, workers=workers, evaluator=_KilledAt(surrogate, n)
+        )
 
 
 def _assert_same_outputs(out, reference):
@@ -664,6 +667,71 @@ def test_journal_cut_mid_line_resumes_identically(tmp_path, search_reference, ca
     assert "unfinished last line" in caplog.text
     _assert_same_outputs(out, reference)
     assert not journal.exists()  # the final snapshot holds everything
+
+
+def _journal_cycles(out):
+    """``next_cycle`` of every line of the run's journal, in file order."""
+    with open(out / "checkpoint.journal", encoding="utf-8") as fh:
+        next(fh)
+        return [json.loads(line)["next_cycle"] for line in fh]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("first", ["killed", "killed_mid_append", "stopped"])
+def test_a_resumed_run_continues_the_journal(tmp_path, search_reference, first, workers):
+    # Interrupted once, resumed and killed three cycles later, resumed again:
+    # the resume writes no snapshot, its cycles extend the journal without
+    # a gap, and the outputs are those of the uninterrupted run.
+    config, reference = search_reference
+    cfg = load_search_config(config)
+    out = tmp_path / "run"
+    if first == "stopped":
+        run_search(cfg, str(out), stop_after_cycle=1, workers=workers)
+    else:
+        _killed_run(config, out, _IN_CYCLE_2, workers)
+    if first == "killed_mid_append":
+        journal = out / "checkpoint.journal"
+        journal.write_bytes(journal.read_bytes()[:-1])
+    snapshot = (out / "checkpoint.json").read_bytes()
+    resumed_at = json.loads(snapshot)["next_cycle"]
+    _killed_run(config, out, 3 * 7 + 4, workers, resume=True)  # in its fourth cycle
+    assert (out / "checkpoint.json").read_bytes() == snapshot
+    cycles = _journal_cycles(out)
+    assert cycles == list(range(resumed_at + 1, resumed_at + 1 + len(cycles)))
+    assert len(cycles) >= 3
+    run_search(cfg, str(out), resume=True, workers=workers)
+    _assert_same_outputs(out, reference)
+    assert not (out / "checkpoint.journal").exists()
+
+
+@pytest.mark.parametrize("removed", [False, True], ids=["before_removal", "after_removal"])
+def test_forced_restart_killed_at_its_journal_removal_keeps_the_old_run(
+    tmp_path, search_reference, monkeypatch, removed
+):
+    # A forced restart removes the old run's journal before its first
+    # snapshot, so a kill there never leaves the new snapshot next to the
+    # old journal: the old run's files resume to the old run's outputs.
+    config, reference = search_reference
+    cfg = load_search_config(config)
+    out = tmp_path / "run"
+    _killed_run(config, out, _IN_CYCLE_5)
+    journal = str(out / "checkpoint.journal")
+    remove = os.remove
+
+    def killed_at_the_journal(path, *args, **kwargs):
+        if path == journal:
+            if removed:
+                remove(path)
+            raise _Killed()
+        remove(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", killed_at_the_journal)
+    other = make_evaluator("surrogate", cfg.table, cfg.surrogate_params, cfg.engine_config.seed + 1)
+    with pytest.raises(_Killed):
+        run_search(cfg, str(out), force=True, evaluator=other)
+    monkeypatch.undo()
+    run_search(cfg, str(out), resume=True)
+    _assert_same_outputs(out, reference)
 
 
 def _tamper(doc):

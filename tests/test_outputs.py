@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from econas.analysis import build_report, write_report_files
 from econas.genotype import NetworkConfig
 from econas.harness import (
-    _ledger_line, load_checkpoint, load_search_config, run_search, write_search_outputs,
+    _ledger_line, load_search_config, run_search, write_search_outputs,
     zoo_generate,
 )
 from econas.proxy import CIFAR10_TABLE, ReducedSetting, parse_label
@@ -190,7 +190,7 @@ def _resumed_state(engine):
         engine.evaluator, engine.cfg, engine.setting_base, network=engine.network,
         checkpoint_path=engine.checkpoint_path,
     )
-    load_checkpoint(fresh)
+    fresh.load_checkpoint()
     return fresh.checkpoint_obj()
 
 

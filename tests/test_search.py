@@ -8,7 +8,6 @@ import pytest
 
 from econas.evaluator import EvaluatorFailure
 from econas.genotype import NetworkConfig
-from econas.harness import load_checkpoint
 from econas.proxy import CIFAR10_TABLE, ReducedSetting
 from econas.search import (
     Candidate,
@@ -394,7 +393,7 @@ def _reloaded(engine):
         network=engine.network, output_rule=engine.output_rule,
         checkpoint_path=engine.checkpoint_path, algorithm=engine.algorithm,
     )
-    load_checkpoint(fresh)
+    fresh.load_checkpoint()
     return fresh
 
 
@@ -469,6 +468,21 @@ def test_streamed_checkpoint_flat(tmp_path, checked_writes):
         toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=str(tmp_path / "c.json")
     )
     assert checked_writes == list(range(1, cfg.cycles + 2))
+
+
+def test_streamed_checkpoint_after_resuming_its_own_files(tmp_path, checked_writes):
+    # The resumed engine appends to the files it read, and every write
+    # still reloads to its state.
+    cfg = toy_config(cycles=7)
+    path = str(tmp_path / "c.json")
+    SearchEngine(
+        toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=path
+    ).run(stop_after_cycle=3)
+    engine = SearchEngine(toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=path)
+    engine.load_checkpoint()
+    del checked_writes[:]
+    engine.run()
+    assert checked_writes == list(range(5, cfg.cycles + 2))
 
 
 def test_streamed_checkpoint_after_resuming_v1_file(tmp_path, checked_writes):
