@@ -48,6 +48,13 @@ def _workers(text: str) -> int:
     return workers
 
 
+def _cycle(text: str) -> int:
+    cycle = int(text)
+    if cycle < 0:
+        raise argparse.ArgumentTypeError("expected a cycle of at least 0, got %d" % cycle)
+    return cycle
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="econas", description="Proxy-based evolutionary cell search toolkit"
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--resume", action="store_true", help="continue from checkpoint")
     se.add_argument("--force", action="store_true", help="ignore an existing checkpoint")
     se.add_argument("--workers", type=_workers, default=None)
-    se.add_argument("--stop-after-cycle", type=int, default=None,
+    se.add_argument("--stop-after-cycle", type=_cycle, default=None,
                     help="stop at a cycle boundary (for testing interrupted runs)")
 
     bt = sub.add_parser("bridge-selftest", help="check the subprocess evaluator path")
@@ -219,8 +226,9 @@ def _cmd_search(args) -> int:
         workers=args.workers,
         stop_after_cycle=args.stop_after_cycle,
     )
-    if args.stop_after_cycle is not None:
-        print("stopped at cycle boundary %d; checkpoint saved" % args.stop_after_cycle)
+    stop = args.stop_after_cycle
+    if stop is not None and stop < cfg.engine_config.cycles:
+        print("stopped at cycle boundary %d; checkpoint saved" % stop)
         return 0
     print(
         "search done: %d models from scratch, %d trained epochs"

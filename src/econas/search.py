@@ -72,7 +72,15 @@ class PopulationTiers:
     tier_3e: list = field(default_factory=list)
 
     def all_candidates(self) -> list:
-        return list(self.tier_e) + list(self.tier_2e) + list(self.tier_3e)
+        return [c for pool in _pools(self) for c in pool]
+
+
+_TIER_KEYS = ("e", "2e", "3e")  # checkpoint keys, in the order of _pools
+
+
+def _pools(tiers: PopulationTiers) -> tuple:
+    """The member lists of the E, 2E and 3E tiers, in that order."""
+    return (tiers.tier_e, tiers.tier_2e, tiers.tier_3e)
 
 
 @dataclass(frozen=True)
@@ -229,14 +237,9 @@ class SearchResult:
 def _rank_tiers(tiers: PopulationTiers, weights: tuple[float, float, float]) -> list:
     """Each non-empty tier, best first (accuracy, then insertion order), with
     its weight."""
-    pools = [
-        (tiers.tier_e, weights[0]),
-        (tiers.tier_2e, weights[1]),
-        (tiers.tier_3e, weights[2]),
-    ]
     return [
         (sorted(pool, key=lambda cand: (-cand.accuracy, cand.seq)), w)
-        for pool, w in pools
+        for pool, w in zip(_pools(tiers), weights)
         if pool
     ]
 
@@ -278,11 +281,8 @@ def sample_parent(
 def remove_dead(tiers: PopulationTiers, cfg: EcoNasConfig) -> None:
     """Aging: truncate each tier to capacity by dropping the OLDEST members
     (smallest birth cycle, then insertion order), regardless of accuracy."""
-    for pool, cap in (
-        (tiers.tier_e, cfg.capacity_e),
-        (tiers.tier_2e, cfg.capacity_2e),
-        (tiers.tier_3e, cfg.capacity_3e),
-    ):
+    caps = (cfg.capacity_e, cfg.capacity_2e, cfg.capacity_3e)
+    for pool, cap in zip(_pools(tiers), caps):
         excess = len(pool) - cap
         if excess <= 0:
             continue
@@ -331,12 +331,10 @@ def promote(
     """Train the top min(n, tier size) candidates of ``from_tier`` for one
     more epoch unit and move them to the next tier; a failed evaluation
     leaves its candidate where it was."""
-    if from_tier == "e":
-        source, target = tiers.tier_e, tiers.tier_2e
-    elif from_tier == "2e":
-        source, target = tiers.tier_2e, tiers.tier_3e
-    else:
+    if from_tier not in _TIER_KEYS[:-1]:
         raise SearchError("promotions only run from tier 'e' or '2e'")
+    level = _TIER_KEYS.index(from_tier)
+    source, target = _pools(tiers)[level:level + 2]
     if n <= 0 or not source:
         return
     chosen = sorted(source, key=lambda cand: (-cand.accuracy, cand.seq))[:n]
@@ -391,22 +389,22 @@ def _top_models(history: list, genotypes: dict, top_k: int) -> list:
 
 @dataclass
 class _EngineState:
-    tiers: PopulationTiers
-    history: list
-    genotypes: dict
-    seq_counter: int
-    next_cycle: int  # 0 = initialization still pending
+    tiers: PopulationTiers = field(default_factory=PopulationTiers)
+    history: list = field(default_factory=list)
+    genotypes: dict = field(default_factory=dict)
+    seq_counter: int = 0
+    next_cycle: int = 0  # 0 = initialization still pending
 
 
 @dataclass
 class _Written:
     """What the checkpoint files hold: the first ``genotypes`` registered
-    genotypes, the first ``history`` entries, and each live candidate's
-    :func:`_promoted_fields` by ``seq``."""
+    genotypes and the first ``history`` entries. A candidate changes only
+    in a step that appends a history entry naming it, so the live
+    candidates the later entries name are all that can differ."""
 
     genotypes: int
     history: int
-    candidates: dict
 
 
 JOURNAL_KIND = "search_journal"
@@ -450,13 +448,7 @@ class SearchEngine:
         self.workers = max(1, workers)
         self.checkpoint_path = checkpoint_path
         self.algorithm = algorithm
-        self.state = _EngineState(
-            tiers=PopulationTiers(),
-            history=[],
-            genotypes={},
-            seq_counter=0,
-            next_cycle=0,
-        )
+        self.state = _EngineState()
         self._written: Optional[_Written] = None  # None: the next write is a snapshot
 
     # -- lifecycle ---------------------------------------------------------
@@ -468,7 +460,14 @@ class SearchEngine:
         if stop_after_cycle is not None:
             last = min(last, stop_after_cycle)
         if self.state.next_cycle == 0:
-            self._initialize()
+            self._add_children(0, [
+                random_genotype(
+                    derive_rng(self.cfg.seed, "init", i), self.network, self.op_set,
+                    self.output_rule,
+                )
+                for i in range(self.cfg.n_init)
+            ])
+            self.state.next_cycle = 1
             self._write_checkpoint(snapshot=True)
         while self.state.next_cycle <= last:
             self._run_cycle(self.state.next_cycle)
@@ -495,62 +494,39 @@ class SearchEngine:
         self.state.genotypes.setdefault(mid, genotype)
         return mid
 
-    def _initialize(self) -> None:
-        cfg = self.cfg
-        span = cfg.epoch_unit
+    def _add_children(self, cycle: int, genotypes: list) -> None:
+        """Train each new genotype (``None``: a failed mutation) for one
+        epoch unit from scratch, log each finished one to history, and put
+        the first live candidate of each architecture into tier E; a
+        rediscovered live architecture gets a history entry only. A
+        SearchError names the cycle when none of them finished."""
+        st, span = self.state, self.cfg.epoch_unit
         setting = self.setting_base.with_epochs(span)
-        genotypes = []
-        for i in range(cfg.n_init):
-            rng = derive_rng(cfg.seed, "init", i)
-            genotypes.append(
-                random_genotype(rng, self.network, self.op_set, self.output_rule)
-            )
-        jobs = [(g, setting, 0, span, None) for g in genotypes]
+        models = [g for g in genotypes if g is not None]
+        jobs = [(g, setting, 0, span, None) for g in models]
         outcomes = _evaluate_jobs(self.evaluator, jobs, self.workers)
-        survivors = 0
-        live = self._live_hashes()
-        for g, outcome in zip(genotypes, outcomes):
+        live = {c.model_id for c in st.tiers.all_candidates()}
+        added = 0
+        for g, outcome in zip(models, outcomes):
             mid = self._register(g)
             if isinstance(outcome, EvaluatorFailure):
-                logger.warning("initial model %s dropped: %s", mid[:12], outcome)
+                logger.warning("new model %s dropped in cycle %d: %s", mid[:12], cycle, outcome)
                 continue
-            survivors += 1
-            self.state.history.append(HistoryEntry.from_outcome(0, mid, setting, outcome))
-            self._insert_tier_e(g, mid, outcome, 0, live)
-        if survivors == 0:
-            raise SearchError("every initial evaluation failed")
-        self.state.next_cycle = 1
-
-    def _live_hashes(self) -> set:
-        return {c.model_id for c in self.state.tiers.all_candidates()}
-
-    def _insert_tier_e(
-        self, g: Genotype, mid: str, outcome, birth_cycle: int, live: set
-    ) -> None:
-        # One live candidate per architecture: a rediscovered hash is logged
-        # to history by the caller but does not enter the tiers twice.
-        # ``live`` is the caller's _live_hashes(), kept current here.
-        if mid in live:
-            return
-        live.add(mid)
-        self.state.tiers.tier_e.append(
-            Candidate(
-                genotype=g,
-                model_id=mid,
-                accuracy=outcome.accuracy,
-                epochs_trained=self.cfg.epoch_unit,
-                birth_cycle=birth_cycle,
-                seq=self.state.seq_counter,
-                resume_token=outcome.resume_token,
+            added += 1
+            st.history.append(HistoryEntry.from_outcome(cycle, mid, setting, outcome))
+            if mid not in live:
+                live.add(mid)
+                st.tiers.tier_e.append(Candidate(
+                    g, mid, outcome.accuracy, span, cycle, st.seq_counter, outcome.resume_token
+                ))
+                st.seq_counter += 1
+        if not added:
+            raise SearchError(
+                "all %d new models failed in cycle %d" % (len(genotypes), cycle)
             )
-        )
-        self.state.seq_counter += 1
 
     def _run_cycle(self, cycle: int) -> None:
         cfg = self.cfg
-        span = cfg.epoch_unit
-        setting = self.setting_base.with_epochs(span)
-
         # Parents are sampled against the cycle-start population, ranked
         # once, so the N0 mutant jobs are independent of each other.
         ranked = _rank_tiers(self.state.tiers, cfg.tier_weights)
@@ -563,48 +539,12 @@ class SearchEngine:
             except GenotypeError as exc:
                 logger.warning("mutation failed in cycle %d slot %d: %s", cycle, slot, exc)
                 children.append(None)
-
-        jobs = [(g, setting, 0, span, None) for g in children if g is not None]
-        outcomes = iter(_evaluate_jobs(self.evaluator, jobs, self.workers))
-        failures = 0
-        live = self._live_hashes()
-        for g in children:
-            if g is None:
-                failures += 1
-                continue
-            outcome = next(outcomes)
-            mid = self._register(g)
-            if isinstance(outcome, EvaluatorFailure):
-                failures += 1
-                logger.warning("child %s dropped in cycle %d: %s", mid[:12], cycle, outcome)
-                continue
-            self.state.history.append(HistoryEntry.from_outcome(cycle, mid, setting, outcome))
-            self._insert_tier_e(g, mid, outcome, cycle, live)
-        if failures >= cfg.mutants_per_cycle:
-            raise SearchError("all %d child evaluations failed in cycle %d" % (failures, cycle))
-
-        promote(
-            self.state.tiers,
-            self.evaluator,
-            cfg.promote_to_2e,
-            "e",
-            self.setting_base,
-            cfg,
-            cycle=cycle,
-            history=self.state.history,
-            workers=self.workers,
-        )
-        promote(
-            self.state.tiers,
-            self.evaluator,
-            cfg.promote_to_3e,
-            "2e",
-            self.setting_base,
-            cfg,
-            cycle=cycle,
-            history=self.state.history,
-            workers=self.workers,
-        )
+        self._add_children(cycle, children)
+        for n, from_tier in ((cfg.promote_to_2e, "e"), (cfg.promote_to_3e, "2e")):
+            promote(
+                self.state.tiers, self.evaluator, n, from_tier, self.setting_base, cfg,
+                cycle=cycle, history=self.state.history, workers=self.workers,
+            )
         remove_dead(self.state.tiers, cfg)
 
     # -- checkpointing -------------------------------------------------------
@@ -636,7 +576,10 @@ class SearchEngine:
             **self._checkpoint_header(),
             "next_cycle": st.next_cycle,
             "seq_counter": st.seq_counter,
-            "tiers": {key: [_candidate_obj(c) for c in tier] for key, tier in _tiers(st.tiers)},
+            "tiers": {
+                key: [_candidate_obj(c) for c in pool]
+                for key, pool in zip(_TIER_KEYS, _pools(st.tiers))
+            },
             "genotypes": {mid: encode(g) for mid, g in sorted(st.genotypes.items())},
             "history": [_history_obj(h) for h in st.history],
         }
@@ -652,8 +595,9 @@ class SearchEngine:
         journal is removed before the snapshot is written; otherwise after
         it. A journal line holds the genotypes and history entries added
         since the last write, ``next_cycle``, ``seq_counter``, each tier's
-        member ``seq``s in order, and the records of the candidates added
-        since then or changed by a promotion."""
+        member ``seq``s in order, and the records of the live candidates
+        that those history entries name: a candidate is created or changed
+        only in a step that logs it to history."""
         if self.checkpoint_path is None:
             return
         st, written = self.state, self._written
@@ -669,28 +613,25 @@ class SearchEngine:
             self._remove_journal()
         else:
             new_genotypes = islice(st.genotypes.items(), written.genotypes, None)
+            new_history = st.history[written.history:]
+            named = {h.model_id for h in new_history}
             documents.append_lines(self.journal_path, JOURNAL_KIND, [{
                 "next_cycle": st.next_cycle,
                 "seq_counter": st.seq_counter,
                 "genotypes": {mid: encode(g) for mid, g in new_genotypes},
-                "history": [_history_obj(h) for h in st.history[written.history:]],
-                "tiers": {key: [c.seq for c in tier] for key, tier in _tiers(st.tiers)},
+                "history": [_history_obj(h) for h in new_history],
+                "tiers": {
+                    key: [c.seq for c in pool] for key, pool in zip(_TIER_KEYS, _pools(st.tiers))
+                },
                 "candidates": [
-                    _candidate_obj(c)
-                    for c in st.tiers.all_candidates()
-                    if written.candidates.get(c.seq) != _promoted_fields(c)
+                    _candidate_obj(c) for c in st.tiers.all_candidates() if c.model_id in named
                 ],
             }])
         self._mark_written()
 
     def _mark_written(self) -> None:
         """Record that the checkpoint files now hold the state."""
-        st = self.state
-        self._written = _Written(
-            len(st.genotypes),
-            len(st.history),
-            {c.seq: _promoted_fields(c) for c in st.tiers.all_candidates()},
-        )
+        self._written = _Written(len(self.state.genotypes), len(self.state.history))
 
     def _remove_journal(self) -> None:
         with suppress(FileNotFoundError):
@@ -717,8 +658,8 @@ class SearchEngine:
         self._mark_written()
 
     def load_checkpoint_obj(self, obj: dict) -> None:
-        """Restore state from a snapshot object. Every genotype's id must be
-        the SHA-256 of its document, which the genotype then keeps. A
+        """Restore state from a snapshot object, applied to an empty state
+        as one journal-shaped section (see :func:`_applied`). A
         ``"ledger"`` section written by older versions is ignored, since the
         ledger is derived from history. The next write is a snapshot, unless
         :meth:`load_checkpoint` read the object from this engine's files."""
@@ -738,27 +679,19 @@ class SearchEngine:
         if missing:
             raise SearchError("checkpoint lacks section(s): %s" % ", ".join(missing))
         with _malformed("checkpoint"):
-            genotypes = {mid: decode_stored(mid, doc) for mid, doc in obj["genotypes"].items()}
-            tiers = {
-                f.name: [
-                    Candidate(genotype=genotypes[c["model_id"]], **c)
-                    for c in obj["tiers"][_tier_key(f)]
-                ]
-                for f in fields(PopulationTiers)
-            }
-            self.state = _EngineState(
-                tiers=PopulationTiers(**tiers),
-                history=[HistoryEntry(**h) for h in obj["history"]],
-                genotypes=genotypes,
-                seq_counter=obj["seq_counter"],
-                next_cycle=obj["next_cycle"],
-            )
-        self._written = None
+            tiers = obj["tiers"]
+            state = _applied(_EngineState(), dict(
+                obj,
+                candidates=[c for key in _TIER_KEYS for c in tiers[key]],
+                tiers={key: [c["seq"] for c in tiers[key]] for key in _TIER_KEYS},
+            ))
+        self.state, self._written = state, None
 
     def replay(self, line: dict) -> None:
-        """Apply one journal line. A line at or below the current
-        ``next_cycle`` is one the loaded snapshot already holds and is
-        skipped; a line further ahead than the next cycle is an error."""
+        """Apply one journal line (see :func:`_applied`). A line at or below
+        the current ``next_cycle`` is one the loaded snapshot already holds
+        and is skipped; a line further ahead than the next cycle is an
+        error."""
         st = self.state
         with _malformed("journal line"):
             next_cycle = line["next_cycle"]
@@ -768,19 +701,30 @@ class SearchEngine:
                 raise SearchError(
                     "journal jumps from cycle %d to %d" % (st.next_cycle, next_cycle)
                 )
-            st.genotypes.update(
-                (mid, decode_stored(mid, doc)) for mid, doc in line["genotypes"].items()
-            )
-            live = {c.seq: c for c in st.tiers.all_candidates()}
-            for c in line["candidates"]:
-                live[c["seq"]] = Candidate(genotype=st.genotypes[c["model_id"]], **c)
-            st.tiers = PopulationTiers(**{
-                f.name: [live[seq] for seq in line["tiers"][_tier_key(f)]]
-                for f in fields(PopulationTiers)
-            })
-            st.history.extend(HistoryEntry(**h) for h in line["history"])
-            st.seq_counter = line["seq_counter"]
-            st.next_cycle = next_cycle
+            self.state = _applied(st, line)
+
+
+def _applied(state: _EngineState, section: dict) -> _EngineState:
+    """A new state: ``state`` with one journal-shaped ``section`` applied.
+    Its genotype documents are added (each id must be the SHA-256 of its
+    document, which the genotype then keeps), its candidate records replace
+    the live candidates of the same ``seq``, each tier becomes the members
+    its ``seq`` list names, its history entries are appended, and its
+    ``seq_counter`` and ``next_cycle`` are taken."""
+    genotypes = dict(state.genotypes)
+    genotypes.update((mid, decode_stored(mid, doc)) for mid, doc in section["genotypes"].items())
+    live = {c.seq: c for c in state.tiers.all_candidates()}
+    for c in section["candidates"]:
+        live[c["seq"]] = Candidate(genotype=genotypes[c["model_id"]], **c)
+    return _EngineState(
+        tiers=PopulationTiers(*(
+            [live[seq] for seq in section["tiers"][key]] for key in _TIER_KEYS
+        )),
+        history=state.history + [HistoryEntry(**h) for h in section["history"]],
+        genotypes=genotypes,
+        seq_counter=section["seq_counter"],
+        next_cycle=section["next_cycle"],
+    )
 
 
 _CANDIDATE_KEYS = tuple(f.name for f in fields(Candidate) if f.name != "genotype")
@@ -791,19 +735,8 @@ def _candidate_obj(c: Candidate) -> dict:
     return {k: getattr(c, k) for k in _CANDIDATE_KEYS}
 
 
-def _promoted_fields(c: Candidate) -> tuple:
-    """The fields of a candidate that change after it is created: those
-    :func:`promote` sets."""
-    return (c.epochs_trained, c.accuracy, c.resume_token)
-
-
 def _history_obj(h: HistoryEntry) -> dict:
     return {k: getattr(h, k) for k in _HISTORY_KEYS}
-
-
-def _tiers(tiers: PopulationTiers) -> list:
-    """(checkpoint key, members) per tier."""
-    return [(_tier_key(f), getattr(tiers, f.name)) for f in fields(PopulationTiers)]
 
 
 @contextmanager
@@ -836,11 +769,6 @@ def _write_sections(fh, sections: dict) -> None:
             fh.write((", " if start else "") + json.dumps(chunk, sort_keys=True)[1:-1])
         fh.write(brackets[1])
     fh.write("}\n")
-
-
-def _tier_key(tier_field) -> str:
-    """Checkpoint key of a PopulationTiers field: 'tier_2e' -> '2e'."""
-    return tier_field.name.removeprefix("tier_")
 
 
 def config_to_obj(cfg: EcoNasConfig) -> dict:

@@ -443,6 +443,29 @@ def test_search_stop_and_resume_matches_uninterrupted(tmp_path):
     assert _dir_bytes(part / "top") == _dir_bytes(full / "top")
 
 
+@pytest.mark.parametrize("stop", ["6", "9"])
+def test_search_stopped_at_or_after_its_last_cycle_finishes(tmp_path, capsys, stop):
+    config = _search_config(tmp_path)
+    full, out = tmp_path / "full", tmp_path / "run"
+    assert main(["search", "--config", config, "--out", str(full)]) == 0
+    capsys.readouterr()
+    assert main(["search", "--config", config, "--out", str(out), "--stop-after-cycle", stop]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("search done:") and "stopped" not in printed
+    for name in ("history.jsonl", "ledger.jsonl", "summary.json"):
+        assert (out / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_search_stop_before_initialization_is_a_usage_error(tmp_path, capsys):
+    config = _search_config(tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--config", config, "--out", str(out), "--stop-after-cycle", "-5"])
+    assert exc.value.code == 2
+    assert "expected a cycle of at least 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
+from econas import search as search_module
 from econas.evaluator import EvaluatorFailure
-from econas.genotype import NetworkConfig
+from econas.genotype import GenotypeError, NetworkConfig
 from econas.proxy import CIFAR10_TABLE, ReducedSetting
 from econas.search import (
     Candidate,
@@ -303,8 +304,66 @@ class _AlwaysFailing:
 
 
 def test_all_failures_abort():
-    with pytest.raises(SearchError):
+    with pytest.raises(SearchError, match="all 10 new models failed in cycle 0$"):
         econas_search(_AlwaysFailing(), toy_config(), SETTING, network=TOY_NET)
+
+
+class _ScratchFailsWhenArmed:
+    """Once ``armed``, every evaluation from scratch fails."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.armed = False
+
+    def evaluate(self, genotype, setting, start_epoch, end_epoch, resume_token=None):
+        if self.armed and start_epoch == 0:
+            raise EvaluatorFailure("injected failure")
+        return self.inner.evaluate(genotype, setting, start_epoch, end_epoch, resume_token)
+
+
+def _failing_mutate(parent, rng):
+    raise GenotypeError("injected mutation failure")
+
+
+@pytest.mark.parametrize("fault", ["evaluator", "mutate"])
+def test_cycle_whose_every_child_fails_aborts_and_its_checkpoint_resumes(
+    tmp_path, monkeypatch, fault
+):
+    cfg = toy_config(cycles=5)
+    full = econas_search(toy_evaluator(), cfg, SETTING, network=TOY_NET)
+    ev = _ScratchFailsWhenArmed(toy_evaluator())
+    path = str(tmp_path / "checkpoint.json")
+    engine = SearchEngine(ev, cfg, SETTING, network=TOY_NET, checkpoint_path=path)
+    engine.run(stop_after_cycle=2)
+    with monkeypatch.context() as patch:
+        if fault == "evaluator":
+            ev.armed = True
+        else:
+            patch.setattr(search_module, "mutate", _failing_mutate)
+        with pytest.raises(SearchError, match="all 4 new models failed in cycle 3$"):
+            engine.run()
+    resumed = SearchEngine(toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=path)
+    resumed.load_checkpoint()
+    assert resumed.state.next_cycle == 3
+    assert resumed.run().history == full.history
+
+
+def test_cycle_with_some_failed_mutations_continues(monkeypatch):
+    cfg = toy_config(cycles=3)
+    mutate, calls = search_module.mutate, []
+
+    def every_other_fails(parent, rng):
+        calls.append(parent)
+        if len(calls) % 2:
+            return _failing_mutate(parent, rng)
+        return mutate(parent, rng)
+
+    monkeypatch.setattr(search_module, "mutate", every_other_fails)
+    res = econas_search(toy_evaluator(), cfg, SETTING, network=TOY_NET)
+    assert len(calls) == cfg.cycles * cfg.mutants_per_cycle
+    for cycle in range(1, cfg.cycles + 1):
+        children = [h for h in res.history if h.cycle == cycle and h.epochs_trained == 5]
+        assert len(children) == cfg.mutants_per_cycle // 2
 
 
 def test_return_rule_prefers_longest_trained():
