@@ -31,6 +31,9 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 MAX_LINE_BYTES = 1 << 20
+EVALUATOR_TIMEOUT = 60.0  # seconds a child gets per reply, unless a caller sets it
+RESTART_BACKOFF = 0.2  # seconds before a child's first restart; doubles per failure
+MAX_BACKOFF = 2.0
 
 
 def _message(request_id, **fields) -> str:
@@ -91,20 +94,13 @@ class ExternalEvaluator:
     children is the peak number of concurrent callers. Each child keeps its
     own restart backoff; a failure kills only the child that served it, and
     that child restarts on its next use. A resume token may therefore be
-    continued by a different child process of the same command.
+    continued by a different child process of the same command. Each reply
+    is awaited ``timeout`` seconds.
     """
 
-    def __init__(
-        self,
-        command,
-        timeout: float = 60.0,
-        restart_backoff: float = 0.2,
-        max_backoff: float = 2.0,
-    ):
+    def __init__(self, command, timeout: float = EVALUATOR_TIMEOUT):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout = timeout
-        self.restart_backoff = restart_backoff
-        self.max_backoff = max_backoff
         self._idle: list[_Child] = []  # every child not serving a request
         self._next_id = 1
         self._lock = threading.Lock()  # guards _idle and _next_id
@@ -129,11 +125,7 @@ class ExternalEvaluator:
         if child.proc is not None and child.proc.poll() is None:
             return child.proc
         if child.consecutive_failures:
-            delay = min(
-                self.restart_backoff * (2 ** (child.consecutive_failures - 1)),
-                self.max_backoff,
-            )
-            time.sleep(delay)
+            time.sleep(min(RESTART_BACKOFF * 2 ** (child.consecutive_failures - 1), MAX_BACKOFF))
         child.lines = queue.Queue()
         child.proc = subprocess.Popen(
             self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -217,7 +209,7 @@ class ExternalEvaluator:
                 accuracy = float(obj["accuracy"])
                 train = obj.get("train_accuracy")
                 train_accuracy = float(train) if train is not None else None
-                token = str(obj["resume_token"])
+                token = obj["resume_token"]
             except (KeyError, TypeError, ValueError):
                 raise child.fail("evaluator response missing fields: %r" % obj) from None
             child.consecutive_failures = 0

@@ -16,7 +16,7 @@ from .analysis import AnalysisError
 from .bridge import serve
 from .genotype import GenotypeError, OutputRule
 from .metrics import MetricError
-from .proxy import SettingError, parse_label, resolve_table
+from .proxy import SettingError, resolve_table
 from .records import LogError
 from .search import SearchError, resolve_op_set
 from .surrogate import SurrogateError, SurrogateEvaluator, SurrogateParams
@@ -167,8 +167,8 @@ def _manifest_from_args(args) -> harness.ExperimentManifest:
             "either --manifest or all of --zoo/--settings/--out are required"
         )
     table = resolve_table(args.table)
-    settings = sorted(
-        {parse_label(lbl.strip(), table) for lbl in args.settings.split(",") if lbl.strip()}
+    settings = harness._resolve_settings(
+        [lbl.strip() for lbl in args.settings.split(",") if lbl.strip()], table
     )
     return harness.ExperimentManifest(
         table=table,
@@ -218,17 +218,20 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = harness.load_search_config(args.config)
+    if args.workers is not None:
+        cfg.workers = args.workers
     result = harness.run_search(
         cfg,
         args.out,
         resume=args.resume,
         force=args.force,
-        workers=args.workers,
         stop_after_cycle=args.stop_after_cycle,
     )
-    stop = args.stop_after_cycle
-    if stop is not None and stop < cfg.engine_config.cycles:
-        print("stopped at cycle boundary %d; checkpoint saved" % stop)
+    # Every finished cycle logs at least one history entry, so the last
+    # entry's cycle is the boundary the engine reached.
+    reached = result.history[-1].cycle
+    if reached < cfg.engine_config.cycles:
+        print("stopped at cycle boundary %d; checkpoint saved" % reached)
         return 0
     print(
         "search done: %d models from scratch, %d trained epochs"

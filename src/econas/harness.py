@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import analysis, documents
-from .bridge import ExternalEvaluator
+from .bridge import EVALUATOR_TIMEOUT, ExternalEvaluator
 from .documents import json_scalar
 from .evaluator import Evaluator, EvaluatorFailure
 from .genotype import (
@@ -155,7 +155,7 @@ class ExperimentManifest:
     output_log: str
     surrogate_params: Optional[SurrogateParams] = None
     workers: int = 1
-    evaluator_timeout: float = 60.0
+    evaluator_timeout: float = EVALUATOR_TIMEOUT
 
     def setting_labels(self) -> list[str]:
         return [format_label(s) for s in self.settings]
@@ -198,7 +198,7 @@ def _resolve_settings(spec, table: ReductionTable) -> list[ReducedSetting]:
         labels = documents.convert(tuple[str, ...], spec)
     settings += [parse_label(lbl, table) for lbl in labels]
     if not settings:
-        raise HarnessError("manifest resolves to an empty setting list")
+        raise HarnessError("the settings resolve to an empty list")
     return sorted(set(settings))
 
 
@@ -214,7 +214,7 @@ class _ManifestDocument:
     seed: int = 0
     surrogate_params: Optional[str] = None
     workers: int = 1
-    evaluator_timeout: float = 60.0
+    evaluator_timeout: float = EVALUATOR_TIMEOUT
 
     def __post_init__(self):
         _check_shared_keys(self)
@@ -274,7 +274,7 @@ def make_evaluator(
     table: ReductionTable,
     params: Optional[SurrogateParams] = None,
     seed: int = 0,
-    timeout: float = 60.0,
+    timeout: float = EVALUATOR_TIMEOUT,
 ) -> Evaluator:
     """'surrogate' for the in-process bench, 'cmd:<command line>' for an
     external trainer speaking the wire protocol: one child of the command
@@ -388,16 +388,9 @@ class SearchCommandConfig:
     network: NetworkConfig
     output_rule: OutputRule
     workers: int
-    econas: Optional[EcoNasConfig]
-    flat: Optional[FlatConfig]
+    engine_config: EcoNasConfig  # a flat config is converted on loading
     surrogate_params: Optional[SurrogateParams]
-    evaluator_timeout: float = 60.0
-
-    @property
-    def engine_config(self) -> EcoNasConfig:
-        if self.algorithm == "hierarchical":
-            return self.econas
-        return flat_config_to_econas(self.flat)
+    evaluator_timeout: float
 
 
 @dataclass(frozen=True)
@@ -415,7 +408,7 @@ class _SearchDocument:
     workers: int = 1
     config: dict[str, object] = field(default_factory=dict)
     surrogate_params: Optional[str] = None
-    evaluator_timeout: float = 60.0
+    evaluator_timeout: float = EVALUATOR_TIMEOUT
 
     def __post_init__(self):
         if self.algorithm not in ("hierarchical", "flat"):
@@ -434,8 +427,10 @@ def load_search_config(path: str) -> SearchCommandConfig:
         with documents.at_key("op_set"):
             op_set = resolve_op_set(doc.op_set)
         with documents.at_key("config"):
-            hierarchical = doc.algorithm == "hierarchical"
-            engine = documents.build(EcoNasConfig if hierarchical else FlatConfig, doc.config)
+            if doc.algorithm == "hierarchical":
+                engine = documents.build(EcoNasConfig, doc.config)
+            else:
+                engine = flat_config_to_econas(documents.build(FlatConfig, doc.config))
         network = NetworkConfig(doc.node_count, doc.stack_n)
     return SearchCommandConfig(
         algorithm=doc.algorithm,
@@ -446,8 +441,7 @@ def load_search_config(path: str) -> SearchCommandConfig:
         network=network,
         output_rule=doc.output_rule,
         workers=doc.workers,
-        econas=engine if hierarchical else None,
-        flat=None if hierarchical else engine,
+        engine_config=engine,
         surrogate_params=params,
         evaluator_timeout=doc.evaluator_timeout,
     )
@@ -458,14 +452,14 @@ def run_search(
     out_dir: str,
     resume: bool = False,
     force: bool = False,
-    workers: Optional[int] = None,
     evaluator: Optional[Evaluator] = None,
     stop_after_cycle: Optional[int] = None,
 ) -> SearchResult:
     """Run (or resume, :meth:`SearchEngine.load_checkpoint`) a search into
-    ``out_dir``: checkpoint each cycle (``checkpoint.json`` and
-    ``checkpoint.journal``, see :class:`SearchEngine`), then history,
-    ledger, summary, and the top genotype files on completion."""
+    ``out_dir`` with ``cfg.workers`` workers up to ``stop_after_cycle``,
+    checkpointing each cycle (see :class:`SearchEngine`); a resume never
+    rewinds. History, ledger, summary and the top genotype files are
+    written if and only if the search is then finished."""
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     seed = cfg.engine_config.seed
@@ -481,7 +475,7 @@ def run_search(
         op_set=cfg.op_set,
         network=cfg.network,
         output_rule=cfg.output_rule,
-        workers=workers if workers is not None else cfg.workers,
+        workers=cfg.workers,
         checkpoint_path=checkpoint_path,
         algorithm=cfg.algorithm,
     )
@@ -498,7 +492,7 @@ def run_search(
     finally:
         if own_evaluator and isinstance(evaluator, ExternalEvaluator):
             evaluator.close()
-    if stop_after_cycle is None or engine.state.next_cycle > cfg.engine_config.cycles:
+    if engine.state.next_cycle > cfg.engine_config.cycles:
         write_search_outputs(result, cfg, out_dir)
     return result
 

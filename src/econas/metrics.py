@@ -37,12 +37,11 @@ class MetricError(ValueError):
     """Inputs unusable for a rank metric (mismatched ids, too few models)."""
 
 
-def fractional_ranks(values: Sequence[float], best_high: bool = True) -> list[float]:
-    """Ranks with 1 = best; runs of exactly equal values share their average
-    position."""
+def fractional_ranks(values: Sequence[float]) -> list[float]:
+    """Ranks with 1 = best, the highest value; runs of exactly equal values
+    share their average position."""
     n = len(values)
-    # The sort is stable, so equal values stay in index order either way.
-    order = sorted(range(n), key=values.__getitem__, reverse=best_high)
+    order = sorted(range(n), key=values.__getitem__, reverse=True)
     ranks = [0.0] * n
     if len(set(values)) == n:  # no two values equal: each rank is its position
         for rank, i in enumerate(order, 1):

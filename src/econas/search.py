@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Optional
 
 from . import documents
-from .evaluator import Evaluator, EvaluatorFailure
+from .evaluator import EvalResult, Evaluator, EvaluatorFailure
 from .genotype import (
     BUILTIN_OP_SETS,
     Genotype,
@@ -293,18 +293,36 @@ def remove_dead(tiers: PopulationTiers, cfg: EcoNasConfig) -> None:
         pool[:] = [c for c in pool if id(c) not in doomed]
 
 
+_NUMBER = (int, float)
+
+
 def _evaluate_jobs(evaluator, jobs, workers: int):
     """Run evaluation jobs, returning (result | EvaluatorFailure) per slot in
-    order. Any other exception, from a job or an interrupt of the caller,
-    drops the jobs not yet started; only those in flight finish before it
-    propagates."""
+    order. A result is checked here, where it enters, and counts as a
+    failure unless it is an EvalResult whose accuracies are numbers in
+    [0, 1] (``train_accuracy`` may be None) and whose resume token is a
+    string; the check never raises. Any other exception, from a job or an
+    interrupt of the caller, drops the jobs not yet started; only those in
+    flight finish before it propagates."""
 
     def run(job):
         g, setting, start, end, token = job
         try:
-            return evaluator.evaluate(g, setting, start, end, token)
+            outcome = evaluator.evaluate(g, setting, start, end, token)
         except EvaluatorFailure as exc:
             return exc
+        if isinstance(outcome, EvalResult):
+            accuracy, train, new_token = outcome
+            if (
+                isinstance(accuracy, _NUMBER) and 0 <= accuracy <= 1
+                and (train is None or isinstance(train, _NUMBER) and 0 <= train <= 1)
+                and isinstance(new_token, str)
+            ):
+                return outcome
+        return EvaluatorFailure(
+            "evaluator returned %r; accuracies must lie in [0, 1] and the resume token "
+            "must be a string" % (outcome,)
+        )
 
     if workers <= 1 or len(jobs) <= 1:
         return [run(job) for job in jobs]
@@ -324,13 +342,13 @@ def promote(
     from_tier: str,
     setting: ReducedSetting,
     cfg: EcoNasConfig,
-    cycle: int = 0,
-    history: Optional[list] = None,
+    cycle: int,
+    history: list,
     workers: int = 1,
 ) -> None:
     """Train the top min(n, tier size) candidates of ``from_tier`` for one
-    more epoch unit and move them to the next tier; a failed evaluation
-    leaves its candidate where it was."""
+    more epoch unit, move them to the next tier and log each to ``history``
+    under ``cycle``; a failed evaluation leaves its candidate where it was."""
     if from_tier not in _TIER_KEYS[:-1]:
         raise SearchError("promotions only run from tier 'e' or '2e'")
     level = _TIER_KEYS.index(from_tier)
@@ -363,12 +381,9 @@ def promote(
         cand.resume_token = outcome.resume_token
         source[:] = [c for c in source if c is not cand]
         target.append(cand)
-        if history is not None:
-            history.append(
-                HistoryEntry.from_outcome(
-                    cycle, cand.model_id, setting.with_epochs(cand.epochs_trained), outcome
-                )
-            )
+        history.append(HistoryEntry.from_outcome(
+            cycle, cand.model_id, setting.with_epochs(cand.epochs_trained), outcome
+        ))
 
 
 def _top_models(history: list, genotypes: dict, top_k: int) -> list:
@@ -445,7 +460,7 @@ class SearchEngine:
         self.op_set = op_set
         self.network = network if network is not None else NetworkConfig.for_search()
         self.output_rule = output_rule
-        self.workers = max(1, workers)
+        self.workers = workers
         self.checkpoint_path = checkpoint_path
         self.algorithm = algorithm
         self.state = _EngineState()
@@ -543,7 +558,7 @@ class SearchEngine:
         for n, from_tier in ((cfg.promote_to_2e, "e"), (cfg.promote_to_3e, "2e")):
             promote(
                 self.state.tiers, self.evaluator, n, from_tier, self.setting_base, cfg,
-                cycle=cycle, history=self.state.history, workers=self.workers,
+                cycle, self.state.history, self.workers,
             )
         remove_dead(self.state.tiers, cfg)
 
@@ -783,27 +798,11 @@ def config_to_obj(cfg: EcoNasConfig) -> dict:
 
 
 def econas_search(
-    evaluator: Evaluator,
-    cfg: EcoNasConfig,
-    setting_base: ReducedSetting,
-    op_set: OperationSet = SEARCH8,
-    network: Optional[NetworkConfig] = None,
-    output_rule: OutputRule = OutputRule.UNUSED_ONLY,
-    workers: int = 1,
-    checkpoint_path: Optional[str] = None,
+    evaluator: Evaluator, cfg: EcoNasConfig, setting_base: ReducedSetting, **options
 ) -> SearchResult:
-    """Run the full hierarchical-proxy search; see the module docstring."""
-    engine = SearchEngine(
-        evaluator,
-        cfg,
-        setting_base,
-        op_set=op_set,
-        network=network,
-        output_rule=output_rule,
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-    )
-    return engine.run()
+    """Run the full hierarchical-proxy search; see the module docstring.
+    ``options`` are the keyword arguments of :class:`SearchEngine`."""
+    return SearchEngine(evaluator, cfg, setting_base, **options).run()
 
 
 def flat_config_to_econas(cfg: FlatConfig) -> EcoNasConfig:
@@ -823,29 +822,15 @@ def flat_config_to_econas(cfg: FlatConfig) -> EcoNasConfig:
 
 
 def flat_baseline_search(
-    evaluator: Evaluator,
-    cfg: FlatConfig,
-    setting: ReducedSetting,
-    op_set: OperationSet = SEARCH8,
-    network: Optional[NetworkConfig] = None,
-    output_rule: OutputRule = OutputRule.UNUSED_ONLY,
-    workers: int = 1,
-    checkpoint_path: Optional[str] = None,
+    evaluator: Evaluator, cfg: FlatConfig, setting: ReducedSetting, **options
 ) -> SearchResult:
     """Single-proxy regularized-evolution baseline with the same history and
-    ledger semantics: every model trains the full fixed epoch budget."""
-    engine = SearchEngine(
-        evaluator,
-        flat_config_to_econas(cfg),
-        setting.with_epochs(cfg.epochs),
-        op_set=op_set,
-        network=network,
-        output_rule=output_rule,
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        algorithm="flat",
-    )
-    return engine.run()
+    ledger semantics: every model trains the full fixed epoch budget.
+    ``options`` are the keyword arguments of :class:`SearchEngine`."""
+    return SearchEngine(
+        evaluator, flat_config_to_econas(cfg), setting.with_epochs(cfg.epochs), algorithm="flat",
+        **options,
+    ).run()
 
 
 def resolve_op_set(name: str) -> OperationSet:

@@ -8,11 +8,13 @@ import time
 
 import pytest
 
+from econas import bridge
 from econas.bridge import ExternalEvaluator, serve
 from econas.evaluator import EvaluatorFailure
 from econas.genotype import NetworkConfig, OutputRule, SEARCH8, random_genotype
 from econas.harness import bridge_selftest, default_serve_command
 from econas.proxy import CIFAR10_TABLE, ReducedSetting, format_label
+from econas.search import _evaluate_jobs
 from econas.seeding import derive_rng
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
@@ -131,6 +133,10 @@ STUB = textwrap.dedent(
             if mode == "garbage":
                 print("%% this is not json %%", flush=True)
                 continue
+            if mode == "nan":
+                print(json.dumps({"id": obj["id"], "status": "ok", "accuracy": float("nan"),
+                                  "resume_token": None}), flush=True)
+                continue
             if mode == "sleep":
                 time.sleep(10)
             if mode == "exit":
@@ -158,6 +164,12 @@ STUB = textwrap.dedent(
 )
 
 
+@pytest.fixture
+def fast_restarts(monkeypatch):
+    """A failed child restarts after 0.05 s instead of the default backoff."""
+    monkeypatch.setattr(bridge, "RESTART_BACKOFF", 0.05)
+
+
 def _stub_command(tmp_path, mode):
     path = tmp_path / "stub_evaluator.py"
     path.write_text(STUB)
@@ -171,9 +183,9 @@ def _stub_pids(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["garbage", "exit"])
-def test_misbehaving_child_fails_single_request_then_recovers(tmp_path, mode):
+def test_misbehaving_child_fails_single_request_then_recovers(tmp_path, mode, fast_restarts):
     g = _genotype(1)
-    with ExternalEvaluator(_stub_command(tmp_path, mode), timeout=20, restart_backoff=0.05) as ev:
+    with ExternalEvaluator(_stub_command(tmp_path, mode), timeout=20) as ev:
         ok = ev.evaluate(g, SETTING, 0, 10)
         with pytest.raises(EvaluatorFailure):
             ev.evaluate(g, SETTING.with_epochs(13), 0, 13)
@@ -181,10 +193,19 @@ def test_misbehaving_child_fails_single_request_then_recovers(tmp_path, mode):
         assert again == ok
 
 
-def test_hung_child_times_out_and_restarts(tmp_path):
+def test_nan_accuracy_and_null_token_fail_the_evaluation(tmp_path):
+    g = _genotype(6)
+    with ExternalEvaluator(_stub_command(tmp_path, "nan"), timeout=20.0) as ev:
+        assert ev.evaluate(g, SETTING.with_epochs(13), 0, 13).resume_token is None
+        [outcome] = _evaluate_jobs(ev, [(g, SETTING.with_epochs(13), 0, 13, None)], 1)
+    assert isinstance(outcome, EvaluatorFailure)
+    assert "accuracy=nan" in str(outcome) and "resume_token=None" in str(outcome)
+
+
+def test_hung_child_times_out_and_restarts(tmp_path, fast_restarts):
     g = _genotype(2)
     with ExternalEvaluator(
-        _stub_command(tmp_path, "sleep"), timeout=1.0, restart_backoff=0.05
+        _stub_command(tmp_path, "sleep"), timeout=1.0
     ) as ev:
         ok = ev.evaluate(g, SETTING, 0, 10)
         start = time.monotonic()
@@ -194,10 +215,10 @@ def test_hung_child_times_out_and_restarts(tmp_path):
         assert ev.evaluate(g, SETTING, 0, 10) == ok
 
 
-def test_child_without_newline_fails_promptly_as_oversized(tmp_path):
+def test_child_without_newline_fails_promptly_as_oversized(tmp_path, fast_restarts):
     g = _genotype(3)
     with ExternalEvaluator(
-        _stub_command(tmp_path, "flood"), timeout=10.0, restart_backoff=0.05
+        _stub_command(tmp_path, "flood"), timeout=10.0
     ) as ev:
         ok = ev.evaluate(g, SETTING, 0, 10)
         start = time.monotonic()
@@ -232,10 +253,10 @@ def _concurrently(calls, timeout=60.0):
     return outcomes
 
 
-def test_hung_child_does_not_stall_other_callers(tmp_path):
+def test_hung_child_does_not_stall_other_callers(tmp_path, fast_restarts):
     g = _genotype(4)
     with ExternalEvaluator(
-        _stub_command(tmp_path, "sleep"), timeout=4.0, restart_backoff=0.05
+        _stub_command(tmp_path, "sleep"), timeout=4.0
     ) as ev:
         ok = ev.evaluate(g, SETTING, 0, 10)
         hung_outcome = []
@@ -258,13 +279,13 @@ def test_hung_child_does_not_stall_other_callers(tmp_path):
     assert len(_stub_pids(tmp_path)) == 3  # two children, one restarted once
 
 
-def test_exit_fault_fails_only_its_own_concurrent_request(tmp_path):
+def test_exit_fault_fails_only_its_own_concurrent_request(tmp_path, fast_restarts):
     g = _genotype(5)
     expected = SurrogateEvaluator(SurrogateParams().with_seed(7), CIFAR10_TABLE).evaluate(
         g, SETTING, 0, 10
     )
     with ExternalEvaluator(
-        _stub_command(tmp_path, "exit"), timeout=20.0, restart_backoff=0.05
+        _stub_command(tmp_path, "exit"), timeout=20.0
     ) as ev:
         outcomes = _concurrently(
             [

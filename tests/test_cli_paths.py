@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from econas.cli import main
@@ -29,6 +31,29 @@ def test_zoo_evaluate_inline_flags(tmp_path, capsys):
 
 def test_zoo_evaluate_requires_inputs(tmp_path):
     assert main(["zoo", "evaluate", "--zoo", str(tmp_path)]) == 2
+
+
+def test_zoo_evaluate_with_no_settings_is_an_error(tmp_path, capsys):
+    zoo_generate(str(tmp_path / "zoo"), count=2, node_count=2, seed=1)
+    log = tmp_path / "eval.jsonl"
+    argv = ["zoo", "evaluate", "--zoo", str(tmp_path / "zoo"), "--settings", ",", "--out", str(log)]
+    assert main(argv) == 2
+    assert "empty" in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_zoo_evaluate_rejects_a_zoo_file_edited_after_generation(tmp_path, capsys):
+    zoo_dir = tmp_path / "zoo"
+    _, name = zoo_generate(str(zoo_dir), count=2, node_count=2, seed=1)[0]
+    doc = json.loads((zoo_dir / name).read_text())
+    node = doc["normal"]["nodes"][0]
+    node["op_a"] = next(op for op in doc["op_set"]["members"] if op != node["op_a"])
+    (zoo_dir / name).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    log = tmp_path / "eval.jsonl"
+    argv = ["zoo", "evaluate", "--zoo", str(zoo_dir), "--settings", "c4r4s0e60", "--out", str(log)]
+    assert main(argv) == 2
+    assert "zoo file %s does not match its indexed hash" % name in capsys.readouterr().err
+    assert not log.exists()
 
 
 def test_bridge_selftest_cli(capsys):

@@ -31,7 +31,7 @@ from econas.harness import (
 )
 from econas.proxy import CIFAR10_TABLE, parse_label
 from econas.records import EvaluationRecord, LogError, read_log, write_log
-from econas.search import EcoNasConfig, FlatConfig
+from econas.search import EcoNasConfig, FlatConfig, SearchError, flat_config_to_econas
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
 
@@ -234,6 +234,34 @@ def test_zoo_evaluate_failures_skipped_with_warning(tmp_path):
     assert failed > 0.10 * total  # the CLI would exit nonzero here
     records = read_log(manifest.output_log)
     assert all(r.model_id != models[0][0] for r in records)
+
+
+class _Percent:
+    """Reports test accuracy 93.1, in percent instead of a fraction."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, *args):
+        return self.inner.evaluate(*args)._replace(accuracy=93.1)
+
+
+def test_zoo_evaluate_counts_out_of_range_accuracies_as_failures(tmp_path, caplog):
+    manifest = _mini_manifest(tmp_path)
+    surrogate = SurrogateEvaluator(SurrogateParams().with_seed(7), CIFAR10_TABLE)
+    assert zoo_evaluate(manifest, evaluator=_Percent(surrogate)) == (0, 18, 18)
+    assert "accuracy=93.1" in caplog.text
+    assert not os.path.exists(manifest.output_log)
+
+
+def test_search_with_out_of_range_accuracies_stops_before_any_checkpoint(tmp_path, caplog):
+    cfg = load_search_config(_search_config(tmp_path))
+    surrogate = make_evaluator("surrogate", cfg.table, None, cfg.engine_config.seed)
+    out = tmp_path / "run"
+    with pytest.raises(SearchError, match="all 8 new models failed in cycle 0"):
+        run_search(cfg, str(out), evaluator=_Percent(surrogate))
+    assert "accuracy=93.1" in caplog.text
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_full_grid_manifest_completes_quickly(tmp_path):
@@ -456,6 +484,35 @@ def test_search_stopped_at_or_after_its_last_cycle_finishes(tmp_path, capsys, st
         assert (out / name).read_bytes() == (full / name).read_bytes()
 
 
+def test_search_resumed_with_an_earlier_stop_reports_the_boundary_it_is_at(tmp_path, capsys):
+    # A resume never rewinds: asking to stop at 1 a run checkpointed after
+    # cycle 3 stops at once, at boundary 3, and writes nothing.
+    config = _search_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["search", "--config", config, "--out", str(out), "--stop-after-cycle", "3"]) == 0
+    before = _dir_bytes(out)
+    capsys.readouterr()
+    assert main(
+        ["search", "--config", config, "--out", str(out), "--resume", "--stop-after-cycle", "1"]
+    ) == 0
+    assert capsys.readouterr().out == "stopped at cycle boundary 3; checkpoint saved\n"
+    assert _dir_bytes(out) == before
+    assert not (out / "history.jsonl").exists()
+
+
+def test_finished_search_resumed_with_a_stop_stays_done(tmp_path, capsys):
+    config = _search_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["search", "--config", config, "--out", str(out)]) == 0
+    before = _dir_bytes(out)
+    capsys.readouterr()
+    assert main(
+        ["search", "--config", config, "--out", str(out), "--resume", "--stop-after-cycle", "2"]
+    ) == 0
+    assert capsys.readouterr().out.startswith("search done:")
+    assert _dir_bytes(out) == before
+
+
 def test_search_stop_before_initialization_is_a_usage_error(tmp_path, capsys):
     config = _search_config(tmp_path)
     out = tmp_path / "run"
@@ -645,11 +702,10 @@ _IN_CYCLE_5 = 8 + 4 * 7 + 3
 
 def _killed_run(config, out, n, workers=1, resume=False):
     cfg = load_search_config(config)
+    cfg.workers = workers
     surrogate = make_evaluator("surrogate", cfg.table, cfg.surrogate_params, cfg.engine_config.seed)
     with pytest.raises(_Killed):
-        run_search(
-            cfg, str(out), resume=resume, workers=workers, evaluator=_KilledAt(surrogate, n)
-        )
+        run_search(cfg, str(out), resume=resume, evaluator=_KilledAt(surrogate, n))
 
 
 def _assert_same_outputs(out, reference):
@@ -672,7 +728,9 @@ def test_killed_at_any_evaluation_resumes_identically(search_reference, n, worke
     with tempfile.TemporaryDirectory() as root:
         out = pathlib.Path(root) / "run"
         _killed_run(config, out, n, workers)
-        run_search(load_search_config(config), str(out), resume=True, workers=workers)
+        cfg = load_search_config(config)
+        cfg.workers = workers
+        run_search(cfg, str(out), resume=True)
         _assert_same_outputs(out, reference)
 
 
@@ -707,9 +765,10 @@ def test_a_resumed_run_continues_the_journal(tmp_path, search_reference, first, 
     # a gap, and the outputs are those of the uninterrupted run.
     config, reference = search_reference
     cfg = load_search_config(config)
+    cfg.workers = workers
     out = tmp_path / "run"
     if first == "stopped":
-        run_search(cfg, str(out), stop_after_cycle=1, workers=workers)
+        run_search(cfg, str(out), stop_after_cycle=1)
     else:
         _killed_run(config, out, _IN_CYCLE_2, workers)
     if first == "killed_mid_append":
@@ -722,7 +781,7 @@ def test_a_resumed_run_continues_the_journal(tmp_path, search_reference, first, 
     cycles = _journal_cycles(out)
     assert cycles == list(range(resumed_at + 1, resumed_at + 1 + len(cycles)))
     assert len(cycles) >= 3
-    run_search(cfg, str(out), resume=True, workers=workers)
+    run_search(cfg, str(out), resume=True)
     _assert_same_outputs(out, reference)
     assert not (out / "checkpoint.journal").exists()
 
@@ -805,16 +864,16 @@ def test_load_search_config_fields(tmp_path):
     assert cfg.setting.dims == (4, 4, 0)
     assert cfg.op_set.name == "search8"
     assert cfg.network.node_count == 1
-    assert cfg.econas.n_init == 8
+    assert cfg.engine_config.n_init == 8
     with pytest.raises(HarnessError):
         load_search_config(_search_config(tmp_path, name="bad.json", algorithm="magic"))
 
 
 def test_load_search_config_empty_config_takes_defaults(tmp_path):
     path = _search_config(tmp_path, config={})
-    assert load_search_config(path).econas == EcoNasConfig()
+    assert load_search_config(path).engine_config == EcoNasConfig()
     path = _search_config(tmp_path, name="flat.json", algorithm="flat", config={})
-    assert load_search_config(path).flat == FlatConfig()
+    assert load_search_config(path).engine_config == flat_config_to_econas(FlatConfig())
 
 
 def test_load_search_config_rejects_unknown_key(tmp_path):
@@ -827,10 +886,10 @@ def test_load_search_config_rejects_unknown_key(tmp_path):
 
 def test_load_search_config_coerces_or_rejects_values(tmp_path):
     path = _search_config(tmp_path, config={"cap_e": "4", "cap_2e": 3, "cap_3e": None})
-    cfg = load_search_config(path).econas
+    cfg = load_search_config(path).engine_config
     assert (cfg.cap_e, cfg.cap_2e, cfg.cap_3e) == (4, 3, None)
     path = _search_config(tmp_path, name="flat.json", algorithm="flat", config={"capacity": "7"})
-    assert load_search_config(path).flat.capacity == 7
+    assert load_search_config(path).engine_config.cap_e == 7
     for key in ("cap_e", "cap_2e", "cap_3e"):
         path = _search_config(tmp_path, name="bad.json", config={key: "four"})
         with pytest.raises(HarnessError, match=key):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from econas import search as search_module
-from econas.evaluator import EvaluatorFailure
+from econas.evaluator import EvalResult, EvaluatorFailure
 from econas.genotype import GenotypeError, NetworkConfig
 from econas.proxy import CIFAR10_TABLE, ReducedSetting
 from econas.search import (
@@ -137,7 +137,7 @@ def test_promote_clamps_to_tier_size():
     engine.run(stop_after_cycle=0)  # init only
     tiers = engine.state.tiers
     tiers.tier_e[:] = tiers.tier_e[:2]
-    promote(tiers, ev, 8, "e", SETTING, cfg)
+    promote(tiers, ev, 8, "e", SETTING, cfg, 0, [])
     assert len(tiers.tier_e) == 0
     assert len(tiers.tier_2e) == 2
     for c in tiers.tier_2e:
@@ -154,7 +154,7 @@ def test_promote_picks_most_accurate_and_remeasures():
     expected = ev.evaluate(
         best.genotype, SETTING.with_epochs(2 * cfg.epoch_unit), 0, 2 * cfg.epoch_unit
     )
-    promote(tiers, ev, 1, "e", SETTING, cfg)
+    promote(tiers, ev, 1, "e", SETTING, cfg, 0, [])
     assert len(tiers.tier_2e) == 1
     promoted = tiers.tier_2e[0]
     assert promoted.model_id == best.model_id
@@ -181,7 +181,7 @@ def test_promote_failure_leaves_candidate_in_place():
     tiers = engine.state.tiers
     ranked = sorted(tiers.tier_e, key=lambda c: (-c.accuracy, c.seq))
     failing = _FailingEvaluator(ev, [ranked[0].model_id])
-    promote(tiers, failing, 2, "e", SETTING, cfg)
+    promote(tiers, failing, 2, "e", SETTING, cfg, 0, [])
     assert ranked[0] in tiers.tier_e  # best stayed (its evaluation failed)
     assert len(tiers.tier_2e) == 1
     assert tiers.tier_2e[0].model_id == ranked[1].model_id
@@ -189,7 +189,7 @@ def test_promote_failure_leaves_candidate_in_place():
 
 def test_promote_rejects_unknown_tier():
     with pytest.raises(SearchError):
-        promote(PopulationTiers(), toy_evaluator(), 1, "3e", SETTING, toy_config())
+        promote(PopulationTiers(), toy_evaluator(), 1, "3e", SETTING, toy_config(), 0, [])
 
 
 # -- remove_dead --------------------------------------------------------------------
@@ -620,6 +620,35 @@ def test_interruption_drops_jobs_not_yet_started(workers, n, by_signal):
         _evaluate_jobs(ev, jobs, workers)
     # Only the jobs in flight when the interruption came have run.
     assert ev.calls <= n + workers
+
+
+class _Returns:
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def evaluate(self, *args):
+        return self.outcome
+
+
+@pytest.mark.parametrize("outcome", [
+    EvalResult(93.1, None, "t"),
+    EvalResult(float("nan"), 0.5, "t"),
+    EvalResult("0.5", None, "t"),
+    EvalResult(0.5, 1.5, "t"),
+    EvalResult(0.5, float("nan"), "t"),
+    EvalResult(0.5, None, None),
+    EvalResult(0.5, None, 7),
+    7,
+])
+def test_broken_outcome_is_a_failure_naming_it(outcome):
+    [result] = _evaluate_jobs(_Returns(outcome), [(None, None, 0, 1, None)], 1)
+    assert isinstance(result, EvaluatorFailure)
+    assert repr(outcome) in str(result)
+
+
+@pytest.mark.parametrize("outcome", [EvalResult(0.5, None, "t"), EvalResult(1, 0.0, "")])
+def test_outcome_within_the_contract_passes_unchanged(outcome):
+    assert _evaluate_jobs(_Returns(outcome), [(None, None, 0, 1, None)], 1) == [outcome]
 
 
 # -- flat baseline ------------------------------------------------------------------------
