@@ -5,8 +5,8 @@ zoo index) is a JSON object of a given ``kind`` whose other keys,
 including a rejection by the dataclass itself, reaches the caller as one
 error that names the file and, where there is one, the key. Every output
 file written whole goes through :func:`replacing`, which is atomic; JSON
-lines are appended through :func:`append_lines` and read back through
-:func:`read_lines`.
+lines are appended through :func:`append_lines` or a handle from
+:func:`open_appending`, and read back through :func:`read_lines`.
 """
 
 from __future__ import annotations
@@ -213,14 +213,19 @@ def write_lines(path: str, kind: str, items, line=json_line) -> None:
             fh.write(line(item))
 
 
-def append_lines(path: str, kind: str, items, line=json_line) -> None:
-    """Append lines, as :func:`write_lines` makes them, to a file it
-    started, and flush them; a missing or empty file gets its envelope
-    header first. A crash mid-append leaves at most a last line without its
-    newline."""
+def open_appending(path: str, kind: str):
+    """A text file appending to the JSON-lines file of ``kind`` at
+    ``path``; a missing or empty file gets its envelope header first. A
+    crash mid-append leaves at most a last line without its newline."""
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         write_lines(path, kind, ())
-    with open(path, "a", encoding="utf-8") as fh:
+    return open(path, "a", encoding="utf-8")
+
+
+def append_lines(path: str, kind: str, items, line=json_line) -> None:
+    """Append lines, as :func:`write_lines` makes them, through
+    :func:`open_appending`, and flush them."""
+    with open_appending(path, kind) as fh:
         for item in items:
             fh.write(line(item))
         fh.flush()

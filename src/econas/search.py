@@ -21,8 +21,9 @@ import json
 import logging
 import os
 from contextlib import contextmanager, suppress
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from itertools import islice
 from typing import Optional
 
@@ -296,59 +297,80 @@ def remove_dead(tiers: PopulationTiers, cfg: EcoNasConfig) -> None:
 _NUMBER = (int, float)
 
 
-def _evaluate_jobs(evaluator, jobs, workers: int):
-    """Run evaluation jobs, returning (result | EvaluatorFailure) per slot in
-    order. A result is checked here, where it enters, and counts as a
-    failure unless it is an EvalResult whose accuracies are numbers in
+def _checked(outcome):
+    """``outcome`` if it is an EvalResult whose accuracies are numbers in
     [0, 1] (``train_accuracy`` may be None) and whose resume token is a
-    string; the check never raises. Any other exception, from a job or an
-    interrupt of the caller, drops the jobs not yet started; only those in
-    flight finish before it propagates."""
+    string, else an EvaluatorFailure naming it."""
+    if isinstance(outcome, EvalResult):
+        accuracy, train, token = outcome
+        if (
+            isinstance(accuracy, _NUMBER) and 0 <= accuracy <= 1
+            and (train is None or isinstance(train, _NUMBER) and 0 <= train <= 1)
+            and isinstance(token, str)
+        ):
+            return outcome
+    return EvaluatorFailure(
+        "evaluator returned %r; accuracies must lie in [0, 1] and the resume token "
+        "must be a string" % (outcome,)
+    )
+
+
+def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
+    """Run evaluation jobs, returning (result | EvaluatorFailure) per slot in
+    order. A result is checked by :func:`_checked` where it enters; the
+    check never raises. ``done(slot, outcome)``, if given, gets each outcome
+    in the calling thread as soon as it completes. Any other exception, from
+    a job or an interrupt of the caller, drops the jobs not yet started;
+    those in flight finish, and their results reach ``done``, before it
+    propagates. Their failures do not: the interrupt may have caused them
+    (a Ctrl-C also stops a trainer child)."""
 
     def run(job):
         g, setting, start, end, token = job
         try:
-            outcome = evaluator.evaluate(g, setting, start, end, token)
+            return _checked(evaluator.evaluate(g, setting, start, end, token))
         except EvaluatorFailure as exc:
             return exc
-        if isinstance(outcome, EvalResult):
-            accuracy, train, new_token = outcome
-            if (
-                isinstance(accuracy, _NUMBER) and 0 <= accuracy <= 1
-                and (train is None or isinstance(train, _NUMBER) and 0 <= train <= 1)
-                and isinstance(new_token, str)
-            ):
-                return outcome
-        return EvaluatorFailure(
-            "evaluator returned %r; accuracies must lie in [0, 1] and the resume token "
-            "must be a string" % (outcome,)
-        )
 
+    report = done or (lambda slot, outcome: None)
     if workers <= 1 or len(jobs) <= 1:
-        return [run(job) for job in jobs]
+        outcomes = []
+        for slot, job in enumerate(jobs):
+            outcomes.append(run(job))
+            report(slot, outcomes[-1])
+        return outcomes
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, job) for job in jobs]
+        unreported = {future: slot for slot, future in enumerate(futures)}
         try:
-            futures = [pool.submit(run, job) for job in jobs]
-            wait(futures, return_when=FIRST_EXCEPTION)
+            for future in as_completed(futures):
+                report(unreported.pop(future), future.result())
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(cancel_futures=True)  # waits for the jobs in flight
+            for future, slot in unreported.items():
+                if (
+                    not future.cancelled() and future.exception() is None
+                    and isinstance(future.result(), EvalResult)
+                ):
+                    report(slot, future.result())
         return [future.result() for future in futures]
 
 
 def promote(
     tiers: PopulationTiers,
-    evaluator: Evaluator,
+    evaluate,
     n: int,
     from_tier: str,
     setting: ReducedSetting,
     cfg: EcoNasConfig,
     cycle: int,
     history: list,
-    workers: int = 1,
 ) -> None:
     """Train the top min(n, tier size) candidates of ``from_tier`` for one
     more epoch unit, move them to the next tier and log each to ``history``
-    under ``cycle``; a failed evaluation leaves its candidate where it was."""
+    under ``cycle``; a failed evaluation leaves its candidate where it was.
+    ``evaluate(jobs)`` gives each :func:`_evaluate_jobs` job's outcome in
+    slot order."""
     if from_tier not in _TIER_KEYS[:-1]:
         raise SearchError("promotions only run from tier 'e' or '2e'")
     level = _TIER_KEYS.index(from_tier)
@@ -366,8 +388,7 @@ def promote(
         )
         for c in chosen
     ]
-    outcomes = _evaluate_jobs(evaluator, jobs, workers)
-    for cand, outcome in zip(chosen, outcomes):
+    for cand, outcome in zip(chosen, evaluate(jobs)):
         if isinstance(outcome, EvaluatorFailure):
             logger.warning(
                 "promotion of %s failed, leaving it in tier %s: %s",
@@ -434,12 +455,17 @@ class SearchEngine:
     sort_keys=True)`` plus a newline, replaced atomically. It is written
     after initialization, when :meth:`run` returns, and at the first write
     after :meth:`load_checkpoint_obj` of a state the files do not hold;
-    every other write appends one line to ``checkpoint.journal``
-    (:attr:`journal_path`) with what the cycle changed. A resume,
-    :meth:`load_checkpoint`, loads the snapshot and passes each journal
-    line to :meth:`replay`; the files then hold the engine's state, so its
-    next write appends to that journal. A snapshot removes the journal it
-    makes obsolete.
+    every other write appends a cycle line to ``checkpoint.journal``
+    (:attr:`journal_path`) with what the cycle changed. Before it, from
+    cycle 1 on, each finished evaluation of the cycle appends an eval line
+    as it completes, with its result or its failure. A resume,
+    :meth:`load_checkpoint`, loads the snapshot and passes each journal line
+    to :meth:`replay`; the files then hold the engine's state, so its next
+    write appends to that journal, and the cycle that was interrupted takes
+    the outcomes its eval lines hold instead of evaluating again, so it
+    takes the same path as before the interruption. A run appends through
+    one open handle, closed when it returns or raises; a snapshot closes it
+    and removes the journal it makes obsolete.
     """
 
     def __init__(
@@ -465,29 +491,37 @@ class SearchEngine:
         self.algorithm = algorithm
         self.state = _EngineState()
         self._written: Optional[_Written] = None  # None: the next write is a snapshot
+        self._journal = None  # the journal's append handle while a run has one open
+        # (phase, slot) -> (model id, start epoch, end epoch, outcome) for
+        # the outcomes the journal holds of the pending cycle.
+        self._journaled: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     def run(self, stop_after_cycle: Optional[int] = None) -> SearchResult:
         """Run the cycles still pending, or those up to ``stop_after_cycle``;
-        the last checkpoint write before returning is a snapshot."""
+        the last checkpoint write before returning is a snapshot. The
+        journal handle is closed when it returns or raises."""
         last = self.cfg.cycles
         if stop_after_cycle is not None:
             last = min(last, stop_after_cycle)
-        if self.state.next_cycle == 0:
-            self._add_children(0, [
-                random_genotype(
-                    derive_rng(self.cfg.seed, "init", i), self.network, self.op_set,
-                    self.output_rule,
-                )
-                for i in range(self.cfg.n_init)
-            ])
-            self.state.next_cycle = 1
-            self._write_checkpoint(snapshot=True)
-        while self.state.next_cycle <= last:
-            self._run_cycle(self.state.next_cycle)
-            self.state.next_cycle += 1
-            self._write_checkpoint(snapshot=self.state.next_cycle > last)
+        try:
+            if self.state.next_cycle == 0:
+                self._add_children(0, [
+                    random_genotype(
+                        derive_rng(self.cfg.seed, "init", i), self.network, self.op_set,
+                        self.output_rule,
+                    )
+                    for i in range(self.cfg.n_init)
+                ])
+                self.state.next_cycle = 1
+                self._write_checkpoint(snapshot=True)
+            while self.state.next_cycle <= last:
+                self._run_cycle(self.state.next_cycle)
+                self.state.next_cycle += 1
+                self._write_checkpoint(snapshot=self.state.next_cycle > last)
+        finally:
+            self._close_journal()
         return self.result()
 
     def result(self) -> SearchResult:
@@ -518,8 +552,7 @@ class SearchEngine:
         st, span = self.state, self.cfg.epoch_unit
         setting = self.setting_base.with_epochs(span)
         models = [g for g in genotypes if g is not None]
-        jobs = [(g, setting, 0, span, None) for g in models]
-        outcomes = _evaluate_jobs(self.evaluator, jobs, self.workers)
+        outcomes = self._evaluate(cycle, "child", [(g, setting, 0, span, None) for g in models])
         live = {c.model_id for c in st.tiers.all_candidates()}
         added = 0
         for g, outcome in zip(models, outcomes):
@@ -555,12 +588,59 @@ class SearchEngine:
                 logger.warning("mutation failed in cycle %d slot %d: %s", cycle, slot, exc)
                 children.append(None)
         self._add_children(cycle, children)
-        for n, from_tier in ((cfg.promote_to_2e, "e"), (cfg.promote_to_3e, "2e")):
+        for n, from_tier, to_tier in (
+            (cfg.promote_to_2e, "e", "2e"), (cfg.promote_to_3e, "2e", "3e")
+        ):
             promote(
-                self.state.tiers, self.evaluator, n, from_tier, self.setting_base, cfg,
-                cycle, self.state.history, self.workers,
+                self.state.tiers, partial(self._evaluate, cycle, to_tier), n, from_tier,
+                self.setting_base, cfg, cycle, self.state.history,
             )
         remove_dead(self.state.tiers, cfg)
+        if self._journaled:
+            raise SearchError("%s: results journaled for cycle %d name slots it lacks: %s" % (
+                self.journal_path, cycle, ", ".join("%s slot %s" % key for key in self._journaled)
+            ))
+
+    def _evaluate(self, cycle: int, phase: str, jobs: list) -> list:
+        """The outcome of each job of one ``phase`` (``child``, ``2e`` or
+        ``3e``) of ``cycle``, in slot order. A slot whose outcome the journal
+        holds (see :meth:`replay`) is served from it, after checking that the
+        job names the same model and epoch span. The other slots run through
+        :func:`_evaluate_jobs`. Once the checkpoint files hold the engine's
+        state (from cycle 1 on), each of their outcomes is journaled as it
+        completes, a failure too, so that a resumed cycle takes the path the
+        interrupted one took."""
+        outcomes, todo = [], []
+        for slot, (g, _, start, end, _) in enumerate(jobs):
+            stored = self._journaled.pop((phase, slot), None)
+            if stored is None:
+                todo.append(slot)
+            elif stored[:3] != (g.content_hash, start, end):
+                raise SearchError(
+                    "%s: the result journaled for cycle %d %s slot %d is of model %s, "
+                    "epochs %s-%s, but the slot re-derives model %s, epochs %d-%d"
+                    % (self.journal_path, cycle, phase, slot, *stored[:3], g.content_hash,
+                       start, end)
+                )
+            outcomes.append(None if stored is None else stored[3])
+
+        def journal(i: int, outcome) -> None:
+            g, _, start, end, _ = jobs[todo[i]]
+            line = {
+                "cycle": cycle, "phase": phase, "slot": todo[i], "model_id": g.content_hash,
+                "start_epoch": start, "end_epoch": end,
+            }
+            if isinstance(outcome, EvaluatorFailure):
+                line["failure"] = str(outcome)
+            else:
+                line.update(outcome._asdict())
+            self._append_journal(documents.json_line(line))
+
+        done = journal if self._written is not None else None
+        ran = _evaluate_jobs(self.evaluator, [jobs[slot] for slot in todo], self.workers, done)
+        for slot, outcome in zip(todo, ran):
+            outcomes[slot] = outcome
+        return outcomes
 
     # -- checkpointing -------------------------------------------------------
 
@@ -612,7 +692,8 @@ class SearchEngine:
         since the last write, ``next_cycle``, ``seq_counter``, each tier's
         member ``seq``s in order, and the records of the live candidates
         that those history entries name: a candidate is created or changed
-        only in a step that logs it to history."""
+        only in a step that logs it to history. Eval lines, which
+        :meth:`_evaluate` appends, never go through here."""
         if self.checkpoint_path is None:
             return
         st, written = self.state, self._written
@@ -630,7 +711,7 @@ class SearchEngine:
             new_genotypes = islice(st.genotypes.items(), written.genotypes, None)
             new_history = st.history[written.history:]
             named = {h.model_id for h in new_history}
-            documents.append_lines(self.journal_path, JOURNAL_KIND, [{
+            self._append_journal(documents.json_line({
                 "next_cycle": st.next_cycle,
                 "seq_counter": st.seq_counter,
                 "genotypes": {mid: encode(g) for mid, g in new_genotypes},
@@ -641,35 +722,58 @@ class SearchEngine:
                 "candidates": [
                     _candidate_obj(c) for c in st.tiers.all_candidates() if c.model_id in named
                 ],
-            }])
+            }))
         self._mark_written()
 
     def _mark_written(self) -> None:
         """Record that the checkpoint files now hold the state."""
         self._written = _Written(len(self.state.genotypes), len(self.state.history))
 
+    def _append_journal(self, line: str) -> None:
+        """Append ``line`` to the journal and flush it, through the handle
+        the first append of a run opens."""
+        if self._journal is None:
+            self._journal = documents.open_appending(self.journal_path, JOURNAL_KIND)
+        self._journal.write(line)
+        self._journal.flush()
+
+    def _close_journal(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+
     def _remove_journal(self) -> None:
+        self._close_journal()
         with suppress(FileNotFoundError):
             os.remove(self.journal_path)
 
     def load_checkpoint(self) -> None:
         """Restore the state from ``checkpoint.json``, then replay
-        ``checkpoint.journal``, if there is one, in cycle order. A last
-        journal line cut short by a crash mid-append is cut off with a
-        warning; any other damage is a SearchError naming the file. The
-        files then hold this engine's state, so the next write appends to
-        the journal."""
+        ``checkpoint.journal``, if there is one, in file order: its cycle
+        lines advance the state and its eval lines of the pending cycle are
+        kept for that cycle to reuse, except failures that no result
+        follows: no journaled result can depend on those, so they are tried
+        again (a cycle that stopped because every child failed runs again).
+        A last journal line cut short by a crash mid-append is cut off with a
+        warning, so what it held is computed again; any other damage is a
+        SearchError naming the file.
+        The files then hold this engine's state, so the next write appends
+        to the journal."""
         path, journal = self.checkpoint_path, self.journal_path
         with documents.reading(path, SearchError):
             self.load_checkpoint_obj(documents.read(path, "search_checkpoint"))
         if os.path.exists(journal):
             if truncate_torn_tail(journal):
                 logger.warning(
-                    "dropped an unfinished last line from %s; its cycle runs again", journal
+                    "dropped an unfinished last line from %s; what it held runs again", journal
                 )
             with documents.reading(journal, SearchError):
                 for _, line in documents.read_lines(journal, JOURNAL_KIND):
                     self.replay(line)
+            # No journaled result depends on a failure after the last one.
+            journaled = self._journaled
+            while journaled and isinstance(next(reversed(journaled.values()))[3], EvaluatorFailure):
+                journaled.popitem()
         self._mark_written()
 
     def load_checkpoint_obj(self, obj: dict) -> None:
@@ -700,15 +804,39 @@ class SearchEngine:
                 candidates=[c for key in _TIER_KEYS for c in tiers[key]],
                 tiers={key: [c["seq"] for c in tiers[key]] for key in _TIER_KEYS},
             ))
-        self.state, self._written = state, None
+        self.state, self._written, self._journaled = state, None, {}
 
     def replay(self, line: dict) -> None:
-        """Apply one journal line (see :func:`_applied`). A line at or below
-        the current ``next_cycle`` is one the loaded snapshot already holds
-        and is skipped; a line further ahead than the next cycle is an
-        error."""
+        """Apply one journal line. A cycle line (see :func:`_applied`) at or
+        below the current ``next_cycle`` is one the loaded snapshot already
+        holds and is skipped; one further ahead than the next cycle is an
+        error. An eval line (one with a ``phase``) of the pending cycle is
+        kept for :meth:`_evaluate` to serve, as a result or, with a
+        ``failure`` message, as an EvaluatorFailure, until a cycle line
+        finishes that cycle; one of a finished cycle is skipped, and one of
+        a later cycle is an error."""
         st = self.state
         with _malformed("journal line"):
+            if "phase" in line:
+                cycle = line["cycle"]
+                if cycle > st.next_cycle:
+                    raise SearchError(
+                        "journal jumps from cycle %d to a result of cycle %d"
+                        % (st.next_cycle, cycle)
+                    )
+                if cycle == st.next_cycle:
+                    if "failure" in line:
+                        outcome = EvaluatorFailure(line["failure"])
+                    else:
+                        outcome = _checked(EvalResult(
+                            line["accuracy"], line["train_accuracy"], line["resume_token"]
+                        ))
+                        if isinstance(outcome, EvaluatorFailure):
+                            raise SearchError("journal line: %s" % outcome)
+                    self._journaled[line["phase"], line["slot"]] = (
+                        line["model_id"], line["start_epoch"], line["end_epoch"], outcome
+                    )
+                return
             next_cycle = line["next_cycle"]
             if next_cycle <= st.next_cycle:
                 return
@@ -716,7 +844,7 @@ class SearchEngine:
                 raise SearchError(
                     "journal jumps from cycle %d to %d" % (st.next_cycle, next_cycle)
                 )
-            self.state = _applied(st, line)
+            self.state, self._journaled = _applied(st, line), {}
 
 
 def _applied(state: _EngineState, section: dict) -> _EngineState:

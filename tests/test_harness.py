@@ -13,6 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from econas import search
 from econas.analysis import AnalysisError, build_report
 from econas.cli import main
 from econas.evaluator import EvaluatorFailure
@@ -537,7 +538,7 @@ def test_search_resume_with_other_config_refused(tmp_path, key, value):
     config = _search_config(tmp_path)
     out = tmp_path / "run"
     main(["search", "--config", config, "--out", str(out), "--stop-after-cycle", "1"])
-    obj = json.loads(open(config).read())
+    obj = json.loads(pathlib.Path(config).read_text())
     (obj["config"] if key == "seed" else obj)[key] = value
     other = tmp_path / "other.json"
     other.write_text(json.dumps(obj))
@@ -555,7 +556,7 @@ def test_resume_checkpoint_with_stored_ledger(tmp_path):
     assert main(["search", "--config", config, "--out", str(full)]) == 0
     part = tmp_path / "part"
     part.mkdir()
-    (part / "checkpoint.json").write_bytes(open(old, "rb").read())
+    (part / "checkpoint.json").write_bytes(pathlib.Path(old).read_bytes())
     assert main(["search", "--config", config, "--out", str(part), "--resume"]) == 0
     for name in ("history.jsonl", "ledger.jsonl", "summary.json"):
         assert (part / name).read_bytes() == (full / name).read_bytes()
@@ -669,6 +670,90 @@ def test_kill_and_resume_identical_outputs(tmp_path, workers):
         assert (victim / name).read_bytes() == (reference / name).read_bytes()
 
 
+KILLING_SERVER = textwrap.dedent(
+    """
+    import fcntl, os, signal, sys
+
+    from econas.bridge import serve
+    from econas.proxy import CIFAR10_TABLE
+    from econas.surrogate import SurrogateEvaluator, SurrogateParams
+
+    count_path, kill_at = sys.argv[1], int(sys.argv[2])
+
+    class KillsItsParent:
+        # Every evaluate request of every child appends one byte to
+        # count_path; request number kill_at SIGKILLs the parent, once.
+        def __init__(self, inner):
+            self.inner = inner
+
+        def evaluate(self, *args, **kwargs):
+            with open(count_path, "ab") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                fh.write(b"x")
+                fh.flush()
+                number = os.fstat(fh.fileno()).st_size
+            marker = count_path + ".killed"
+            if number == kill_at and not os.path.exists(marker):
+                open(marker, "w").close()
+                os.kill(os.getppid(), signal.SIGKILL)
+                os._exit(0)
+            return self.inner.evaluate(*args, **kwargs)
+
+    serve(
+        KillsItsParent(SurrogateEvaluator(SurrogateParams().with_seed(7), CIFAR10_TABLE)),
+        CIFAR10_TABLE,
+    )
+    """
+)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_trainer_killing_its_parent_mid_cycle_costs_only_the_requests_in_flight(
+    tmp_path, workers
+):
+    # A real SIGKILL, sent by the trainer child while it serves request 33:
+    # cycle 4's sixth evaluation, its second promotion to 2E.
+    server = tmp_path / "killing_server.py"
+    server.write_text(KILLING_SERVER)
+
+    def run_config(name, kill_at):
+        count = tmp_path / (name + ".count")
+        config = _search_config(
+            tmp_path,
+            name=name + ".json",
+            evaluator="cmd:%s %s %s %d" % (sys.executable, server, count, kill_at),
+            workers=workers,
+            config={
+                "n_init": 6,
+                "cycles": 12,
+                "epoch_unit": 5,
+                "mutants_per_cycle": 4,
+                "promote_to_2e": 2,
+                "promote_to_3e": 1,
+                "seed": 5,
+            },
+        )
+        return config, count
+
+    straight_config, straight_count = run_config("straight", 0)
+    straight = tmp_path / "straight"
+    assert main(["search", "--config", straight_config, "--out", str(straight)]) == 0
+
+    config, count = run_config("victim", 6 + 3 * 7 + 6)
+    victim = tmp_path / "victim"
+    killed = subprocess.run(
+        [sys.executable, "-m", "econas.cli", "search", "--config", config, "--out", str(victim)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=300,
+    )
+    assert killed.returncode == -signal.SIGKILL
+    assert not (victim / "summary.json").exists()
+    assert main(["search", "--config", config, "--out", str(victim), "--resume"]) == 0
+    _assert_same_outputs(victim, straight)
+    assert len(count.read_bytes()) <= len(straight_count.read_bytes()) + workers
+
+
 # -- killed mid-run: the snapshot and its journal ---------------------------------------
 
 
@@ -677,11 +762,14 @@ class _Killed(BaseException):
 
 
 class _KilledAt:
-    """Evaluates in-process; call number ``n`` (from 1) raises ``_Killed``."""
+    """Evaluates in-process; call number ``n`` (from 1) raises ``_Killed``
+    and the calls numbered in ``fails`` fail. ``calls`` counts every call,
+    those that raised among them."""
 
-    def __init__(self, inner, n):
+    def __init__(self, inner, n, fails=()):
         self.inner = inner
         self.n = n
+        self.fails = fails
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -691,21 +779,32 @@ class _KilledAt:
             call = self.calls
         if call == self.n:
             raise _Killed()
+        if call in self.fails:
+            raise EvaluatorFailure("call %d failed" % call)
         return self.inner.evaluate(*args)
 
 
 # _search_config runs 8 initial evaluations, then 4 + 2 + 1 per cycle.
 _EVALUATIONS = 8 + 6 * 7
 _IN_CYCLE_2 = 8 + 1 * 7 + 3
-_IN_CYCLE_5 = 8 + 4 * 7 + 3
+_AT_CYCLE_5 = 8 + 4 * 7 + 1
+_IN_CYCLE_5 = _AT_CYCLE_5 + 2
 
 
-def _killed_run(config, out, n, workers=1, resume=False):
+def _counted_run(config, out, n=0, workers=1, resume=False, fails=()):
+    """Run or resume the search into ``out`` with ``workers`` workers; a
+    positive ``n`` kills it at trainer call ``n``, and the calls numbered in
+    ``fails`` fail. Returns the calls made."""
     cfg = load_search_config(config)
     cfg.workers = workers
     surrogate = make_evaluator("surrogate", cfg.table, cfg.surrogate_params, cfg.engine_config.seed)
-    with pytest.raises(_Killed):
-        run_search(cfg, str(out), resume=resume, evaluator=_KilledAt(surrogate, n))
+    counted = _KilledAt(surrogate, n, fails)
+    if n > 0:
+        with pytest.raises(_Killed):
+            run_search(cfg, str(out), resume=resume, evaluator=counted)
+    else:
+        run_search(cfg, str(out), resume=resume, evaluator=counted)
+    return counted.calls
 
 
 def _assert_same_outputs(out, reference):
@@ -724,37 +823,133 @@ def search_reference(tmp_path_factory):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, _EVALUATIONS), workers=st.sampled_from([1, 3]))
 def test_killed_at_any_evaluation_resumes_identically(search_reference, n, workers):
+    # Past the init snapshot every finished evaluation survives the kill:
+    # the jobs in flight finish and are journaled, so only the killed call
+    # itself is made twice. Before it the resume starts over.
     config, reference = search_reference
     with tempfile.TemporaryDirectory() as root:
         out = pathlib.Path(root) / "run"
-        _killed_run(config, out, n, workers)
-        cfg = load_search_config(config)
-        cfg.workers = workers
-        run_search(cfg, str(out), resume=True)
+        killed = _counted_run(config, out, n, workers)
+        resumed = _counted_run(config, out, workers=workers, resume=True)
         _assert_same_outputs(out, reference)
+        assert killed + resumed == _EVALUATIONS + (1 if n > 8 else killed)
 
 
-@pytest.mark.parametrize("keep", ["all_but_the_newline", "half_the_line"])
-def test_journal_cut_mid_line_resumes_identically(tmp_path, search_reference, caplog, keep):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_killed_twice_in_one_cycle_keeps_both_runs_results(tmp_path, search_reference, workers):
+    # The resume is killed again in the cycle it resumed: the journal then
+    # holds that cycle's results from both runs, and the last resume makes
+    # only the calls the two kills cost.
     config, reference = search_reference
     out = tmp_path / "run"
-    _killed_run(config, out, _IN_CYCLE_5)
-    journal = out / "checkpoint.journal"
+    calls = _counted_run(config, out, _IN_CYCLE_5, workers)
+    snapshot = (out / "checkpoint.json").read_bytes()
+    calls += _counted_run(config, out, 2, workers, resume=True)
+    assert (out / "checkpoint.json").read_bytes() == snapshot
+    assert _journal_cycles(out)[-1] == 5  # no cycle line for cycle 5 yet
+    calls += _counted_run(config, out, workers=workers, resume=True)
+    _assert_same_outputs(out, reference)
+    assert calls == _EVALUATIONS + 2
+
+
+_CHILDREN_1_TO_3 = range(_AT_CYCLE_5 + 1, _AT_CYCLE_5 + 4)  # of cycle 5
+
+
+@pytest.mark.parametrize(
+    "failed,killed,kept",
+    [
+        # Killed at cycle 5's second promotion to 2E, or at its promotion
+        # to 3E: the first promotion's result follows the failures.
+        (_CHILDREN_1_TO_3, _AT_CYCLE_5 + 5, True),
+        (_CHILDREN_1_TO_3, _AT_CYCLE_5 + 6, True),
+        # Killed at its first promotion to 2E: no result follows them.
+        (_CHILDREN_1_TO_3, _AT_CYCLE_5 + 4, False),
+        # Both promotions to 2E fail; killed after the cycle's last
+        # evaluation, the promotion to 3E, before its cycle line.
+        (range(_AT_CYCLE_5 + 4, _AT_CYCLE_5 + 6), None, True),
+    ],
+    ids=["children_2e", "children_3e", "children_last", "promotions_cycle_end"],
+)
+def test_failures_before_a_kill_in_one_cycle(tmp_path, search_reference, monkeypatch,
+                                             failed, killed, kept):
+    # A failure that a journaled result follows stays a failure, though the
+    # resumed trainer would now succeed: a success could change which models
+    # the cycle promotes, and the journaled promotions would no longer fit.
+    # A failure that no result follows is tried again.
+    config, reference = search_reference
+    if kept:
+        reference = tmp_path / "reference"
+        _counted_run(config, reference, fails=failed)
+    out = tmp_path / "run"
+    if killed is None:
+        cycles = iter(range(1, 7))
+        remove_dead = search.remove_dead
+
+        def killed_at_cycle_5(tiers, cfg):
+            if next(cycles) == 5:
+                raise _Killed()
+            remove_dead(tiers, cfg)
+
+        monkeypatch.setattr(search, "remove_dead", killed_at_cycle_5)
+        with pytest.raises(_Killed):
+            _counted_run(config, out, fails=failed)
+        calls = _AT_CYCLE_5 + 6
+        monkeypatch.undo()
+    else:
+        calls = _counted_run(config, out, killed, fails=failed)
+    calls += _counted_run(config, out, resume=True)
+    _assert_same_outputs(out, reference)
+    assert calls == _EVALUATIONS + (killed is not None) + (0 if kept else len(failed))
+
+
+def _cut_last_line(journal, keep):
     data = journal.read_bytes()
     last = data.rstrip(b"\n").rfind(b"\n") + 1
     cut = len(data) - 1 if keep == "all_but_the_newline" else (last + len(data)) // 2
     journal.write_bytes(data[:cut])
-    run_search(load_search_config(config), str(out), resume=True)
+    return json.loads(data[last:])
+
+
+@pytest.mark.parametrize("keep", ["all_but_the_newline", "half_the_line"])
+def test_journal_cut_mid_line_resumes_identically(tmp_path, search_reference, caplog, keep):
+    # Killed as cycle 5 begins, the journal ends in the line of cycle 4; cut
+    # short, cycle 4 runs again, wholly from its journaled results.
+    config, reference = search_reference
+    out = tmp_path / "run"
+    _counted_run(config, out, _AT_CYCLE_5)
+    journal = out / "checkpoint.journal"
+    assert _cut_last_line(journal, keep)["next_cycle"] == 5
+    calls = _counted_run(config, out, resume=True)
     assert "unfinished last line" in caplog.text
     _assert_same_outputs(out, reference)
     assert not journal.exists()  # the final snapshot holds everything
+    assert calls == _EVALUATIONS - (_AT_CYCLE_5 - 1)
+
+
+@pytest.mark.parametrize("keep", ["all_but_the_newline", "half_the_line"])
+def test_eval_line_cut_mid_line_reruns_its_slot_only(tmp_path, search_reference, caplog, keep):
+    config, reference = search_reference
+    out = tmp_path / "run"
+    _counted_run(config, out, _IN_CYCLE_5)
+    torn = _cut_last_line(out / "checkpoint.journal", keep)
+    assert (torn["cycle"], torn["phase"], torn["slot"]) == (5, "child", 1)
+    calls = _counted_run(config, out, resume=True)
+    assert "unfinished last line" in caplog.text
+    _assert_same_outputs(out, reference)
+    assert calls == _EVALUATIONS - (_IN_CYCLE_5 - 1) + 1
+
+
+def _journal_lines(out):
+    """Every line of the run's journal after its header, parsed."""
+    with open(out / "checkpoint.journal", encoding="utf-8") as fh:
+        next(fh)
+        return [json.loads(line) for line in fh]
 
 
 def _journal_cycles(out):
-    """``next_cycle`` of every line of the run's journal, in file order."""
-    with open(out / "checkpoint.journal", encoding="utf-8") as fh:
-        next(fh)
-        return [json.loads(line)["next_cycle"] for line in fh]
+    """``next_cycle`` of every cycle line of the run's journal, in file
+    order; eval lines, which carry a ``phase``, are skipped."""
+    return [line["next_cycle"] for line in _journal_lines(out) if "phase" not in line]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -770,13 +965,13 @@ def test_a_resumed_run_continues_the_journal(tmp_path, search_reference, first, 
     if first == "stopped":
         run_search(cfg, str(out), stop_after_cycle=1)
     else:
-        _killed_run(config, out, _IN_CYCLE_2, workers)
+        _counted_run(config, out, _IN_CYCLE_2, workers)
     if first == "killed_mid_append":
         journal = out / "checkpoint.journal"
         journal.write_bytes(journal.read_bytes()[:-1])
     snapshot = (out / "checkpoint.json").read_bytes()
     resumed_at = json.loads(snapshot)["next_cycle"]
-    _killed_run(config, out, 3 * 7 + 4, workers, resume=True)  # in its fourth cycle
+    _counted_run(config, out, 3 * 7 + 4, workers, resume=True)  # in its fourth cycle
     assert (out / "checkpoint.json").read_bytes() == snapshot
     cycles = _journal_cycles(out)
     assert cycles == list(range(resumed_at + 1, resumed_at + 1 + len(cycles)))
@@ -796,7 +991,7 @@ def test_forced_restart_killed_at_its_journal_removal_keeps_the_old_run(
     config, reference = search_reference
     cfg = load_search_config(config)
     out = tmp_path / "run"
-    _killed_run(config, out, _IN_CYCLE_5)
+    _counted_run(config, out, _IN_CYCLE_5)
     journal = str(out / "checkpoint.journal")
     remove = os.remove
 
@@ -822,24 +1017,46 @@ def _tamper(doc):
 
 
 @pytest.mark.parametrize(
-    "damage", ["garbage_line", "cycle_gap", "journal_genotype_id", "checkpoint_genotype_id"]
+    "damage",
+    [
+        "garbage_line", "cycle_gap", "cycle_gap_without_eval_lines", "journal_genotype_id",
+        "checkpoint_genotype_id", "eval_model_id", "eval_span",
+    ],
 )
 def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     config = _search_config(tmp_path)
     out = tmp_path / "run"
-    _killed_run(config, out, _IN_CYCLE_5)
+    _counted_run(config, out, _IN_CYCLE_5)
     journal, ckpt = out / "checkpoint.journal", out / "checkpoint.json"
-    lines = journal.read_text().splitlines(keepends=True)  # a header, then cycles 1-4
-    damaged, reason = journal, {"garbage_line": "JSON", "cycle_gap": "jumps"}.get(damage, "SHA-256")
+    # A header, then the eval lines and the cycle line of each of cycles
+    # 1-4, then the eval lines of child slots 0 and 1 of cycle 5.
+    lines = journal.read_text().splitlines(keepends=True)
+    cycle_lines = [i for i, line in enumerate(lines[1:], 1) if "phase" not in json.loads(line)]
+    assert len(cycle_lines) == 4 and json.loads(lines[-1])["slot"] == 1
+    second = cycle_lines[1]  # the line of cycle 2
+    damaged, reason = journal, {
+        "garbage_line": "JSON", "cycle_gap": "jumps", "cycle_gap_without_eval_lines": "jumps",
+        "eval_model_id": "re-derives", "eval_span": "re-derives",
+    }.get(damage, "SHA-256")
     if damage == "garbage_line":
-        lines[2] = "}{ not json\n"
+        lines[second] = "}{ not json\n"
     elif damage == "cycle_gap":
-        del lines[2]
+        del lines[second]
+    elif damage == "cycle_gap_without_eval_lines":
+        del lines[second]
+        lines = [line for line in lines if "phase" not in json.loads(line)]
     elif damage == "journal_genotype_id":
-        line = json.loads(lines[2])
+        line = json.loads(lines[second])
         mid = sorted(line["genotypes"])[0]
         line["genotypes"][mid] = _tamper(line["genotypes"][mid])
-        lines[2] = json.dumps(line) + "\n"
+        lines[second] = json.dumps(line) + "\n"
+    elif damage.startswith("eval_"):
+        line = json.loads(lines[-1])
+        if damage == "eval_model_id":
+            line["model_id"] = json.loads(lines[-2])["model_id"]  # slot 0's model
+        else:
+            line["end_epoch"] += 1
+        lines[-1] = json.dumps(line) + "\n"
     else:
         damaged = ckpt
         obj = json.loads(ckpt.read_text())

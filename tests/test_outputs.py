@@ -178,11 +178,15 @@ def _checkpoint(root):
 
 
 def _journaled_cycle(engine):
-    """One cycle of ``SearchEngine.run`` that is not its last: the write
-    appends a journal line."""
-    engine._run_cycle(engine.state.next_cycle)
-    engine.state.next_cycle += 1
-    engine._write_checkpoint()
+    """One cycle of ``SearchEngine.run`` that is not its last: its
+    evaluations and then the write append journal lines, through a handle
+    that is closed afterwards, as ``run`` closes it."""
+    try:
+        engine._run_cycle(engine.state.next_cycle)
+        engine.state.next_cycle += 1
+        engine._write_checkpoint()
+    finally:
+        engine._close_journal()
 
 
 def _resumed_state(engine):

@@ -130,6 +130,10 @@ def test_sample_parent_tier_weights_renormalized():
 # -- promote ----------------------------------------------------------------------
 
 
+def _serially(evaluator):
+    return lambda jobs: _evaluate_jobs(evaluator, jobs, 1)
+
+
 def test_promote_clamps_to_tier_size():
     ev = toy_evaluator()
     cfg = toy_config()
@@ -137,7 +141,7 @@ def test_promote_clamps_to_tier_size():
     engine.run(stop_after_cycle=0)  # init only
     tiers = engine.state.tiers
     tiers.tier_e[:] = tiers.tier_e[:2]
-    promote(tiers, ev, 8, "e", SETTING, cfg, 0, [])
+    promote(tiers, _serially(ev), 8, "e", SETTING, cfg, 0, [])
     assert len(tiers.tier_e) == 0
     assert len(tiers.tier_2e) == 2
     for c in tiers.tier_2e:
@@ -154,7 +158,7 @@ def test_promote_picks_most_accurate_and_remeasures():
     expected = ev.evaluate(
         best.genotype, SETTING.with_epochs(2 * cfg.epoch_unit), 0, 2 * cfg.epoch_unit
     )
-    promote(tiers, ev, 1, "e", SETTING, cfg, 0, [])
+    promote(tiers, _serially(ev), 1, "e", SETTING, cfg, 0, [])
     assert len(tiers.tier_2e) == 1
     promoted = tiers.tier_2e[0]
     assert promoted.model_id == best.model_id
@@ -181,7 +185,7 @@ def test_promote_failure_leaves_candidate_in_place():
     tiers = engine.state.tiers
     ranked = sorted(tiers.tier_e, key=lambda c: (-c.accuracy, c.seq))
     failing = _FailingEvaluator(ev, [ranked[0].model_id])
-    promote(tiers, failing, 2, "e", SETTING, cfg, 0, [])
+    promote(tiers, _serially(failing), 2, "e", SETTING, cfg, 0, [])
     assert ranked[0] in tiers.tier_e  # best stayed (its evaluation failed)
     assert len(tiers.tier_2e) == 1
     assert tiers.tier_2e[0].model_id == ranked[1].model_id
@@ -189,7 +193,9 @@ def test_promote_failure_leaves_candidate_in_place():
 
 def test_promote_rejects_unknown_tier():
     with pytest.raises(SearchError):
-        promote(PopulationTiers(), toy_evaluator(), 1, "3e", SETTING, toy_config(), 0, [])
+        promote(
+            PopulationTiers(), _serially(toy_evaluator()), 1, "3e", SETTING, toy_config(), 0, []
+        )
 
 
 # -- remove_dead --------------------------------------------------------------------
@@ -620,6 +626,30 @@ def test_interruption_drops_jobs_not_yet_started(workers, n, by_signal):
         _evaluate_jobs(ev, jobs, workers)
     # Only the jobs in flight when the interruption came have run.
     assert ev.calls <= n + workers
+
+
+class _Sleeps:
+    """Each job's genotype is (seconds, what): the call sleeps, then raises
+    ``_Interrupt``, fails or returns a result."""
+
+    def evaluate(self, g, *args):
+        seconds, what = g
+        time.sleep(seconds)
+        if what == "interrupt":
+            raise _Interrupt()
+        if what == "fail":
+            raise EvaluatorFailure("failed in flight")
+        return EvalResult(0.5, None, what)
+
+
+def test_interruption_reports_the_results_in_flight_but_not_their_failures():
+    reported = []
+    jobs = [((0, "interrupt"), None, 0, 1, None)] + [
+        ((0.2, what), None, 0, 1, None) for what in ("fail", "t", "fail", "u")
+    ]
+    with pytest.raises(_Interrupt):
+        _evaluate_jobs(_Sleeps(), jobs, 5, lambda slot, outcome: reported.append((slot, outcome)))
+    assert sorted(reported) == [(2, EvalResult(0.5, None, "t")), (4, EvalResult(0.5, None, "u"))]
 
 
 class _Returns:
