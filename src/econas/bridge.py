@@ -172,7 +172,9 @@ class ExternalEvaluator:
             obj = json.loads(raw)
         except ValueError:
             raise child.fail("evaluator child sent a malformed line: %r" % raw[:120]) from None
-        if not isinstance(obj, dict) or obj.get("id") != request_id:
+        if not isinstance(obj, dict):
+            raise child.fail("evaluator child sent a non-object line: %r" % raw[:120])
+        if obj.get("id") != request_id:
             raise child.fail(
                 "evaluator child answered with mismatched id %r" % (obj.get("id"),)
             )

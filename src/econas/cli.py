@@ -78,14 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = zoo_sub.add_parser("evaluate", help="evaluate a zoo over a setting grid")
     ev.set_defaults(run=_cmd_zoo_evaluate)
+    # Without --manifest these flags describe the run; a manifest sets all
+    # of them, so their defaults are applied only without one.
     ev.add_argument("--manifest", help="experiment manifest document")
     ev.add_argument("--zoo", help="zoo directory (manifest-less mode)")
-    ev.add_argument("--table", default="cifar10", help="built-in name or table document")
+    ev.add_argument("--table", help="built-in name or table document (default cifar10)")
     ev.add_argument("--settings", help="comma-separated setting labels")
     ev.add_argument("--out", help="output evaluation log")
-    ev.add_argument("--evaluator", default="surrogate", help="'surrogate' or 'cmd:...'")
+    ev.add_argument("--evaluator", help="'surrogate' (default) or 'cmd:...'")
     ev.add_argument("--params", help="surrogate parameters document")
-    ev.add_argument("--seed", type=int, default=7)
+    ev.add_argument("--seed", type=int, help="default 7")
     ev.add_argument("--workers", type=_workers, default=None)
     ev.add_argument("--no-resume", action="store_true", help="re-evaluate everything")
 
@@ -135,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params(args) -> SurrogateParams:
+def _params(path: str | None, seed: int) -> SurrogateParams:
     """The ``--params`` document, else the packaged calibration at ``--seed``."""
-    if args.params:
-        return SurrogateParams.load(args.params)
-    return SurrogateParams().with_seed(args.seed)
+    if path:
+        return SurrogateParams.load(path)
+    return SurrogateParams().with_seed(seed)
 
 
 def _cmd_zoo_generate(args) -> int:
@@ -156,8 +158,16 @@ def _cmd_zoo_generate(args) -> int:
     return 0
 
 
+_MANIFEST_FLAGS = ("zoo", "table", "settings", "out", "evaluator", "params", "seed")
+
+
 def _manifest_from_args(args) -> harness.ExperimentManifest:
     if args.manifest:
+        given = ["--" + name for name in _MANIFEST_FLAGS if getattr(args, name) is not None]
+        if given:
+            raise harness.HarnessError(
+                "%s cannot be given with --manifest, which sets them" % ", ".join(given)
+            )
         manifest = harness.load_manifest(args.manifest)
         if args.workers is not None:
             manifest.workers = args.workers
@@ -166,18 +176,19 @@ def _manifest_from_args(args) -> harness.ExperimentManifest:
         raise harness.HarnessError(
             "either --manifest or all of --zoo/--settings/--out are required"
         )
-    table = resolve_table(args.table)
+    table = resolve_table(args.table or "cifar10")
     settings = harness._resolve_settings(
         [lbl.strip() for lbl in args.settings.split(",") if lbl.strip()], table
     )
+    seed = 7 if args.seed is None else args.seed
     return harness.ExperimentManifest(
         table=table,
         settings=settings,
         zoo_dir=args.zoo,
-        evaluator_spec=args.evaluator,
-        seed=args.seed,
+        evaluator_spec=args.evaluator or "surrogate",
+        seed=seed,
         output_log=args.out,
-        surrogate_params=_params(args),
+        surrogate_params=_params(args.params, seed),
         workers=args.workers if args.workers is not None else 1,
     )
 
@@ -248,7 +259,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_bridge_selftest(args) -> int:
     table = resolve_table(args.table)
-    params = _params(args)
+    params = _params(args.params, args.seed)
     command = args.serve_command or harness.default_serve_command(
         args.table, args.seed, args.params
     )
@@ -262,7 +273,7 @@ def _cmd_bridge_selftest(args) -> int:
 
 def _cmd_surrogate_serve(args) -> int:
     table = resolve_table(args.table)
-    serve(SurrogateEvaluator(_params(args), table), table)
+    serve(SurrogateEvaluator(_params(args.params, args.seed), table), table)
     return 0
 
 

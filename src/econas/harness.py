@@ -185,13 +185,10 @@ def _resolve_settings(spec, table: ReductionTable) -> list[ReducedSetting]:
         # Default sample-ratio levels stop at 0.5: the canonical evaluation
         # universe is 25 channel x resolution combos x 2 ratios x 4 epoch
         # choices = 200 settings. Deeper ratios are opt-in.
-        settings = [
-            ReducedSetting(a, b, c, e)
-            for a in (g.c if g.c is not None else range(len(table.channels)))
-            for b in (g.r if g.r is not None else range(len(table.resolutions)))
-            for c in (g.s if g.s is not None else range(min(2, len(table.sample_ratios))))
-            for e in (g.epochs if g.epochs is not None else table.epoch_choices)
-        ]
+        settings = table.grid(
+            g.epochs, c=g.c, r=g.r,
+            s=g.s if g.s is not None else range(min(2, len(table.sample_ratios))),
+        )
         for setting in settings:
             table.validate_setting(setting)
     else:

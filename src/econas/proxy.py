@@ -12,6 +12,7 @@ at equal epochs.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import documents
@@ -72,16 +73,19 @@ class ReductionTable:
         if s.epochs <= 0:
             raise SettingError("epochs must be positive, got %d" % s.epochs)
 
-    def grid(self, epochs: list[int] | None = None) -> list["ReducedSetting"]:
-        """Full cartesian grid of settings (every c, r, s level crossed with
-        ``epochs``, defaulting to the table's epoch choices)."""
-        epoch_list = list(self.epoch_choices) if epochs is None else list(epochs)
+    def grid(
+        self, epochs: Sequence[int] | None = None, *, c: Sequence[int] | None = None,
+        r: Sequence[int] | None = None, s: Sequence[int] | None = None,
+    ) -> list["ReducedSetting"]:
+        """Cartesian grid of the ``c``, ``r`` and ``s`` level indices crossed
+        with ``epochs``, in that nesting order; each defaults to every level
+        of the table, and ``epochs`` to the table's epoch choices."""
         return [
-            ReducedSetting(a, b, c, e)
-            for a in range(len(self.channels))
-            for b in range(len(self.resolutions))
-            for c in range(len(self.sample_ratios))
-            for e in epoch_list
+            ReducedSetting(a, b, k, e)
+            for a in (range(len(self.channels)) if c is None else c)
+            for b in (range(len(self.resolutions)) if r is None else r)
+            for k in (range(len(self.sample_ratios)) if s is None else s)
+            for e in (self.epoch_choices if epochs is None else epochs)
         ]
 
 

@@ -429,7 +429,7 @@ class _EngineState:
     history: list = field(default_factory=list)
     genotypes: dict = field(default_factory=dict)
     seq_counter: int = 0
-    next_cycle: int = 0  # 0 = initialization still pending
+    next_cycle: int = 0  # cycle 0 is initialization
 
 
 @dataclass
@@ -450,22 +450,22 @@ class SearchEngine:
     """Owner of all mutable search state; see :func:`econas_search`.
 
     With a ``checkpoint_path`` (``checkpoint.json``) the engine saves its
-    state after initialization and after every cycle in two files. The
-    checkpoint itself is a whole snapshot: ``json.dumps(checkpoint_obj(),
-    sort_keys=True)`` plus a newline, replaced atomically. It is written
-    after initialization, when :meth:`run` returns, and at the first write
-    after :meth:`load_checkpoint_obj` of a state the files do not hold;
-    every other write appends a cycle line to ``checkpoint.journal``
-    (:attr:`journal_path`) with what the cycle changed. Before it, from
-    cycle 1 on, each finished evaluation of the cycle appends an eval line
-    as it completes, with its result or its failure. A resume,
-    :meth:`load_checkpoint`, loads the snapshot and passes each journal line
-    to :meth:`replay`; the files then hold the engine's state, so its next
-    write appends to that journal, and the cycle that was interrupted takes
-    the outcomes its eval lines hold instead of evaluating again, so it
-    takes the same path as before the interruption. A run appends through
-    one open handle, closed when it returns or raises; a snapshot closes it
-    and removes the journal it makes obsolete.
+    state after every cycle, initialization (cycle 0) included, in two
+    files. The checkpoint itself is a whole snapshot:
+    ``json.dumps(checkpoint_obj(), sort_keys=True)`` plus a newline,
+    replaced atomically. :meth:`run` writes it first when the files do not
+    hold the engine's state, and last, when it returns; every other write
+    appends a cycle line to ``checkpoint.journal`` (:attr:`journal_path`)
+    with what the cycle changed. Before it, each finished evaluation of the
+    cycle appends an eval line as it completes, with its result or its
+    failure. A resume, :meth:`load_checkpoint`, loads the snapshot and
+    passes each journal line to :meth:`replay`; the files then hold the
+    engine's state, so its next write appends to that journal, and the
+    cycle that was interrupted takes the outcomes its eval lines hold
+    instead of evaluating again, so it takes the same path as before the
+    interruption. A run appends through one open handle, closed when it
+    returns or raises; a snapshot closes it and removes the journal it
+    makes obsolete.
     """
 
     def __init__(
@@ -499,22 +499,15 @@ class SearchEngine:
     # -- lifecycle ---------------------------------------------------------
 
     def run(self, stop_after_cycle: Optional[int] = None) -> SearchResult:
-        """Run the cycles still pending, or those up to ``stop_after_cycle``;
-        the last checkpoint write before returning is a snapshot. The
-        journal handle is closed when it returns or raises."""
+        """Run the cycles still pending, or those up to ``stop_after_cycle``,
+        between two snapshots: of the start state if the checkpoint files do
+        not hold it, and of the state it returns. The journal handle is
+        closed when it returns or raises."""
         last = self.cfg.cycles
         if stop_after_cycle is not None:
             last = min(last, stop_after_cycle)
         try:
-            if self.state.next_cycle == 0:
-                self._add_children(0, [
-                    random_genotype(
-                        derive_rng(self.cfg.seed, "init", i), self.network, self.op_set,
-                        self.output_rule,
-                    )
-                    for i in range(self.cfg.n_init)
-                ])
-                self.state.next_cycle = 1
+            if self._written is None:
                 self._write_checkpoint(snapshot=True)
             while self.state.next_cycle <= last:
                 self._run_cycle(self.state.next_cycle)
@@ -575,27 +568,35 @@ class SearchEngine:
 
     def _run_cycle(self, cycle: int) -> None:
         cfg = self.cfg
-        # Parents are sampled against the cycle-start population, ranked
-        # once, so the N0 mutant jobs are independent of each other.
-        ranked = _rank_tiers(self.state.tiers, cfg.tier_weights)
-        children = []
-        for slot in range(cfg.mutants_per_cycle):
-            rng = derive_rng(cfg.seed, "cycle", cycle, "slot", slot)
-            parent = _draw_parent(ranked, rng)
-            try:
-                children.append(mutate(parent.genotype, rng))
-            except GenotypeError as exc:
-                logger.warning("mutation failed in cycle %d slot %d: %s", cycle, slot, exc)
-                children.append(None)
-        self._add_children(cycle, children)
-        for n, from_tier, to_tier in (
-            (cfg.promote_to_2e, "e", "2e"), (cfg.promote_to_3e, "2e", "3e")
-        ):
-            promote(
-                self.state.tiers, partial(self._evaluate, cycle, to_tier), n, from_tier,
-                self.setting_base, cfg, cycle, self.state.history,
-            )
-        remove_dead(self.state.tiers, cfg)
+        if cycle == 0:  # initialization: n_init random models, no promotion, no aging
+            self._add_children(0, [
+                random_genotype(
+                    derive_rng(cfg.seed, "init", i), self.network, self.op_set, self.output_rule
+                )
+                for i in range(cfg.n_init)
+            ])
+        else:
+            # Parents are sampled against the cycle-start population, ranked
+            # once, so the N0 mutant jobs are independent of each other.
+            ranked = _rank_tiers(self.state.tiers, cfg.tier_weights)
+            children = []
+            for slot in range(cfg.mutants_per_cycle):
+                rng = derive_rng(cfg.seed, "cycle", cycle, "slot", slot)
+                parent = _draw_parent(ranked, rng)
+                try:
+                    children.append(mutate(parent.genotype, rng))
+                except GenotypeError as exc:
+                    logger.warning("mutation failed in cycle %d slot %d: %s", cycle, slot, exc)
+                    children.append(None)
+            self._add_children(cycle, children)
+            for n, from_tier, to_tier in (
+                (cfg.promote_to_2e, "e", "2e"), (cfg.promote_to_3e, "2e", "3e")
+            ):
+                promote(
+                    self.state.tiers, partial(self._evaluate, cycle, to_tier), n, from_tier,
+                    self.setting_base, cfg, cycle, self.state.history,
+                )
+            remove_dead(self.state.tiers, cfg)
         if self._journaled:
             raise SearchError("%s: results journaled for cycle %d name slots it lacks: %s" % (
                 self.journal_path, cycle, ", ".join("%s slot %s" % key for key in self._journaled)
@@ -606,10 +607,9 @@ class SearchEngine:
         ``3e``) of ``cycle``, in slot order. A slot whose outcome the journal
         holds (see :meth:`replay`) is served from it, after checking that the
         job names the same model and epoch span. The other slots run through
-        :func:`_evaluate_jobs`. Once the checkpoint files hold the engine's
-        state (from cycle 1 on), each of their outcomes is journaled as it
-        completes, a failure too, so that a resumed cycle takes the path the
-        interrupted one took."""
+        :func:`_evaluate_jobs`. With a checkpoint path, each of their
+        outcomes is journaled as it completes, a failure too, so that a
+        resumed cycle takes the path the interrupted one took."""
         outcomes, todo = [], []
         for slot, (g, _, start, end, _) in enumerate(jobs):
             stored = self._journaled.pop((phase, slot), None)
@@ -680,8 +680,8 @@ class SearchEngine:
         }
 
     def _write_checkpoint(self, snapshot: bool = False) -> None:
-        """Save the state: a snapshot, when asked for or when the files do
-        not hold this engine's state, else one journal line.
+        """Save the state: a snapshot, which the first write must be when
+        the files do not hold this engine's state, else one journal line.
 
         A snapshot streams ``json.dumps(self.checkpoint_obj(),
         sort_keys=True)`` plus a newline over ``checkpoint.json`` without
@@ -701,7 +701,7 @@ class SearchEngine:
             # The journal may continue another state: a crash must not
             # leave it next to this engine's snapshot.
             self._remove_journal()
-        if snapshot or written is None:
+        if snapshot:
             with documents.replacing(self.checkpoint_path) as fh:
                 _write_sections(fh, self.checkpoint_obj())
             # A crash before this line leaves journal lines the snapshot
@@ -780,8 +780,8 @@ class SearchEngine:
         """Restore state from a snapshot object, applied to an empty state
         as one journal-shaped section (see :func:`_applied`). A
         ``"ledger"`` section written by older versions is ignored, since the
-        ledger is derived from history. The next write is a snapshot, unless
-        :meth:`load_checkpoint` read the object from this engine's files."""
+        ledger is derived from history. Unless :meth:`load_checkpoint` read
+        the object from this engine's files, :meth:`run` snapshots it first."""
         if not isinstance(obj, dict):
             raise SearchError("checkpoint is not a JSON object")
         for key, expected in self._checkpoint_header().items():

@@ -133,6 +133,9 @@ STUB = textwrap.dedent(
             if mode == "garbage":
                 print("%% this is not json %%", flush=True)
                 continue
+            if mode == "not_an_object":
+                print(json.dumps([1, 2]), flush=True)
+                continue
             if mode == "nan":
                 print(json.dumps({"id": obj["id"], "status": "ok", "accuracy": float("nan"),
                                   "resume_token": None}), flush=True)
@@ -182,7 +185,7 @@ def _stub_pids(tmp_path):
     return [int(line) for line in path.read_text().split()] if path.exists() else []
 
 
-@pytest.mark.parametrize("mode", ["garbage", "exit"])
+@pytest.mark.parametrize("mode", ["garbage", "not_an_object", "exit"])
 def test_misbehaving_child_fails_single_request_then_recovers(tmp_path, mode, fast_restarts):
     g = _genotype(1)
     with ExternalEvaluator(_stub_command(tmp_path, mode), timeout=20) as ev:

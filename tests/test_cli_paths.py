@@ -33,6 +33,26 @@ def test_zoo_evaluate_requires_inputs(tmp_path):
     assert main(["zoo", "evaluate", "--zoo", str(tmp_path)]) == 2
 
 
+def test_zoo_evaluate_refuses_run_flags_given_with_a_manifest(tmp_path, monkeypatch, capsys):
+    # The manifest names the zoo, settings, log, evaluator and seed; a flag
+    # that would set one of them too is a usage error, not silently dropped.
+    monkeypatch.chdir(tmp_path)
+    zoo_generate("zoo", count=2, node_count=2, seed=1)
+    (tmp_path / "m.json").write_text(json.dumps({
+        "schema_version": 1, "kind": "experiment_manifest", "table": "cifar10", "zoo": "zoo",
+        "evaluator": "surrogate", "seed": 7, "output_log": "m.jsonl", "settings": ["c4r4s0e30"],
+    }))
+    argv = ["zoo", "evaluate", "--manifest", "m.json", "--out", "other.jsonl",
+            "--settings", "c0r0s0e30", "--seed", "99", "--evaluator", "cmd:false"]
+    assert main(argv) == 2
+    assert "--settings, --out, --evaluator, --seed cannot be given with --manifest" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "m.jsonl").exists() and not (tmp_path / "other.jsonl").exists()
+    assert main(["zoo", "evaluate", "--manifest", "m.json", "--workers", "2"]) == 0
+    assert len(read_log(str(tmp_path / "m.jsonl"))) == 2
+
+
 def test_zoo_evaluate_with_no_settings_is_an_error(tmp_path, capsys):
     zoo_generate(str(tmp_path / "zoo"), count=2, node_count=2, seed=1)
     log = tmp_path / "eval.jsonl"

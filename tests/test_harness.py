@@ -11,7 +11,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from econas import search
 from econas.analysis import AnalysisError, build_report
@@ -255,14 +255,23 @@ def test_zoo_evaluate_counts_out_of_range_accuracies_as_failures(tmp_path, caplo
     assert not os.path.exists(manifest.output_log)
 
 
-def test_search_with_out_of_range_accuracies_stops_before_any_checkpoint(tmp_path, caplog):
-    cfg = load_search_config(_search_config(tmp_path))
+def test_search_with_out_of_range_accuracies_fails_initialization_then_resumes(
+    tmp_path, caplog, capsys, search_reference
+):
+    # Initialization is cycle 0 and keeps its start snapshot: a resume drops
+    # the journaled failures, since no result follows them, and runs it again.
+    config, reference = search_reference
+    cfg = load_search_config(config)
     surrogate = make_evaluator("surrogate", cfg.table, None, cfg.engine_config.seed)
     out = tmp_path / "run"
     with pytest.raises(SearchError, match="all 8 new models failed in cycle 0"):
         run_search(cfg, str(out), evaluator=_Percent(surrogate))
     assert "accuracy=93.1" in caplog.text
-    assert not (out / "checkpoint.json").exists()
+    capsys.readouterr()
+    assert main(["search", "--config", config, "--out", str(out)]) == 2
+    assert "checkpoint already present" in capsys.readouterr().err
+    assert main(["search", "--config", config, "--out", str(out), "--resume"]) == 0
+    _assert_same_outputs(out, reference)
 
 
 def test_full_grid_manifest_completes_quickly(tmp_path):
@@ -808,7 +817,7 @@ def _counted_run(config, out, n=0, workers=1, resume=False, fails=()):
 
 
 def _assert_same_outputs(out, reference):
-    for name in ("history.jsonl", "ledger.jsonl", "summary.json"):
+    for name in ("history.jsonl", "ledger.jsonl", "summary.json", "checkpoint.json"):
         assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
 
@@ -822,17 +831,19 @@ def search_reference(tmp_path_factory):
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, _EVALUATIONS), workers=st.sampled_from([1, 3]))
+@example(n=5, workers=1)  # in initialization
+@example(n=5, workers=3)
 def test_killed_at_any_evaluation_resumes_identically(search_reference, n, workers):
-    # Past the init snapshot every finished evaluation survives the kill:
-    # the jobs in flight finish and are journaled, so only the killed call
-    # itself is made twice. Before it the resume starts over.
+    # Every finished evaluation survives the kill, those of initialization
+    # (cycle 0) too: the jobs in flight finish and are journaled, so only
+    # the killed call itself is made twice.
     config, reference = search_reference
     with tempfile.TemporaryDirectory() as root:
         out = pathlib.Path(root) / "run"
         killed = _counted_run(config, out, n, workers)
         resumed = _counted_run(config, out, workers=workers, resume=True)
         _assert_same_outputs(out, reference)
-        assert killed + resumed == _EVALUATIONS + (1 if n > 8 else killed)
+        assert killed + resumed == _EVALUATIONS + 1
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -1026,14 +1037,24 @@ def _tamper(doc):
 def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     config = _search_config(tmp_path)
     out = tmp_path / "run"
-    _counted_run(config, out, _IN_CYCLE_5)
+    if damage == "checkpoint_genotype_id":
+        # The start snapshot is empty; stop at a boundary for one that
+        # holds genotypes, then kill the resume in cycle 5.
+        run_search(load_search_config(config), str(out), stop_after_cycle=1)
+        _counted_run(config, out, _IN_CYCLE_5 - (8 + 7), resume=True)
+    else:
+        _counted_run(config, out, _IN_CYCLE_5)
     journal, ckpt = out / "checkpoint.journal", out / "checkpoint.json"
-    # A header, then the eval lines and the cycle line of each of cycles
-    # 1-4, then the eval lines of child slots 0 and 1 of cycle 5.
+    # A header, then the eval lines and the cycle line of each cycle from
+    # the snapshot's up to cycle 4, then the eval lines of child slots 0
+    # and 1 of cycle 5.
+    first = json.loads(ckpt.read_text())["next_cycle"]
     lines = journal.read_text().splitlines(keepends=True)
-    cycle_lines = [i for i, line in enumerate(lines[1:], 1) if "phase" not in json.loads(line)]
-    assert len(cycle_lines) == 4 and json.loads(lines[-1])["slot"] == 1
-    second = cycle_lines[1]  # the line of cycle 2
+    assert _journal_cycles(out) == list(range(first + 1, 6))
+    assert json.loads(lines[-1])["slot"] == 1
+    [second] = [  # the line of cycle 2
+        i for i, line in enumerate(lines[1:], 1) if json.loads(line).get("next_cycle") == 3
+    ]
     damaged, reason = journal, {
         "garbage_line": "JSON", "cycle_gap": "jumps", "cycle_gap_without_eval_lines": "jumps",
         "eval_model_id": "re-derives", "eval_span": "re-derives",

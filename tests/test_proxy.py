@@ -223,3 +223,11 @@ def test_grid_sizes():
     assert len(CIFAR10_TABLE.grid()) == 5 * 5 * 4 * 4
     assert len(CIFAR10_TABLE.grid(epochs=[30, 60])) == 5 * 5 * 4 * 2
     assert len(IMAGENET_TABLE.grid()) == 4 * 4 * 1 * 4
+
+
+def test_grid_keeps_the_given_levels_in_nesting_order():
+    assert CIFAR10_TABLE.grid([60, 30], c=[4, 0], r=[1], s=[0]) == [
+        ReducedSetting(4, 1, 0, 60), ReducedSetting(4, 1, 0, 30),
+        ReducedSetting(0, 1, 0, 60), ReducedSetting(0, 1, 0, 30),
+    ]
+    assert len(CIFAR10_TABLE.grid(s=range(2))) == 5 * 5 * 2 * 4

@@ -519,7 +519,7 @@ def test_streamed_checkpoint_with_failures_and_rediscovery(tmp_path, checked_wri
         ev, cfg, SETTING, network=TOY_NET, checkpoint_path=str(tmp_path / "c.json")
     )
     res = engine.run()
-    assert checked_writes == list(range(1, cfg.cycles + 2))
+    assert checked_writes == list(range(0, cfg.cycles + 2))  # 0: the start snapshot
     assert ev.failures > 0
     # Failed children are registered although they have no history entry.
     assert set(engine.state.genotypes) > {h.model_id for h in res.history}
@@ -532,7 +532,7 @@ def test_streamed_checkpoint_flat(tmp_path, checked_writes):
     flat_baseline_search(
         toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=str(tmp_path / "c.json")
     )
-    assert checked_writes == list(range(1, cfg.cycles + 2))
+    assert checked_writes == list(range(0, cfg.cycles + 2))
 
 
 def test_streamed_checkpoint_after_resuming_its_own_files(tmp_path, checked_writes):
@@ -565,7 +565,7 @@ def test_streamed_checkpoint_after_resuming_v1_file(tmp_path, checked_writes):
     with open(old, "r", encoding="utf-8") as fh:
         engine.load_checkpoint_obj(json.load(fh))
     engine.run()
-    assert checked_writes == [4, 5, 6, 7]
+    assert checked_writes == [3, 4, 5, 6, 7]  # 3: the loaded state, snapshotted first
 
 
 def test_streamed_checkpoint_after_load_into_used_engine(tmp_path, checked_writes):
@@ -585,7 +585,7 @@ def test_streamed_checkpoint_after_load_into_used_engine(tmp_path, checked_write
         engine.load_checkpoint_obj(json.load(fh))
     del checked_writes[:]
     engine.run()
-    assert checked_writes == list(range(4, cfg.cycles + 2))
+    assert checked_writes == list(range(3, cfg.cycles + 2))
 
 
 # -- interrupted batches -----------------------------------------------------------------
