@@ -201,7 +201,7 @@ def _cmd_zoo_evaluate(args) -> int:
         % (completed, total, manifest.output_log, failed)
     )
     if failed > 0.10 * total:
-        print("more than 10%% of the grid failed", file=sys.stderr)
+        print("more than 10% of the grid failed", file=sys.stderr)
         return 1
     return 0
 

@@ -54,7 +54,7 @@ from .search import (
     resolve_op_set,
 )
 from .seeding import derive_rng
-from .surrogate import SurrogateEvaluator, SurrogateParams
+from .surrogate import SurrogateEvaluator, SurrogateParams, space_size
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +98,15 @@ def zoo_generate(
     force: bool = False,
 ) -> list[tuple[str, str]]:
     """Write ``count`` distinct random genotypes plus an index; idempotent
-    for a fixed seed (same bytes every run)."""
+    for a fixed seed (same bytes every run). A ``count`` beyond the number
+    of distinct genotypes of ``node_count`` nodes over ``op_set`` is an
+    error."""
+    limit = space_size(node_count, len(op_set.members))
+    if count > limit:
+        raise HarnessError(
+            "cannot draw %d distinct genotypes: %d nodes over op set %s give only %d"
+            % (count, node_count, op_set.name, limit)
+        )
     os.makedirs(out_dir, exist_ok=True)
     if any(name.endswith(".json") for name in os.listdir(out_dir)) and not force:
         raise HarnessError(

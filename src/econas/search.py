@@ -24,7 +24,6 @@ from contextlib import contextmanager, suppress
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import islice
 from typing import Optional
 
 from . import documents
@@ -432,17 +431,6 @@ class _EngineState:
     next_cycle: int = 0  # cycle 0 is initialization
 
 
-@dataclass
-class _Written:
-    """What the checkpoint files hold: the first ``genotypes`` registered
-    genotypes and the first ``history`` entries. A candidate changes only
-    in a step that appends a history entry naming it, so the live
-    candidates the later entries name are all that can differ."""
-
-    genotypes: int
-    history: int
-
-
 JOURNAL_KIND = "search_journal"
 
 
@@ -454,18 +442,18 @@ class SearchEngine:
     files. The checkpoint itself is a whole snapshot:
     ``json.dumps(checkpoint_obj(), sort_keys=True)`` plus a newline,
     replaced atomically. :meth:`run` writes it first when the files do not
-    hold the engine's state, and last, when it returns; every other write
-    appends a cycle line to ``checkpoint.journal`` (:attr:`journal_path`)
-    with what the cycle changed. Before it, each finished evaluation of the
-    cycle appends an eval line as it completes, with its result or its
-    failure. A resume, :meth:`load_checkpoint`, loads the snapshot and
-    passes each journal line to :meth:`replay`; the files then hold the
-    engine's state, so its next write appends to that journal, and the
-    cycle that was interrupted takes the outcomes its eval lines hold
-    instead of evaluating again, so it takes the same path as before the
-    interruption. A run appends through one open handle, closed when it
-    returns or raises; a snapshot closes it and removes the journal it
-    makes obsolete.
+    hold the engine's state, and last, when it returns. In between,
+    ``checkpoint.journal`` (:attr:`journal_path`) gets an eval line as each
+    evaluation finishes, with its result or its failure, and a boundary
+    line ``{"next_cycle": N}`` as each cycle ends. A cycle is a pure
+    function of the seed, its start state and its evaluations' outcomes,
+    so that is all the journal keeps: a resume, :meth:`load_checkpoint`,
+    loads the snapshot and runs each finished cycle again with the
+    outcomes its eval lines hold, and :meth:`run` then does the same for
+    the interrupted cycle, evaluating only the slots the journal lacks.
+    A run appends through one open handle, closed when it returns or
+    raises; a snapshot closes it and removes the journal it makes
+    obsolete.
     """
 
     def __init__(
@@ -490,10 +478,10 @@ class SearchEngine:
         self.checkpoint_path = checkpoint_path
         self.algorithm = algorithm
         self.state = _EngineState()
-        self._written: Optional[_Written] = None  # None: the next write is a snapshot
+        self._written = False  # whether the checkpoint files hold this engine's state
         self._journal = None  # the journal's append handle while a run has one open
-        # (phase, slot) -> (model id, start epoch, end epoch, outcome) for
-        # the outcomes the journal holds of the pending cycle.
+        # cycle -> {(phase, slot): (model id, start epoch, end epoch, outcome)}
+        # for the outcomes the journal holds of cycles still to run.
         self._journaled: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -507,7 +495,7 @@ class SearchEngine:
         if stop_after_cycle is not None:
             last = min(last, stop_after_cycle)
         try:
-            if self._written is None:
+            if not self._written:
                 self._write_checkpoint(snapshot=True)
             while self.state.next_cycle <= last:
                 self._run_cycle(self.state.next_cycle)
@@ -597,22 +585,24 @@ class SearchEngine:
                     self.setting_base, cfg, cycle, self.state.history,
                 )
             remove_dead(self.state.tiers, cfg)
-        if self._journaled:
+        unused = self._journaled.pop(cycle, None)
+        if unused:
             raise SearchError("%s: results journaled for cycle %d name slots it lacks: %s" % (
-                self.journal_path, cycle, ", ".join("%s slot %s" % key for key in self._journaled)
+                self.journal_path, cycle, ", ".join("%s slot %s" % key for key in unused)
             ))
 
     def _evaluate(self, cycle: int, phase: str, jobs: list) -> list:
         """The outcome of each job of one ``phase`` (``child``, ``2e`` or
         ``3e``) of ``cycle``, in slot order. A slot whose outcome the journal
-        holds (see :meth:`replay`) is served from it, after checking that the
+        holds (see :meth:`load_checkpoint`) is served from it, after checking that the
         job names the same model and epoch span. The other slots run through
         :func:`_evaluate_jobs`. With a checkpoint path, each of their
         outcomes is journaled as it completes, a failure too, so that a
         resumed cycle takes the path the interrupted one took."""
         outcomes, todo = [], []
+        journaled = self._journaled.get(cycle, {})
         for slot, (g, _, start, end, _) in enumerate(jobs):
-            stored = self._journaled.pop((phase, slot), None)
+            stored = journaled.pop((phase, slot), None)
             if stored is None:
                 todo.append(slot)
             elif stored[:3] != (g.content_hash, start, end):
@@ -636,7 +626,7 @@ class SearchEngine:
                 line.update(outcome._asdict())
             self._append_journal(documents.json_line(line))
 
-        done = journal if self._written is not None else None
+        done = journal if self._written else None
         ran = _evaluate_jobs(self.evaluator, [jobs[slot] for slot in todo], self.workers, done)
         for slot, outcome in zip(todo, ran):
             outcomes[slot] = outcome
@@ -681,23 +671,19 @@ class SearchEngine:
 
     def _write_checkpoint(self, snapshot: bool = False) -> None:
         """Save the state: a snapshot, which the first write must be when
-        the files do not hold this engine's state, else one journal line.
+        the files do not hold this engine's state, else the boundary line
+        ``{"next_cycle": N}`` of the cycle just finished, appended to the
+        journal after its eval lines, which :meth:`_evaluate` appends.
 
         A snapshot streams ``json.dumps(self.checkpoint_obj(),
         sort_keys=True)`` plus a newline over ``checkpoint.json`` without
         joining it into one string. When the files held another state (a
         fresh engine, or one that loaded an object from elsewhere), the
         journal is removed before the snapshot is written; otherwise after
-        it. A journal line holds the genotypes and history entries added
-        since the last write, ``next_cycle``, ``seq_counter``, each tier's
-        member ``seq``s in order, and the records of the live candidates
-        that those history entries name: a candidate is created or changed
-        only in a step that logs it to history. Eval lines, which
-        :meth:`_evaluate` appends, never go through here."""
+        it."""
         if self.checkpoint_path is None:
             return
-        st, written = self.state, self._written
-        if written is None:
+        if not self._written:
             # The journal may continue another state: a crash must not
             # leave it next to this engine's snapshot.
             self._remove_journal()
@@ -708,26 +694,8 @@ class SearchEngine:
             # already holds; a resume skips them.
             self._remove_journal()
         else:
-            new_genotypes = islice(st.genotypes.items(), written.genotypes, None)
-            new_history = st.history[written.history:]
-            named = {h.model_id for h in new_history}
-            self._append_journal(documents.json_line({
-                "next_cycle": st.next_cycle,
-                "seq_counter": st.seq_counter,
-                "genotypes": {mid: encode(g) for mid, g in new_genotypes},
-                "history": [_history_obj(h) for h in new_history],
-                "tiers": {
-                    key: [c.seq for c in pool] for key, pool in zip(_TIER_KEYS, _pools(st.tiers))
-                },
-                "candidates": [
-                    _candidate_obj(c) for c in st.tiers.all_candidates() if c.model_id in named
-                ],
-            }))
-        self._mark_written()
-
-    def _mark_written(self) -> None:
-        """Record that the checkpoint files now hold the state."""
-        self._written = _Written(len(self.state.genotypes), len(self.state.history))
+            self._append_journal(documents.json_line({"next_cycle": self.state.next_cycle}))
+        self._written = True
 
     def _append_journal(self, line: str) -> None:
         """Append ``line`` to the journal and flush it, through the handle
@@ -748,37 +716,58 @@ class SearchEngine:
             os.remove(self.journal_path)
 
     def load_checkpoint(self) -> None:
-        """Restore the state from ``checkpoint.json``, then replay
-        ``checkpoint.journal``, if there is one, in file order: its cycle
-        lines advance the state and its eval lines of the pending cycle are
-        kept for that cycle to reuse, except failures that no result
-        follows: no journaled result can depend on those, so they are tried
-        again (a cycle that stopped because every child failed runs again).
-        A last journal line cut short by a crash mid-append is cut off with a
-        warning, so what it held is computed again; any other damage is a
-        SearchError naming the file.
-        The files then hold this engine's state, so the next write appends
-        to the journal."""
+        """Restore the state from ``checkpoint.json`` and, if there is one,
+        ``checkpoint.journal``, read in file order. Its lines of cycles the
+        snapshot already holds are skipped; its eval lines are passed to
+        :meth:`replay`. Each cycle that a boundary line marks finished then
+        runs again through :meth:`_run_cycle`, every slot served from its
+        eval line; a slot without one is evaluated again and journaled. The
+        eval lines of the pending cycle are kept for :meth:`run`, except
+        failures that no result follows: no journaled result can depend on
+        those, so they are tried again (a cycle that stopped because every
+        child failed runs again). A last journal line cut short by a crash
+        mid-append is cut off with a warning, so what it held is computed
+        again; any other damage, such as a line of a cycle past the next
+        unfinished one, is a SearchError naming the file. The files then
+        hold this engine's state, so the next write appends to the
+        journal."""
         path, journal = self.checkpoint_path, self.journal_path
         with documents.reading(path, SearchError):
             self.load_checkpoint_obj(documents.read(path, "search_checkpoint"))
+        st = self.state
+        finished = st.next_cycle  # every cycle below it is finished
         if os.path.exists(journal):
             if truncate_torn_tail(journal):
                 logger.warning(
                     "dropped an unfinished last line from %s; what it held runs again", journal
                 )
-            with documents.reading(journal, SearchError):
+            with documents.reading(journal, SearchError), _malformed("journal line"):
                 for _, line in documents.read_lines(journal, JOURNAL_KIND):
-                    self.replay(line)
+                    # An eval line's cycle, or the cycle a boundary line ends.
+                    cycle = line["cycle"] if "phase" in line else line["next_cycle"] - 1
+                    if cycle > finished:
+                        raise SearchError(
+                            "journal jumps from cycle %d to a line of cycle %d" % (finished, cycle)
+                        )
+                    if "phase" in line:
+                        self.replay(line)
+                    else:
+                        finished = max(finished, cycle + 1)
             # No journaled result depends on a failure after the last one.
-            journaled = self._journaled
-            while journaled and isinstance(next(reversed(journaled.values()))[3], EvaluatorFailure):
-                journaled.popitem()
-        self._mark_written()
+            pending = self._journaled.get(finished, {})
+            while pending and isinstance(next(reversed(pending.values()))[3], EvaluatorFailure):
+                pending.popitem()
+        self._written = True
+        try:
+            while st.next_cycle < finished:
+                self._run_cycle(st.next_cycle)
+                st.next_cycle += 1
+        finally:
+            self._close_journal()  # opened only if a slot had no eval line
 
     def load_checkpoint_obj(self, obj: dict) -> None:
-        """Restore state from a snapshot object, applied to an empty state
-        as one journal-shaped section (see :func:`_applied`). A
+        """Restore state from a snapshot object. Each genotype id must be
+        the SHA-256 of its document, which the genotype then keeps. A
         ``"ledger"`` section written by older versions is ignored, since the
         ledger is derived from history. Unless :meth:`load_checkpoint` read
         the object from this engine's files, :meth:`run` snapshots it first."""
@@ -798,76 +787,37 @@ class SearchEngine:
         if missing:
             raise SearchError("checkpoint lacks section(s): %s" % ", ".join(missing))
         with _malformed("checkpoint"):
-            tiers = obj["tiers"]
-            state = _applied(_EngineState(), dict(
-                obj,
-                candidates=[c for key in _TIER_KEYS for c in tiers[key]],
-                tiers={key: [c["seq"] for c in tiers[key]] for key in _TIER_KEYS},
-            ))
-        self.state, self._written, self._journaled = state, None, {}
+            genotypes = {mid: decode_stored(mid, doc) for mid, doc in obj["genotypes"].items()}
+            state = _EngineState(
+                tiers=PopulationTiers(*(
+                    [Candidate(genotype=genotypes[c["model_id"]], **c) for c in obj["tiers"][key]]
+                    for key in _TIER_KEYS
+                )),
+                history=[HistoryEntry(**h) for h in obj["history"]],
+                genotypes=genotypes,
+                seq_counter=obj["seq_counter"],
+                next_cycle=obj["next_cycle"],
+            )
+        self.state, self._written, self._journaled = state, False, {}
 
     def replay(self, line: dict) -> None:
-        """Apply one journal line. A cycle line (see :func:`_applied`) at or
-        below the current ``next_cycle`` is one the loaded snapshot already
-        holds and is skipped; one further ahead than the next cycle is an
-        error. An eval line (one with a ``phase``) of the pending cycle is
-        kept for :meth:`_evaluate` to serve, as a result or, with a
-        ``failure`` message, as an EvaluatorFailure, until a cycle line
-        finishes that cycle; one of a finished cycle is skipped, and one of
-        a later cycle is an error."""
-        st = self.state
-        with _malformed("journal line"):
-            if "phase" in line:
-                cycle = line["cycle"]
-                if cycle > st.next_cycle:
-                    raise SearchError(
-                        "journal jumps from cycle %d to a result of cycle %d"
-                        % (st.next_cycle, cycle)
-                    )
-                if cycle == st.next_cycle:
-                    if "failure" in line:
-                        outcome = EvaluatorFailure(line["failure"])
-                    else:
-                        outcome = _checked(EvalResult(
-                            line["accuracy"], line["train_accuracy"], line["resume_token"]
-                        ))
-                        if isinstance(outcome, EvaluatorFailure):
-                            raise SearchError("journal line: %s" % outcome)
-                    self._journaled[line["phase"], line["slot"]] = (
-                        line["model_id"], line["start_epoch"], line["end_epoch"], outcome
-                    )
-                return
-            next_cycle = line["next_cycle"]
-            if next_cycle <= st.next_cycle:
-                return
-            if next_cycle != st.next_cycle + 1:
-                raise SearchError(
-                    "journal jumps from cycle %d to %d" % (st.next_cycle, next_cycle)
-                )
-            self.state, self._journaled = _applied(st, line), {}
-
-
-def _applied(state: _EngineState, section: dict) -> _EngineState:
-    """A new state: ``state`` with one journal-shaped ``section`` applied.
-    Its genotype documents are added (each id must be the SHA-256 of its
-    document, which the genotype then keeps), its candidate records replace
-    the live candidates of the same ``seq``, each tier becomes the members
-    its ``seq`` list names, its history entries are appended, and its
-    ``seq_counter`` and ``next_cycle`` are taken."""
-    genotypes = dict(state.genotypes)
-    genotypes.update((mid, decode_stored(mid, doc)) for mid, doc in section["genotypes"].items())
-    live = {c.seq: c for c in state.tiers.all_candidates()}
-    for c in section["candidates"]:
-        live[c["seq"]] = Candidate(genotype=genotypes[c["model_id"]], **c)
-    return _EngineState(
-        tiers=PopulationTiers(*(
-            [live[seq] for seq in section["tiers"][key]] for key in _TIER_KEYS
-        )),
-        history=state.history + [HistoryEntry(**h) for h in section["history"]],
-        genotypes=genotypes,
-        seq_counter=section["seq_counter"],
-        next_cycle=section["next_cycle"],
-    )
+        """Keep one eval line of the journal for :meth:`_evaluate` to serve,
+        as a result or, with a ``failure`` message, as an EvaluatorFailure;
+        a later line of the same slot replaces it. A line of a cycle the
+        loaded snapshot already holds is skipped."""
+        if line["cycle"] < self.state.next_cycle:
+            return
+        if "failure" in line:
+            outcome = EvaluatorFailure(line["failure"])
+        else:
+            outcome = _checked(EvalResult(
+                line["accuracy"], line["train_accuracy"], line["resume_token"]
+            ))
+            if isinstance(outcome, EvaluatorFailure):
+                raise SearchError("journal line: %s" % outcome)
+        self._journaled.setdefault(line["cycle"], {})[line["phase"], line["slot"]] = (
+            line["model_id"], line["start_epoch"], line["end_epoch"], outcome
+        )
 
 
 _CANDIDATE_KEYS = tuple(f.name for f in fields(Candidate) if f.name != "genotype")

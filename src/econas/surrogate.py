@@ -268,9 +268,6 @@ class SurrogateEvaluator:
             genotype, setting, start_epoch, end_epoch, self.params, self.table, resume_token
         )
 
-    def true_quality(self, genotype: Genotype) -> float:
-        return true_quality(genotype, self.params)
-
 
 @dataclass(frozen=True)
 class ToySpace:

@@ -105,7 +105,8 @@ def test_report_files_written_and_stable(grid_report, tmp_path, grid_records):
     for pa, pb in zip(paths_a, paths_b):
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
             assert fa.read() == fb.read()
-    lines = open(paths_a[0]).read().splitlines()
+    with open(paths_a[0]) as fh:
+        lines = fh.read().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 2 + 200  # comment + header + one row per setting
 

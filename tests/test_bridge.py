@@ -89,6 +89,14 @@ def test_serve_malformed_line_reports_error():
     assert responses[1]["status"] == "ok"
 
 
+def test_serve_rejects_an_oversized_or_non_object_request_then_serves_the_next():
+    oversized = json.dumps({"id": 1, "op": "ping", "pad": "x" * bridge.MAX_LINE_BYTES})
+    responses = _serve_lines([json.loads(oversized), [1, 2], {"id": 3, "op": "ping"}])
+    assert [(r["id"], r["status"]) for r in responses] == [(None, "error")] * 2 + [(3, "ok")]
+    assert "exceeds" in responses[0]["error"]
+    assert "JSON object" in responses[1]["error"]
+
+
 def test_serve_shutdown():
     responses = _serve_lines([{"id": 1, "op": "shutdown"}, {"id": 2, "op": "ping"}])
     assert len(responses) == 1  # loop exits after shutdown
@@ -135,6 +143,18 @@ STUB = textwrap.dedent(
                 continue
             if mode == "not_an_object":
                 print(json.dumps([1, 2]), flush=True)
+                continue
+            if mode == "error":
+                print(json.dumps({"id": obj["id"], "status": "error", "error": "out of memory"}),
+                      flush=True)
+                continue
+            if mode == "wrong_id":
+                print(json.dumps({"id": obj["id"] + 1, "status": "ok", "accuracy": 0.5,
+                                  "resume_token": "t"}), flush=True)
+                continue
+            if mode == "no_accuracy":
+                print(json.dumps({"id": obj["id"], "status": "ok", "resume_token": "t"}),
+                      flush=True)
                 continue
             if mode == "nan":
                 print(json.dumps({"id": obj["id"], "status": "ok", "accuracy": float("nan"),
@@ -185,15 +205,37 @@ def _stub_pids(tmp_path):
     return [int(line) for line in path.read_text().split()] if path.exists() else []
 
 
-@pytest.mark.parametrize("mode", ["garbage", "not_an_object", "exit"])
+_FAULTS = {
+    "garbage": "malformed line",
+    "not_an_object": "non-object line",
+    "exit": "exited mid-request",
+    "wrong_id": "mismatched id",
+    "no_accuracy": "missing fields",
+}
+
+
+@pytest.mark.parametrize("mode", list(_FAULTS))
 def test_misbehaving_child_fails_single_request_then_recovers(tmp_path, mode, fast_restarts):
     g = _genotype(1)
     with ExternalEvaluator(_stub_command(tmp_path, mode), timeout=20) as ev:
         ok = ev.evaluate(g, SETTING, 0, 10)
-        with pytest.raises(EvaluatorFailure):
+        with pytest.raises(EvaluatorFailure, match=_FAULTS[mode]):
             ev.evaluate(g, SETTING.with_epochs(13), 0, 13)
         again = ev.evaluate(g, SETTING, 0, 10)  # served by a restarted child
         assert again == ok
+    assert len(_stub_pids(tmp_path)) == 2
+
+
+def test_error_reply_fails_its_request_and_keeps_the_child(tmp_path):
+    # A clean protocol-level error is the trainer's answer, not a fault of
+    # the child: the same process serves the next request.
+    g = _genotype(7)
+    with ExternalEvaluator(_stub_command(tmp_path, "error"), timeout=20) as ev:
+        ok = ev.evaluate(g, SETTING, 0, 10)
+        with pytest.raises(EvaluatorFailure, match="reported failure: out of memory"):
+            ev.evaluate(g, SETTING.with_epochs(13), 0, 13)
+        assert ev.evaluate(g, SETTING, 0, 10) == ok
+    assert len(_stub_pids(tmp_path)) == 1
 
 
 def test_nan_accuracy_and_null_token_fail_the_evaluation(tmp_path):

@@ -1,7 +1,10 @@
 import json
+import shlex
+import sys
 
 import pytest
 
+from econas import harness
 from econas.cli import main
 from econas.genotype import OperationKind
 from econas.harness import zoo_generate
@@ -153,3 +156,72 @@ def test_workers_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, argv)
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not (tmp_path / "e.jsonl").exists()
+
+
+def _evaluated_log(tmp_path, labels="c0r0s0e600,c4r4s0e60,c2r0s0e30"):
+    zoo_generate(str(tmp_path / "zoo"), count=4, node_count=2, seed=1)
+    log = tmp_path / "eval.jsonl"
+    argv = ["zoo", "evaluate", "--zoo", str(tmp_path / "zoo"), "--settings", labels,
+            "--out", str(log)]
+    assert main(argv) == 0
+    return log
+
+
+def _analyze(tmp_path, log, ground_truth="c0r0s0e600", *flags):
+    return main(["analyze", "--log", str(log), "--ground-truth", ground_truth,
+                 "--out", str(tmp_path / "report"), "--top-k", "2", "--windows", "2,3",
+                 "--rho-f-sizes", "3", "--rho-f-trials", "2", *flags])
+
+
+def test_analyze_refuses_a_duplicate_record_unless_allowed(tmp_path, capsys):
+    log = _evaluated_log(tmp_path)
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines) + lines[1])  # the first record again, as line 14
+    capsys.readouterr()
+    assert _analyze(tmp_path, log) == 2
+    assert "line 14: duplicate record" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+    assert _analyze(tmp_path, log, "c0r0s0e600", "--allow-duplicates") == 0
+
+
+def test_analyze_with_an_absent_ground_truth_is_a_user_error(tmp_path, capsys):
+    log = _evaluated_log(tmp_path)
+    capsys.readouterr()
+    assert _analyze(tmp_path, log, "c0r0s0e300") == 2
+    assert "no records for ground-truth setting c0r0s0e300" in capsys.readouterr().err
+
+
+def test_zoo_evaluate_exits_1_when_over_a_tenth_of_the_grid_fails(tmp_path, capsys):
+    zoo_generate(str(tmp_path / "zoo"), count=2, node_count=2, seed=1)
+    trainer = shlex.join([sys.executable, "-c", "raise SystemExit(3)"])
+    argv = ["zoo", "evaluate", "--zoo", str(tmp_path / "zoo"), "--settings", "c4r4s0e30",
+            "--out", str(tmp_path / "eval.jsonl"), "--evaluator", "cmd:" + trainer]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "evaluated 0/2 records" in captured.out and "(2 failed)" in captured.out
+    assert "more than 10% of the grid failed" in captured.err
+
+
+def test_search_workers_flag_overrides_the_config(tmp_path, monkeypatch):
+    config = tmp_path / "search.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "kind": "search_config", "algorithm": "hierarchical",
+        "table": "cifar10", "setting": "c4r4s0", "evaluator": "surrogate", "op_set": "search8",
+        "node_count": 1, "workers": 2,
+        "config": {"n_init": 4, "cycles": 2, "epoch_unit": 5, "mutants_per_cycle": 2,
+                   "promote_to_2e": 1, "promote_to_3e": 1, "seed": 3},
+    }))
+    workers = []
+    run_search = harness.run_search
+
+    def recording(cfg, *args, **kwargs):
+        workers.append(cfg.workers)
+        return run_search(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_search", recording)
+    assert main(["search", "--config", str(config), "--out", str(tmp_path / "a"),
+                 "--workers", "3"]) == 0
+    assert main(["search", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    assert workers == [3, 2]
+    for name in ("history.jsonl", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from econas import search
 from econas.analysis import AnalysisError, build_report
 from econas.cli import main
 from econas.evaluator import EvaluatorFailure
-from econas.genotype import OutputRule, ZOO13, decode
+from econas.genotype import OperationKind, OperationSet, OutputRule, ZOO13, decode
 from econas.harness import (
     ExperimentManifest,
     HarnessError,
@@ -47,6 +48,22 @@ def _dir_bytes(root):
 
 
 # -- zoo generate -----------------------------------------------------------------
+
+
+def test_zoo_generate_refuses_more_models_than_the_space_holds(tmp_path, capsys):
+    # One op and one node: 2 inputs squared per cell, squared for two cells.
+    one_op = OperationSet("one", (OperationKind.SEP_CONV_3X3,))
+    entries = zoo_generate(str(tmp_path / "all"), count=16, node_count=1, op_set=one_op)
+    assert len({mid for mid, _ in entries}) == 16
+    start = time.monotonic()
+    with pytest.raises(HarnessError, match="only 16"):
+        zoo_generate(str(tmp_path / "more"), count=17, node_count=1, op_set=one_op)
+    assert time.monotonic() - start < 1.0
+    assert not (tmp_path / "more").exists()
+    argv = ["zoo", "generate", "--out", str(tmp_path / "cli"), "--count", "65537",
+            "--nodes", "1", "--op-set", "search8"]
+    assert main(argv) == 2
+    assert "only 65536" in capsys.readouterr().err
 
 
 def test_zoo_generate_counts_and_idempotence(tmp_path):
@@ -857,7 +874,7 @@ def test_killed_twice_in_one_cycle_keeps_both_runs_results(tmp_path, search_refe
     snapshot = (out / "checkpoint.json").read_bytes()
     calls += _counted_run(config, out, 2, workers, resume=True)
     assert (out / "checkpoint.json").read_bytes() == snapshot
-    assert _journal_cycles(out)[-1] == 5  # no cycle line for cycle 5 yet
+    assert _journal_cycles(out)[-1] == 5  # no boundary line for cycle 5 yet
     calls += _counted_run(config, out, workers=workers, resume=True)
     _assert_same_outputs(out, reference)
     assert calls == _EVALUATIONS + 2
@@ -876,7 +893,7 @@ _CHILDREN_1_TO_3 = range(_AT_CYCLE_5 + 1, _AT_CYCLE_5 + 4)  # of cycle 5
         # Killed at its first promotion to 2E: no result follows them.
         (_CHILDREN_1_TO_3, _AT_CYCLE_5 + 4, False),
         # Both promotions to 2E fail; killed after the cycle's last
-        # evaluation, the promotion to 3E, before its cycle line.
+        # evaluation, the promotion to 3E, before its boundary line.
         (range(_AT_CYCLE_5 + 4, _AT_CYCLE_5 + 6), None, True),
     ],
     ids=["children_2e", "children_3e", "children_last", "promotions_cycle_end"],
@@ -958,7 +975,7 @@ def _journal_lines(out):
 
 
 def _journal_cycles(out):
-    """``next_cycle`` of every cycle line of the run's journal, in file
+    """``next_cycle`` of every boundary line of the run's journal, in file
     order; eval lines, which carry a ``phase``, are skipped."""
     return [line["next_cycle"] for line in _journal_lines(out) if "phase" not in line]
 
@@ -990,6 +1007,95 @@ def test_a_resumed_run_continues_the_journal(tmp_path, search_reference, first, 
     run_search(cfg, str(out), resume=True)
     _assert_same_outputs(out, reference)
     assert not (out / "checkpoint.journal").exists()
+
+
+def test_journal_with_cycle_deltas_resumes_identically(tmp_path, search_reference):
+    # Older versions wrote each cycle's genotypes, history entries, tiers
+    # and candidate records on its boundary line. These files hold the
+    # reference run stopped at cycle 1, then resumed and killed at the
+    # third child of cycle 5, written by such a version; a resume reads
+    # only the boundaries' next_cycle and re-runs cycles 2 to 4.
+    config, reference = search_reference
+    out = tmp_path / "run"
+    shutil.copytree(os.path.join(os.path.dirname(__file__), "data", "journal_with_deltas"), out)
+    assert _journal_cycles(out) == [3, 4, 5]
+    boundaries = [line for line in _journal_lines(out) if "phase" not in line]
+    assert all({"genotypes", "history", "tiers", "candidates"} < set(b) for b in boundaries)
+    calls = _counted_run(config, out, resume=True)
+    _assert_same_outputs(out, reference)
+    assert calls == _EVALUATIONS - (_IN_CYCLE_5 - 1)
+
+
+def test_killed_at_the_journal_removal_after_a_snapshot_skips_what_it_holds(
+    tmp_path, search_reference, monkeypatch
+):
+    # The snapshot of a stopped run is written before the journal it makes
+    # obsolete is removed. Killed in between, the resume skips the journal
+    # lines of the cycles the snapshot holds and evaluates nothing twice.
+    config, reference = search_reference
+    out = tmp_path / "run"
+    journal = str(out / "checkpoint.journal")
+    remove = os.remove
+
+    def killed_at_the_journal(path, *args, **kwargs):
+        if path == journal and os.path.exists(path):
+            raise _Killed()
+        remove(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", killed_at_the_journal)
+    with pytest.raises(_Killed):
+        run_search(load_search_config(config), str(out), stop_after_cycle=3)
+    monkeypatch.undo()
+    assert json.loads((out / "checkpoint.json").read_text())["next_cycle"] == 4
+    # The last cycle's eval lines are there, but not its boundary.
+    assert _journal_cycles(out) == [1, 2, 3]
+    assert _journal_lines(out)[-1]["cycle"] == 3
+    calls = _counted_run(config, out, resume=True)
+    _assert_same_outputs(out, reference)
+    assert calls == _EVALUATIONS - (8 + 3 * 7)
+
+
+def test_finished_cycle_missing_an_eval_line_evaluates_that_slot_once(tmp_path, search_reference):
+    # A finished cycle re-runs from its eval lines; a slot without one is
+    # evaluated again on the resume, and journaled, so the next resume
+    # serves it.
+    config, reference = search_reference
+    out = tmp_path / "run"
+    _counted_run(config, out, _IN_CYCLE_5)
+    journal = out / "checkpoint.journal"
+    lines = journal.read_text().splitlines(keepends=True)
+    [lost] = [i for i, line in enumerate(lines[1:], 1)
+              if {"cycle": 2, "phase": "2e", "slot": 1}.items() <= json.loads(line).items()]
+    journal.write_text("".join(lines[:lost] + lines[lost + 1:]))
+    cfg = load_search_config(config)
+    run_search(cfg, str(out), resume=True, stop_after_cycle=1)
+    assert journal.read_text() == "".join(lines[:lost] + lines[lost + 1:] + [lines[lost]])
+    calls = _counted_run(config, out, resume=True)
+    _assert_same_outputs(out, reference)
+    assert calls == _EVALUATIONS - (_IN_CYCLE_5 - 1)
+
+
+def test_resume_stopped_below_the_journals_last_boundary_changes_nothing(
+    tmp_path, search_reference, monkeypatch, capsys
+):
+    # Cycles 0 to 4 are finished in the journal: stopping the resume at
+    # cycle 2 re-runs them from their eval lines, evaluates nothing and
+    # writes neither file.
+    config, _ = search_reference
+    out = tmp_path / "run"
+    _counted_run(config, out, _IN_CYCLE_5)
+    before = _dir_bytes(out)
+    calls = []
+    evaluate = SurrogateEvaluator.evaluate
+    monkeypatch.setattr(
+        SurrogateEvaluator, "evaluate", lambda self, *args: calls.append(args) or evaluate(self, *args)
+    )
+    capsys.readouterr()
+    assert main(["search", "--config", config, "--out", str(out), "--resume",
+                 "--stop-after-cycle", "2"]) == 0
+    assert capsys.readouterr().out == "stopped at cycle boundary 4; checkpoint saved\n"
+    assert calls == []
+    assert _dir_bytes(out) == before
 
 
 @pytest.mark.parametrize("removed", [False, True], ids=["before_removal", "after_removal"])
@@ -1030,8 +1136,8 @@ def _tamper(doc):
 @pytest.mark.parametrize(
     "damage",
     [
-        "garbage_line", "cycle_gap", "cycle_gap_without_eval_lines", "journal_genotype_id",
-        "checkpoint_genotype_id", "eval_model_id", "eval_span",
+        "garbage_line", "cycle_gap", "cycle_gap_without_eval_lines", "checkpoint_genotype_id",
+        "eval_model_id", "eval_span",
     ],
 )
 def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
@@ -1045,7 +1151,7 @@ def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     else:
         _counted_run(config, out, _IN_CYCLE_5)
     journal, ckpt = out / "checkpoint.journal", out / "checkpoint.json"
-    # A header, then the eval lines and the cycle line of each cycle from
+    # A header, then the eval lines and the boundary line of each cycle from
     # the snapshot's up to cycle 4, then the eval lines of child slots 0
     # and 1 of cycle 5.
     first = json.loads(ckpt.read_text())["next_cycle"]
@@ -1066,11 +1172,6 @@ def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     elif damage == "cycle_gap_without_eval_lines":
         del lines[second]
         lines = [line for line in lines if "phase" not in json.loads(line)]
-    elif damage == "journal_genotype_id":
-        line = json.loads(lines[second])
-        mid = sorted(line["genotypes"])[0]
-        line["genotypes"][mid] = _tamper(line["genotypes"][mid])
-        lines[second] = json.dumps(line) + "\n"
     elif damage.startswith("eval_"):
         line = json.loads(lines[-1])
         if damage == "eval_model_id":
