@@ -194,6 +194,10 @@ class ExternalEvaluator:
         end_epoch: int,
         resume_token: Optional[str] = None,
     ) -> EvalResult:
+        """The reply's values as sent, for :func:`econas.search._checked`
+        to judge. An error reply fails this evaluation and keeps the child;
+        a reply without ``accuracy`` or ``resume_token`` also fails the
+        child, which restarts with backoff on its next use."""
         with self._checkout() as (child, request_id):
             line = _message(
                 request_id, op="evaluate", genotype=encode(genotype),
@@ -207,15 +211,10 @@ class ExternalEvaluator:
                 raise EvaluatorFailure(
                     "evaluator reported failure: %s" % obj.get("error", "unknown error")
                 )
-            try:
-                accuracy = float(obj["accuracy"])
-                train = obj.get("train_accuracy")
-                train_accuracy = float(train) if train is not None else None
-                token = obj["resume_token"]
-            except (KeyError, TypeError, ValueError):
-                raise child.fail("evaluator response missing fields: %r" % obj) from None
+            if "accuracy" not in obj or "resume_token" not in obj:
+                raise child.fail("evaluator response missing fields: %r" % obj)
             child.consecutive_failures = 0
-            return EvalResult(accuracy, train_accuracy, token)
+            return EvalResult(obj["accuracy"], obj.get("train_accuracy"), obj["resume_token"])
 
 
 # -- child side ---------------------------------------------------------------
@@ -224,8 +223,10 @@ class ExternalEvaluator:
 def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
     """Serve any in-process evaluator over the wire protocol until EOF.
 
-    Used to expose the surrogate as a subprocess; a real trainer can reuse
-    this loop by implementing the evaluator contract.
+    The ops are ``ping`` and ``evaluate``; any other op, like a malformed
+    request, gets an error reply and the loop goes on. Used to expose the
+    surrogate as a subprocess; a real trainer can reuse this loop by
+    implementing the evaluator contract.
     """
     fin = fin if fin is not None else sys.stdin
     fout = fout if fout is not None else sys.stdout
@@ -243,8 +244,6 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
             op = obj.get("op")
             if op == "ping":
                 response = _message(request_id, status="ok", pong=True)
-            elif op == "shutdown":
-                response = _message(request_id, status="ok")
             elif op == "evaluate":
                 genotype = decode(str(obj["genotype"]))
                 setting = parse_label(str(obj["setting"]), table)
@@ -277,6 +276,4 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
             fout.write(response + "\n")
             fout.flush()
         except BrokenPipeError:
-            return
-        if op == "shutdown":
             return

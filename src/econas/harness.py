@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Optional
@@ -296,6 +297,18 @@ def make_evaluator(
     raise HarnessError("unknown evaluator spec %r" % spec)
 
 
+@contextmanager
+def _evaluator(evaluator: Optional[Evaluator], *spec):
+    """Yield ``evaluator`` or, if it is None, ``make_evaluator(*spec)``; an
+    ExternalEvaluator made here is closed however the block ends."""
+    made = make_evaluator(*spec) if evaluator is None else None
+    try:
+        yield evaluator if made is None else made
+    finally:
+        if isinstance(made, ExternalEvaluator):
+            made.close()
+
+
 # -- grid evaluation -------------------------------------------------------------
 
 
@@ -315,18 +328,11 @@ def zoo_evaluate(
     setting), so the final bytes never depend on scheduling or on what an
     earlier run left. With ``resume`` off every pair runs again and the
     rewrite replaces any old log, which then holds exactly the fresh
-    records. Returns (completed, failed, total-in-grid).
+    records. Without an ``evaluator`` one is made from the manifest and
+    closed when the batch ends, however it ends. Returns (completed,
+    failed, total-in-grid).
     """
     models = load_zoo(manifest.zoo_dir)
-    own_evaluator = evaluator is None
-    if evaluator is None:
-        evaluator = make_evaluator(
-            manifest.evaluator_spec,
-            manifest.table,
-            manifest.surrogate_params,
-            manifest.seed,
-            manifest.evaluator_timeout,
-        )
     log = manifest.output_log
     labelled = sorted(((format_label(s), s) for s in manifest.settings), key=itemgetter(0))
     total = len(models) * len(labelled)
@@ -348,35 +354,35 @@ def zoo_evaluate(
                 keys.append((mid, label))
                 jobs.append((g, setting, 0, setting.epochs, None))
 
+    with _evaluator(
+        evaluator, manifest.evaluator_spec, manifest.table, manifest.surrogate_params,
+        manifest.seed, manifest.evaluator_timeout,
+    ) as ev:
+        outcomes = _evaluate_jobs(ev, jobs, manifest.workers)
+    os.makedirs(os.path.dirname(os.path.abspath(log)), exist_ok=True)
     failed = 0
     completed = total - len(jobs)
-    os.makedirs(os.path.dirname(os.path.abspath(log)), exist_ok=True)
-    try:
-        outcomes = _evaluate_jobs(evaluator, jobs, manifest.workers)
-        fresh = []
-        for (mid, label), (_, setting, *_), outcome in zip(keys, jobs, outcomes):
-            if isinstance(outcome, EvaluatorFailure):
-                failed += 1
-                logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
-                continue
-            fresh.append(EvaluationRecord(
-                mid, label, outcome.accuracy, outcome.train_accuracy, setting.epochs
-            ))
-        del outcomes  # the rewrite below holds every record; keep the peak low
-        completed += len(fresh)
-        # Without resume the rewrite replaces the old log whole; appending to
-        # it first would pair its stale records with the fresh ones.
-        if fresh and resume:
-            append_records(log, fresh)
-        # The batch ran in canonical order, so a log the append created is
-        # sorted already; any other log is rewritten in that order.
-        if existed or (fresh and not resume):
-            existing.extend(fresh)
-            existing.sort(key=EvaluationRecord.key)
-            write_log(log, existing)
-    finally:
-        if own_evaluator and isinstance(evaluator, ExternalEvaluator):
-            evaluator.close()
+    fresh = []
+    for (mid, label), (_, setting, *_), outcome in zip(keys, jobs, outcomes):
+        if isinstance(outcome, EvaluatorFailure):
+            failed += 1
+            logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
+            continue
+        fresh.append(EvaluationRecord(
+            mid, label, outcome.accuracy, outcome.train_accuracy, setting.epochs
+        ))
+    del outcomes  # the rewrite below holds every record; keep the peak low
+    completed += len(fresh)
+    # Without resume the rewrite replaces the old log whole; appending to
+    # it first would pair its stale records with the fresh ones.
+    if fresh and resume:
+        append_records(log, fresh)
+    # The batch ran in canonical order, so a log the append created is
+    # sorted already; any other log is rewritten in that order.
+    if existed or (fresh and not resume):
+        existing.extend(fresh)
+        existing.sort(key=EvaluationRecord.key)
+        write_log(log, existing)
     return completed, failed, total
 
 
@@ -464,39 +470,28 @@ def run_search(
     ``out_dir`` with ``cfg.workers`` workers up to ``stop_after_cycle``,
     checkpointing each cycle (see :class:`SearchEngine`); a resume never
     rewinds. History, ledger, summary and the top genotype files are
-    written if and only if the search is then finished."""
+    written if and only if the search is then finished. Without an
+    ``evaluator`` one is made from ``cfg`` after any refusal of a present
+    checkpoint, and closed however the resume and the run end."""
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
-    seed = cfg.engine_config.seed
-    own_evaluator = evaluator is None
-    if evaluator is None:
-        evaluator = make_evaluator(
-            cfg.evaluator_spec, cfg.table, cfg.surrogate_params, seed, cfg.evaluator_timeout
+    if os.path.exists(checkpoint_path) and not resume and not force:
+        raise HarnessError(
+            "checkpoint already present in %s; pass resume to continue or "
+            "force to start over" % out_dir
         )
-    engine = SearchEngine(
-        evaluator,
-        cfg.engine_config,
-        cfg.setting,
-        op_set=cfg.op_set,
-        network=cfg.network,
-        output_rule=cfg.output_rule,
-        workers=cfg.workers,
-        checkpoint_path=checkpoint_path,
-        algorithm=cfg.algorithm,
-    )
-    if os.path.exists(checkpoint_path):
-        if not resume and not force:
-            raise HarnessError(
-                "checkpoint already present in %s; pass resume to continue or "
-                "force to start over" % out_dir
-            )
-        if resume:
+    with _evaluator(
+        evaluator, cfg.evaluator_spec, cfg.table, cfg.surrogate_params, cfg.engine_config.seed,
+        cfg.evaluator_timeout,
+    ) as ev:
+        engine = SearchEngine(
+            ev, cfg.engine_config, cfg.setting, op_set=cfg.op_set, network=cfg.network,
+            output_rule=cfg.output_rule, workers=cfg.workers, checkpoint_path=checkpoint_path,
+            algorithm=cfg.algorithm,
+        )
+        if resume and os.path.exists(checkpoint_path):
             engine.load_checkpoint()
-    try:
         result = engine.run(stop_after_cycle=stop_after_cycle)
-    finally:
-        if own_evaluator and isinstance(evaluator, ExternalEvaluator):
-            evaluator.close()
     if engine.state.next_cycle > cfg.engine_config.cycles:
         write_search_outputs(result, cfg, out_dir)
     return result

@@ -297,9 +297,11 @@ _NUMBER = (int, float)
 
 
 def _checked(outcome):
-    """``outcome`` if it is an EvalResult whose accuracies are numbers in
-    [0, 1] (``train_accuracy`` may be None) and whose resume token is a
-    string, else an EvaluatorFailure naming it."""
+    """``outcome`` if it is an EvalResult whose accuracies are ints or
+    floats, not bools, in [0, 1] (``train_accuracy`` may be None) and whose
+    resume token is a string, else an EvaluatorFailure naming it: the one
+    check of every trainer outcome. An accepted accuracy that is not a
+    plain float enters as the float it names."""
     if isinstance(outcome, EvalResult):
         accuracy, train, token = outcome
         if (
@@ -307,19 +309,23 @@ def _checked(outcome):
             and (train is None or isinstance(train, _NUMBER) and 0 <= train <= 1)
             and isinstance(token, str)
         ):
-            return outcome
+            if type(accuracy) is float and (train is None or type(train) is float):
+                return outcome
+            if bool not in (type(accuracy), type(train)):
+                return EvalResult(float(accuracy), None if train is None else float(train), token)
     return EvaluatorFailure(
-        "evaluator returned %r; accuracies must lie in [0, 1] and the resume token "
+        "evaluator returned %r; accuracies must be numbers in [0, 1] and the resume token "
         "must be a string" % (outcome,)
     )
 
 
 def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
     """Run evaluation jobs, returning (result | EvaluatorFailure) per slot in
-    order. A result is checked by :func:`_checked` where it enters; the
-    check never raises. ``done(slot, outcome)``, if given, gets each outcome
-    in the calling thread as soon as it completes. Any other exception, from
-    a job or an interrupt of the caller, drops the jobs not yet started;
+    order. Every value an evaluator returns passes :func:`_checked` here,
+    where it enters search and zoo evaluation alike; the check never
+    raises. ``done(slot, outcome)``, if given, gets each outcome in the
+    calling thread as soon as it completes. Any other exception, from a
+    job or an interrupt of the caller, drops the jobs not yet started;
     those in flight finish, and their results reach ``done``, before it
     propagates. Their failures do not: the interrupt may have caused them
     (a Ctrl-C also stops a trainer child)."""
@@ -718,8 +724,9 @@ class SearchEngine:
     def load_checkpoint(self) -> None:
         """Restore the state from ``checkpoint.json`` and, if there is one,
         ``checkpoint.journal``, read in file order. Its lines of cycles the
-        snapshot already holds are skipped; its eval lines are passed to
-        :meth:`replay`. Each cycle that a boundary line marks finished then
+        snapshot already holds are skipped; each eval line is kept for
+        :meth:`_evaluate` to serve, a later line of a slot replacing an
+        earlier one. Each cycle that a boundary line marks finished then
         runs again through :meth:`_run_cycle`, every slot served from its
         eval line; a slot without one is evaluated again and journaled. The
         eval lines of the pending cycle are kept for :meth:`run`, except
@@ -749,10 +756,13 @@ class SearchEngine:
                         raise SearchError(
                             "journal jumps from cycle %d to a line of cycle %d" % (finished, cycle)
                         )
-                    if "phase" in line:
-                        self.replay(line)
-                    else:
+                    if "phase" not in line:
                         finished = max(finished, cycle + 1)
+                    elif cycle >= st.next_cycle:  # else the snapshot holds it
+                        self._journaled.setdefault(cycle, {})[line["phase"], line["slot"]] = (
+                            line["model_id"], line["start_epoch"], line["end_epoch"],
+                            _journaled_outcome(line),
+                        )
             # No journaled result depends on a failure after the last one.
             pending = self._journaled.get(finished, {})
             while pending and isinstance(next(reversed(pending.values()))[3], EvaluatorFailure):
@@ -800,24 +810,16 @@ class SearchEngine:
             )
         self.state, self._written, self._journaled = state, False, {}
 
-    def replay(self, line: dict) -> None:
-        """Keep one eval line of the journal for :meth:`_evaluate` to serve,
-        as a result or, with a ``failure`` message, as an EvaluatorFailure;
-        a later line of the same slot replaces it. A line of a cycle the
-        loaded snapshot already holds is skipped."""
-        if line["cycle"] < self.state.next_cycle:
-            return
-        if "failure" in line:
-            outcome = EvaluatorFailure(line["failure"])
-        else:
-            outcome = _checked(EvalResult(
-                line["accuracy"], line["train_accuracy"], line["resume_token"]
-            ))
-            if isinstance(outcome, EvaluatorFailure):
-                raise SearchError("journal line: %s" % outcome)
-        self._journaled.setdefault(line["cycle"], {})[line["phase"], line["slot"]] = (
-            line["model_id"], line["start_epoch"], line["end_epoch"], outcome
-        )
+
+def _journaled_outcome(line: dict):
+    """An eval line's outcome: its result or, with a ``failure`` message,
+    an EvaluatorFailure."""
+    if "failure" in line:
+        return EvaluatorFailure(line["failure"])
+    outcome = _checked(EvalResult(line["accuracy"], line["train_accuracy"], line["resume_token"]))
+    if isinstance(outcome, EvaluatorFailure):
+        raise SearchError("journal line: %s" % outcome)
+    return outcome
 
 
 _CANDIDATE_KEYS = tuple(f.name for f in fields(Candidate) if f.name != "genotype")

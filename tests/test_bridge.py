@@ -10,7 +10,7 @@ import pytest
 
 from econas import bridge
 from econas.bridge import ExternalEvaluator, serve
-from econas.evaluator import EvaluatorFailure
+from econas.evaluator import EvalResult, EvaluatorFailure
 from econas.genotype import NetworkConfig, OutputRule, SEARCH8, random_genotype
 from econas.harness import bridge_selftest, default_serve_command
 from econas.proxy import CIFAR10_TABLE, ReducedSetting, format_label
@@ -72,12 +72,12 @@ def test_serve_error_responses_do_not_kill_loop():
             {"id": 1, "op": "nonsense"},
             {"id": 2, "op": "evaluate", "genotype": "not a doc", "setting": "c0r0s0e10",
              "start_epoch": 0, "end_epoch": 10},
-            {"id": 3, "op": "ping"},
+            {"id": 3, "op": "shutdown"},
+            {"id": 4, "op": "ping"},
         ]
     )
-    assert responses[0]["status"] == "error"
-    assert responses[1]["status"] == "error"
-    assert responses[2]["status"] == "ok"
+    assert [r["status"] for r in responses] == ["error"] * 3 + ["ok"]
+    assert responses[2]["error"] == "unknown op 'shutdown'"
 
 
 def test_serve_malformed_line_reports_error():
@@ -95,11 +95,6 @@ def test_serve_rejects_an_oversized_or_non_object_request_then_serves_the_next()
     assert [(r["id"], r["status"]) for r in responses] == [(None, "error")] * 2 + [(3, "ok")]
     assert "exceeds" in responses[0]["error"]
     assert "JSON object" in responses[1]["error"]
-
-
-def test_serve_shutdown():
-    responses = _serve_lines([{"id": 1, "op": "shutdown"}, {"id": 2, "op": "ping"}])
-    assert len(responses) == 1  # loop exits after shutdown
 
 
 # -- subprocess path ---------------------------------------------------------------
@@ -129,6 +124,12 @@ STUB = textwrap.dedent(
     from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
     mode = sys.argv[1]
+    REPLIES = {
+        "true_accuracy": {"accuracy": True, "resume_token": "t"},
+        "string_accuracy": {"accuracy": "0.93", "resume_token": "t"},
+        "false_train_accuracy": {"accuracy": 0.5, "train_accuracy": False, "resume_token": "t"},
+        "integer_accuracy": {"accuracy": 1, "train_accuracy": 0, "resume_token": "t"},
+    }
     with open(__file__ + ".pids", "a") as pids:
         pids.write("%d\\n" % os.getpid())
     ev = SurrogateEvaluator(SurrogateParams().with_seed(7), CIFAR10_TABLE)
@@ -159,6 +160,9 @@ STUB = textwrap.dedent(
             if mode == "nan":
                 print(json.dumps({"id": obj["id"], "status": "ok", "accuracy": float("nan"),
                                   "resume_token": None}), flush=True)
+                continue
+            if mode in REPLIES:
+                print(json.dumps(dict(REPLIES[mode], id=obj["id"], status="ok")), flush=True)
                 continue
             if mode == "sleep":
                 time.sleep(10)
@@ -245,6 +249,29 @@ def test_nan_accuracy_and_null_token_fail_the_evaluation(tmp_path):
         [outcome] = _evaluate_jobs(ev, [(g, SETTING.with_epochs(13), 0, 13, None)], 1)
     assert isinstance(outcome, EvaluatorFailure)
     assert "accuracy=nan" in str(outcome) and "resume_token=None" in str(outcome)
+
+
+@pytest.mark.parametrize("mode, value", [
+    ("true_accuracy", "accuracy=True"),
+    ("string_accuracy", "accuracy='0.93'"),
+    ("false_train_accuracy", "train_accuracy=False"),
+])
+def test_non_number_accuracy_fails_its_evaluation_and_keeps_the_child(tmp_path, mode, value):
+    g = _genotype(8)
+    jobs = [(g, SETTING, 0, 10, None), (g, SETTING.with_epochs(13), 0, 13, None)]
+    with ExternalEvaluator(_stub_command(tmp_path, mode), timeout=20.0) as ev:
+        ok, broken, again = _evaluate_jobs(ev, jobs + jobs[:1], 1)
+    assert isinstance(broken, EvaluatorFailure) and value in str(broken)
+    assert isinstance(ok, EvalResult) and again == ok
+    assert len(_stub_pids(tmp_path)) == 1
+
+
+def test_integer_accuracy_on_the_wire_enters_as_a_float(tmp_path):
+    g = _genotype(9)
+    with ExternalEvaluator(_stub_command(tmp_path, "integer_accuracy"), timeout=20.0) as ev:
+        [result] = _evaluate_jobs(ev, [(g, SETTING.with_epochs(13), 0, 13, None)], 1)
+    assert result == EvalResult(1.0, 0.0, "t")
+    assert [type(value) for value in result[:2]] == [float, float]
 
 
 def test_hung_child_times_out_and_restarts(tmp_path, fast_restarts):

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import shlex
 import shutil
 import signal
 import subprocess
@@ -14,14 +15,15 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from econas import search
+from econas import harness, search
 from econas.analysis import AnalysisError, build_report
 from econas.cli import main
-from econas.evaluator import EvaluatorFailure
+from econas.evaluator import EvalResult, EvaluatorFailure
 from econas.genotype import OperationKind, OperationSet, OutputRule, ZOO13, decode
 from econas.harness import (
     ExperimentManifest,
     HarnessError,
+    default_serve_command,
     load_manifest,
     load_search_config,
     load_zoo,
@@ -269,6 +271,20 @@ def test_zoo_evaluate_counts_out_of_range_accuracies_as_failures(tmp_path, caplo
     surrogate = SurrogateEvaluator(SurrogateParams().with_seed(7), CIFAR10_TABLE)
     assert zoo_evaluate(manifest, evaluator=_Percent(surrogate)) == (0, 18, 18)
     assert "accuracy=93.1" in caplog.text
+    assert not os.path.exists(manifest.output_log)
+
+
+class _Boolean:
+    """Reports test accuracy True and train accuracy False."""
+
+    def evaluate(self, *args):
+        return EvalResult(True, False, "t")
+
+
+def test_zoo_evaluate_counts_boolean_accuracies_as_failures(tmp_path, caplog):
+    manifest = _mini_manifest(tmp_path)
+    assert zoo_evaluate(manifest, evaluator=_Boolean()) == (0, 18, 18)
+    assert "accuracy=True" in caplog.text
     assert not os.path.exists(manifest.output_log)
 
 
@@ -1073,6 +1089,43 @@ def test_finished_cycle_missing_an_eval_line_evaluates_that_slot_once(tmp_path, 
     calls = _counted_run(config, out, resume=True)
     _assert_same_outputs(out, reference)
     assert calls == _EVALUATIONS - (_IN_CYCLE_5 - 1)
+
+
+def test_failed_wire_resume_leaves_no_trainer_child_running(tmp_path, monkeypatch):
+    # The resume re-runs finished cycle 1: its child slot 0 has no eval line,
+    # so a trainer child starts, and its 2e slot 0 names another model, so
+    # the resume fails. The child must not outlive the failure.
+    config = _search_config(tmp_path)
+    out = tmp_path / "run"
+    _counted_run(config, out, _IN_CYCLE_2)
+    journal = out / "checkpoint.journal"
+    header, *lines = journal.read_text().splitlines(keepends=True)
+    kept = []
+    for line in lines:
+        obj = json.loads(line)
+        if obj.get("cycle") == 1 and obj["slot"] == 0 and obj["phase"] == "child":
+            continue
+        if obj.get("cycle") == 1 and obj["slot"] == 0 and obj["phase"] == "2e":
+            line = json.dumps(dict(obj, model_id="0" * 64)) + "\n"
+        kept.append(line)
+    journal.write_text(header + "".join(kept))
+    procs = []
+
+    class Recorded(harness.ExternalEvaluator):
+        def _ensure_running(self, child):
+            procs.append(super()._ensure_running(child))
+            return procs[-1]
+
+    monkeypatch.setattr(harness, "ExternalEvaluator", Recorded)
+    cfg = load_search_config(config)
+    cfg.evaluator_spec = "cmd:" + shlex.join(default_serve_command("cifar10", 3))
+    with pytest.raises(SearchError, match="cycle 1 2e slot 0 is of model 0000"):
+        run_search(cfg, str(out), resume=True)
+    running = [proc for proc in procs if proc.poll() is None]
+    for proc in running:
+        proc.kill()
+        proc.wait()
+    assert len(procs) == 1 and running == []
 
 
 def test_resume_stopped_below_the_journals_last_boundary_changes_nothing(

@@ -629,11 +629,16 @@ def test_interruption_drops_jobs_not_yet_started(workers, n, by_signal):
 
 
 class _Sleeps:
-    """Each job's genotype is (seconds, what): the call sleeps, then raises
-    ``_Interrupt``, fails or returns a result."""
+    """Each job's genotype is (seconds, what): the call waits until all five
+    jobs are in flight, so none is cancelled before it starts, then sleeps,
+    then raises ``_Interrupt``, fails or returns a result."""
+
+    def __init__(self):
+        self.in_flight = threading.Barrier(5, timeout=30)
 
     def evaluate(self, g, *args):
         seconds, what = g
+        self.in_flight.wait()
         time.sleep(seconds)
         if what == "interrupt":
             raise _Interrupt()
@@ -669,6 +674,8 @@ class _Returns:
     EvalResult(0.5, None, None),
     EvalResult(0.5, None, 7),
     7,
+    EvalResult(True, None, "t"),
+    EvalResult(0.5, False, "t"),
 ])
 def test_broken_outcome_is_a_failure_naming_it(outcome):
     [result] = _evaluate_jobs(_Returns(outcome), [(None, None, 0, 1, None)], 1)
@@ -679,6 +686,12 @@ def test_broken_outcome_is_a_failure_naming_it(outcome):
 @pytest.mark.parametrize("outcome", [EvalResult(0.5, None, "t"), EvalResult(1, 0.0, "")])
 def test_outcome_within_the_contract_passes_unchanged(outcome):
     assert _evaluate_jobs(_Returns(outcome), [(None, None, 0, 1, None)], 1) == [outcome]
+
+
+def test_integer_accuracy_enters_as_the_float_it_names():
+    [result] = _evaluate_jobs(_Returns(EvalResult(1, 0, "t")), [(None, None, 0, 1, None)], 1)
+    assert result == EvalResult(1.0, 0.0, "t")
+    assert [type(value) for value in result[:2]] == [float, float]
 
 
 # -- flat baseline ------------------------------------------------------------------------
