@@ -247,13 +247,11 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
             elif op == "evaluate":
                 genotype = decode(str(obj["genotype"]))
                 setting = parse_label(str(obj["setting"]), table)
-                result = evaluator.evaluate(
-                    genotype,
-                    setting,
-                    int(obj["start_epoch"]),
-                    int(obj["end_epoch"]),
-                    obj.get("resume_token"),
-                )
+                epochs = obj["start_epoch"], obj["end_epoch"]
+                for epoch in epochs:
+                    if type(epoch) is not int:  # no boolean, fraction or string
+                        raise ValueError("expected an integer epoch, got %s" % json.dumps(epoch))
+                result = evaluator.evaluate(genotype, setting, *epochs, obj.get("resume_token"))
                 response = _message(
                     request_id,
                     status="ok",

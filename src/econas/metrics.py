@@ -4,21 +4,26 @@ reduced-setting evaluations of the same model zoo.
 Ranks are fractional: rank 1 is the best accuracy and tied accuracies get
 the average of their positions, which keeps the rank-difference formula
 well defined with ties. Accuracies are compared exactly; the only tolerance
-anywhere is the explicit interval of :func:`tolerant_spearman`.
+anywhere is the explicit interval of :func:`tolerant_spearman`. One tie
+walk, :func:`_best_first` then :func:`_doubled_ranks`, ranks everything.
 
 The pair statistics (:func:`tolerant_spearman`, :func:`hard_rank_error`)
 count discordant pairs in O(K log K) comparisons instead of visiting all
-K(K-1)/2 pairs, and :func:`rho_f_subsample` ranks each subsample from the
-full zoo's sort order instead of re-ranking it. Every count they combine is
-an integer, so each returns exactly (``==``) the float of its pairwise
-definition; the test suite keeps those O(K^2) loops as oracles.
+K(K-1)/2 pairs, and rho_F ranks each subsample from the full zoo's sort
+order instead of re-ranking it. Every count they combine is an integer, so
+each returns exactly (``==``) the float of its pairwise definition; the
+test suite keeps those O(K^2) loops as oracles.
 
 A report scores every reduced setting through one kernel,
 :func:`setting_scores`: given the Ground Truth's ranks, it ranks the
 setting once and counts its pairs once, and the Spearman, retained-top,
 tolerant-Spearman and hard-rank-error values all come from those. rho_F
 works on columns (:func:`rho_f_columns`): each setting's sorted model ids
-and its accuracies in that order.
+and its accuracies in that order; :func:`rho_f_subsample` builds them from
+accuracy maps.
+
+A :class:`MetricError` rejects a tolerance ``b`` below 0 or NaN, a
+``top_k`` or window below 1, and fewer than 1 rho_F trial.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -40,22 +46,10 @@ class MetricError(ValueError):
 def fractional_ranks(values: Sequence[float]) -> list[float]:
     """Ranks with 1 = best, the highest value; runs of exactly equal values
     share their average position."""
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__, reverse=True)
-    ranks = [0.0] * n
-    if len(set(values)) == n:  # no two values equal: each rank is its position
-        for rank, i in enumerate(order, 1):
-            ranks[i] = float(rank)
-        return ranks
-    start = 0
-    while start < n:
-        stop = start
-        while stop + 1 < n and values[order[stop + 1]] == values[order[start]]:
-            stop += 1
-        mean_rank = (start + stop) / 2.0 + 1.0
-        for k in range(start, stop + 1):
-            ranks[order[k]] = mean_rank
-        start = stop + 1
+    order, group = _best_first(values)
+    ranks = [0.0] * len(values)
+    for i, rank in zip(order, _doubled_ranks(order, group)[0]):
+        ranks[i] = rank / 2
     return ranks
 
 
@@ -132,6 +126,8 @@ def _pair_counts(pairs: Sequence[tuple]) -> tuple[int, int]:
 def _tolerant(pairs: Sequence[tuple], discordant: int, tied: int, b: float) -> float:
     """Tolerant Spearman from the sorted (Ground Truth, reduced) accuracy
     ``pairs`` and their :func:`_pair_counts`."""
+    if not b >= 0:  # also rejects NaN
+        raise MetricError("tolerance b must be >= 0, got %r" % b)
     k = len(pairs)
     scored = k * (k - 1) // 2
     concordant = scored - tied - discordant
@@ -159,10 +155,10 @@ def _hard_rank_error(discordant: int, tied: int, k: int) -> float:
 
 
 def _retained(x: Sequence[float], y: Sequence[float], top_k: int, window: int) -> int:
+    if top_k < 1 or window < 1:
+        raise MetricError("top_k and window must be >= 1, got %d and %d" % (top_k, window))
     if len(x) < window:
-        raise MetricError(
-            "retained_top needs at least window=%d models, got %d" % (window, len(x))
-        )
+        raise MetricError("retained_top needs at least window=%d models, got %d" % (window, len(x)))
     return sum(1 for rg, rr in zip(x, y) if rg <= top_k and rr <= window)
 
 
@@ -205,8 +201,6 @@ def tolerant_spearman(
     """
     if set(gt_acc) != set(red_acc):
         raise MetricError("accuracy maps cover different model id sets")
-    if b < 0:
-        raise MetricError("tolerance b must be >= 0")
     pairs = sorted(zip(gt_acc.values(), map(red_acc.__getitem__, gt_acc)))
     return _tolerant(pairs, *_pair_counts(pairs), b)
 
@@ -240,28 +234,20 @@ def setting_scores(
     ranks = fractional_ranks(values)
     rho = _spearman_from_ranks(gt_ranks, ranks)
     retained = tuple(_retained(gt_ranks, ranks, top_k, w) for w in windows)
-    if b < 0:
-        raise MetricError("tolerance b must be >= 0")
     pairs = sorted(zip(gt_values, values))
     discordant, tied = _pair_counts(pairs)
     tolerant = _tolerant(pairs, discordant, tied, b)
     return rho, retained, tolerant, _hard_rank_error(discordant, tied, len(pairs)), ranks
 
 
-def entropy(values: Sequence[float], base: Sequence[float] | None = None) -> float:
+def entropy(values: Sequence[float]) -> float:
     """Monotonic-trend score of a value sequence: its Spearman coefficient
-    against a strictly increasing base set (positions 1..n by default).
-    +1 means cleanly increasing, -1 cleanly decreasing; the choice of base
-    set does not matter because only ranks enter."""
+    against its positions. +1 means cleanly increasing, -1 cleanly
+    decreasing; any strictly increasing base set would give the same score,
+    because only ranks enter."""
     if len(values) < 2:
         raise MetricError("entropy needs at least 2 values, got %d" % len(values))
-    if base is None:
-        base = list(range(1, len(values) + 1))
-    if len(base) != len(values):
-        raise MetricError("base set must match values in length")
-    if any(a >= b for a, b in zip(base, base[1:])):
-        raise MetricError("base set must be strictly increasing")
-    return spearman_values(values, base)
+    return spearman_values(values, range(len(values)))
 
 
 def retained_top(
@@ -269,10 +255,6 @@ def retained_top(
 ) -> int:
     """How many Ground-Truth top-``top_k`` models stay within the reduced
     setting's top-``window``."""
-    if len(gt) < window:
-        raise MetricError(
-            "retained_top needs at least window=%d models, got %d" % (window, len(gt))
-        )
     return _retained(*_aligned_ranks(gt, red), top_k, window)
 
 
@@ -292,31 +274,11 @@ def rho_f_subsample(
     Returns the mean over trials. Each trial derives its own random stream
     from (seed, trial), so results do not depend on execution order.
     """
-    return rho_f_subsamples(setting_accuracies, gt_label, [m], trials, seed)[0]
-
-
-def rho_f_subsamples(
-    setting_accuracies: Mapping[str, Mapping[str, float]],
-    gt_label: str,
-    sizes: Sequence[int],
-    trials: int = 100,
-    seed: int = 0,
-) -> list[float]:
-    """:func:`rho_f_subsample` for each subsample size in ``sizes``.
-
-    Cost: one O(K log K) sort per setting and the full-zoo score ranks,
-    shared by every size; then per size, trial and setting one ordering of
-    the subsample by the full-zoo order: a filter of that order in C for
-    zoos of up to 256 models and samples of up to 127, an O(m log m) sort
-    otherwise. Doubled ranks are integers, so every squared rank difference
-    is summed exactly and the result equals re-ranking each subsample from
-    scratch.
-    """
     columns = {}
     for label, accuracies in setting_accuracies.items():
         ids = tuple(sorted(accuracies))
         columns[label] = ids, [accuracies[i] for i in ids]
-    return rho_f_columns(columns, gt_label, sizes, trials, seed)
+    return rho_f_columns(columns, gt_label, [m], trials, seed)[0]
 
 
 def rho_f_columns(
@@ -326,8 +288,18 @@ def rho_f_columns(
     trials: int = 100,
     seed: int = 0,
 ) -> list[float]:
-    """:func:`rho_f_subsamples` from each setting's column: its sorted model
-    ids, as a tuple, and their accuracies in that order."""
+    """:func:`rho_f_subsample` for each subsample size in ``sizes``, from
+    each setting's column: its sorted model ids, as a tuple, and their
+    accuracies in that order.
+
+    Cost: one O(K log K) sort per setting and the full-zoo score ranks,
+    shared by every size; then per size, trial and setting one ordering of
+    the subsample by the full-zoo order: a filter of that order in C for
+    zoos of up to 256 models and samples of up to 127, an O(m log m) sort
+    otherwise. Doubled ranks are integers, so every squared rank difference
+    is summed exactly and the result equals re-ranking each subsample from
+    scratch.
+    """
     if gt_label not in columns:
         raise MetricError("ground-truth label %r not present" % gt_label)
     labels = sorted(l for l in columns if l != gt_label)
@@ -339,17 +311,21 @@ def rho_f_columns(
             raise MetricError("subsample size must be >= 3, got %d" % m)
         if m > len(ids):
             raise MetricError("subsample size %d exceeds zoo size %d" % (m, len(ids)))
+    if trials < 1:
+        raise MetricError("rho_F needs at least 1 trial, got %d" % trials)
     for label in labels:
         if columns[label][0] != ids:
             raise MetricError("setting %r covers a different model id set" % label)
 
     k = len(gt)
-    _, gt_pos, gt_group = _best_first(gt)
+    gt_order, gt_group = _best_first(gt)
+    # Samples sort by each model's place in a best-first order, its inverse.
+    gt_place = sorted(range(k), key=gt_order.__getitem__).__getitem__
     # The settings without ties come first; rho_F does not depend on the
     # order of the settings, since squared half-integer rank gaps sum exactly.
     orders = [_best_first(columns[label][1]) for label in labels]
-    untied = [(order, pos.__getitem__) for order, pos, group in orders if group is None]
-    tied = [(pos.__getitem__, group) for _, pos, group in orders if group is not None]
+    orders.sort(key=lambda o: o[1] is not None)
+    keys = [(sorted(range(k), key=order.__getitem__).__getitem__, g) for order, g in orders]
     # With at most 256 models each model index fits in a byte, and so does a
     # doubled rank in a sample of at most 127. Then a setting's sample in
     # best-first order is its whole best-first order with the other models
@@ -357,7 +333,7 @@ def rho_f_columns(
     # Ground-Truth rank.
     as_bytes = k <= 256
     if as_bytes:
-        untied_bytes = [bytes(order) for order, _ in untied]
+        untied_bytes = [bytes(order) for order, group in orders if group is None]
         everyone = bytes(range(k))
     gt_rank = [0] * k  # doubled Ground-Truth rank of each model in the sample
     gt_rank_of = gt_rank.__getitem__
@@ -366,29 +342,25 @@ def rho_f_columns(
         """Every reduced setting's Spearman against Ground Truth on ``idx``,
         each from one ordering of ``idx`` and one sum of rank products."""
         n = len(idx)
-        order = sorted(idx, key=gt_pos.__getitem__)
+        order = sorted(idx, key=gt_place)
         ranks, gt_sq = _doubled_ranks(order, gt_group)
         for i, rank in zip(order, ranks):
             gt_rank[i] = rank
-        evens, evens_sq = _doubled_ranks(range(n), None)
-        base = gt_sq + evens_sq
         # 4 * sum(d^2) for each setting, exact because doubled ranks are
-        # integers.
+        # integers. The untied settings on the byte path come first; every
+        # other setting sorts the sample, and an untied one gets the evens.
+        d2x4 = []
         if as_bytes and 2 * n < 256:
+            evens, evens_sq = _doubled_ranks(range(n), None)
             table = bytearray(256)
             for i, rank in zip(order, ranks):
                 table[i] = rank
             others = everyone.translate(None, bytes(idx))
             d2x4 = [
-                base - 2 * sum(map(mul, whole.translate(table, others), evens))
+                gt_sq + evens_sq - 2 * sum(map(mul, whole.translate(table, others), evens))
                 for whole in untied_bytes
             ]
-        else:
-            d2x4 = [
-                base - 2 * sum(map(mul, map(gt_rank_of, sorted(idx, key=key)), evens))
-                for _, key in untied
-            ]
-        for key, group in tied:
+        for key, group in keys[len(d2x4):]:
             order = sorted(idx, key=key)
             ranks, sq = _doubled_ranks(order, group)
             d2x4.append(gt_sq + sq - 2 * sum(map(mul, map(gt_rank_of, order), ranks)))
@@ -407,19 +379,14 @@ def rho_f_columns(
 
 
 def _best_first(values: Sequence[float]) -> tuple:
-    """The positions of ``values`` in best-first order, each position's place
-    in that order, and its tie-group id, or None for the groups when no two
-    values are equal."""
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    pos = [0] * len(values)
-    group = [0] * len(values)
-    gid = 0
-    for p, i in enumerate(order):
-        pos[i] = p
-        if p and values[i] != values[order[p - 1]]:
-            gid += 1
-        group[i] = gid
-    return order, pos, (group if gid + 1 < len(values) else None)
+    """The positions of ``values`` in best-first order and each position's
+    tie-group id, or None for the groups when no two values are equal."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    distinct = set(values)
+    if len(distinct) == len(values):
+        return order, None
+    gid = dict(zip(distinct, range(len(distinct))))
+    return order, list(map(gid.__getitem__, values))
 
 
 def _doubled_ranks(order, group: list[int] | None) -> tuple:
@@ -430,13 +397,9 @@ def _doubled_ranks(order, group: list[int] | None) -> tuple:
     if group is None:
         return range(2, 2 * n + 1, 2), 2 * n * (n + 1) * (2 * n + 1) // 3
     ranks: list[int] = []
-    start = 0
-    while start < n:
-        stop = start
-        while stop + 1 < n and group[order[stop + 1]] == group[order[start]]:
-            stop += 1
-        ranks += [start + stop + 2] * (stop - start + 1)
-        start = stop + 1
+    for _, run in groupby(map(group.__getitem__, order)):
+        size = len(list(run))
+        ranks += [2 * len(ranks) + size + 1] * size  # twice the run's mean rank
     return ranks, sum(map(mul, ranks, ranks))
 
 

@@ -19,7 +19,7 @@ import os
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import documents
 from .documents import json_scalar
@@ -40,6 +40,12 @@ class EvaluationRecord:
     epochs_trained: int = 0
 
     def __post_init__(self):
+        # Only what the log's JSON path reads back: string ids, an integer
+        # epoch count and no boolean anywhere.
+        epochs, test, train = self.epochs_trained, self.test_accuracy, self.train_accuracy
+        if not (isinstance(self.model_id, str) and isinstance(self.setting, str)
+                and isinstance(epochs, int)) or bool in (type(epochs), type(test), type(train)):
+            raise LogError("a field of the wrong type in %r" % (self,))
         if not 0.0 <= self.test_accuracy <= 1.0:
             raise LogError(
                 "test accuracy %r outside [0, 1] for %s" % (self.test_accuracy, self.model_id)
@@ -58,15 +64,14 @@ def _line(rec: EvaluationRecord) -> str:
     """The record's log line: the bytes of ``json.dumps(obj, sort_keys=True)``
     plus a newline, for the object of its fields with ``train_accuracy``
     left out when it is None, formatted directly because the schema is
-    fixed. A value of exactly the type the field declares is formatted in
-    place (an exact ``float`` accuracy is finite, which the record checked);
-    any other value goes through :func:`documents.json_scalar`."""
-    epochs, model_id, setting = rec.epochs_trained, rec.model_id, rec.setting
+    fixed. The ids, epochs (a ``str`` and an ``int``, which the record
+    checked) and an exact ``float`` accuracy (finite, as checked) are formatted
+    in place; any other accuracy goes through :func:`documents.json_scalar`."""
     test, train = rec.test_accuracy, rec.train_accuracy
     return '{"epochs_trained": %s, "model_id": %s, "setting": %s, "test_accuracy": %s%s}\n' % (
-        int.__repr__(epochs) if type(epochs) is int else json_scalar(epochs),
-        _string(model_id) if type(model_id) is str else json_scalar(model_id),
-        _string(setting) if type(setting) is str else json_scalar(setting),
+        int.__repr__(rec.epochs_trained),
+        _string(rec.model_id),
+        _string(rec.setting),
         float.__repr__(test) if type(test) is float else json_scalar(test),
         "" if train is None else ', "train_accuracy": '
         + (float.__repr__(train) if type(train) is float else json_scalar(train)),
@@ -97,18 +102,26 @@ def truncate_torn_tail(path: str) -> bool:
     return True
 
 
-def _parse_record(obj: dict, lineno: int) -> EvaluationRecord:
+# Each field of a record line: its key, its type and, unless it is required, its default.
+_FIELDS = (("model_id", str), ("setting", str), ("test_accuracy", float),
+           ("train_accuracy", Optional[float], None), ("epochs_trained", int, 0))
+
+
+def _parse_record(obj, lineno: int) -> EvaluationRecord:
+    """The record of a line read as JSON, each field converted as a document's
+    key is (no boolean as a number, no fraction as an integer)."""
+    fields = []
+    for key, hint, *default in _FIELDS:
+        try:
+            if not isinstance(obj, dict) or key not in obj and not default:
+                raise ValueError("missing")
+            value = obj.get(key, *default)
+            fields.append(value if type(value) is hint else documents.convert(hint, value))
+        except ValueError as exc:
+            raise LogError("line %d: bad record (%s: %s)" % (lineno, key, exc)) from None
     try:
-        return EvaluationRecord(
-            model_id=str(obj["model_id"]),
-            setting=str(obj["setting"]),
-            test_accuracy=float(obj["test_accuracy"]),
-            train_accuracy=(
-                float(obj["train_accuracy"]) if obj.get("train_accuracy") is not None else None
-            ),
-            epochs_trained=int(obj.get("epochs_trained", 0)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return EvaluationRecord(*fields)
+    except LogError as exc:
         raise LogError("line %d: bad record (%s)" % (lineno, exc)) from None
 
 

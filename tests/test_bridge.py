@@ -11,7 +11,7 @@ import pytest
 from econas import bridge
 from econas.bridge import ExternalEvaluator, serve
 from econas.evaluator import EvalResult, EvaluatorFailure
-from econas.genotype import NetworkConfig, OutputRule, SEARCH8, random_genotype
+from econas.genotype import NetworkConfig, OutputRule, SEARCH8, encode, random_genotype
 from econas.harness import bridge_selftest, default_serve_command
 from econas.proxy import CIFAR10_TABLE, ReducedSetting, format_label
 from econas.search import _evaluate_jobs
@@ -67,6 +67,7 @@ def test_serve_ping_and_evaluate_with_unknown_fields():
 
 
 def test_serve_error_responses_do_not_kill_loop():
+    genotype = encode(_genotype())
     responses = _serve_lines(
         [
             {"id": 1, "op": "nonsense"},
@@ -74,10 +75,23 @@ def test_serve_error_responses_do_not_kill_loop():
              "start_epoch": 0, "end_epoch": 10},
             {"id": 3, "op": "shutdown"},
             {"id": 4, "op": "ping"},
+            # epochs are JSON integers: a fraction, a boolean or a string is
+            # not converted
+            {"id": 5, "op": "evaluate", "genotype": genotype, "setting": "c0r0s0e10",
+             "start_epoch": 0, "end_epoch": 20.9},
+            {"id": 6, "op": "evaluate", "genotype": genotype, "setting": "c0r0s0e10",
+             "start_epoch": True, "end_epoch": 10},
+            {"id": 7, "op": "evaluate", "genotype": genotype, "setting": "c0r0s0e10",
+             "start_epoch": 0, "end_epoch": "20"},
+            {"id": 8, "op": "evaluate", "genotype": genotype, "setting": "c0r0s0e10",
+             "start_epoch": 0, "end_epoch": 10},
         ]
     )
-    assert [r["status"] for r in responses] == ["error"] * 3 + ["ok"]
+    assert [r["status"] for r in responses] == ["error"] * 3 + ["ok"] + ["error"] * 3 + ["ok"]
     assert responses[2]["error"] == "unknown op 'shutdown'"
+    assert responses[4]["error"] == "expected an integer epoch, got 20.9"
+    assert responses[5]["error"] == "expected an integer epoch, got true"
+    assert responses[6]["error"] == 'expected an integer epoch, got "20"'
 
 
 def test_serve_malformed_line_reports_error():

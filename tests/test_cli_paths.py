@@ -86,7 +86,10 @@ def test_bridge_selftest_cli(capsys):
     assert "all 1 checks passed" in out
 
 
-def test_analyze_with_rho_f_file(tmp_path):
+@pytest.fixture(scope="module")
+def eval_log(tmp_path_factory):
+    """An 8-model zoo's log over the Ground Truth and three reduced settings."""
+    tmp_path = tmp_path_factory.mktemp("analyze")
     zoo_dir = tmp_path / "zoo"
     zoo_generate(str(zoo_dir), count=8, node_count=2, seed=3)
     log = tmp_path / "eval.jsonl"
@@ -95,9 +98,13 @@ def test_analyze_with_rho_f_file(tmp_path):
         ["zoo", "evaluate", "--zoo", str(zoo_dir), "--settings", labels,
          "--out", str(log)]
     ) == 0
+    return log
+
+
+def test_analyze_with_rho_f_file(eval_log, tmp_path):
     out_dir = tmp_path / "report"
     assert main(
-        ["analyze", "--log", str(log), "--ground-truth", "c0r0s0e600",
+        ["analyze", "--log", str(eval_log), "--ground-truth", "c0r0s0e600",
          "--out", str(out_dir), "--top-k", "2", "--windows", "3,5",
          "--rho-f-sizes", "3,5,8", "--rho-f-trials", "10", "--seed", "4"]
     ) == 0
@@ -106,6 +113,27 @@ def test_analyze_with_rho_f_file(tmp_path):
     values = [float(line.split("\t")[1]) for line in rho_f_lines[2:]]
     assert len(values) == 3
     assert values[-1] == 1.0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rho-f-trials", "0"], "rho_F needs at least 1 trial, got 0"),
+    (["--rho-f-trials", "-2"], "rho_F needs at least 1 trial, got -2"),
+    (["--tolerant-b", "nan"], "tolerance b must be >= 0, got nan"),
+    (["--tolerant-b", "-0.1"], "tolerance b must be >= 0, got -0.1"),
+    (["--top-k", "0"], "top_k and window must be >= 1, got 0 and 3"),
+    (["--top-k", "-1"], "top_k and window must be >= 1, got -1 and 3"),
+    (["--windows", "0"], "top_k and window must be >= 1, got 2 and 0"),
+], ids=["no_trials", "negative_trials", "nan_b", "negative_b", "top_0", "top_negative",
+        "window_0"])
+def test_analyze_rejects_parameters_no_metric_can_use(eval_log, tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "report"
+    assert main(
+        ["analyze", "--log", str(eval_log), "--ground-truth", "c0r0s0e600",
+         "--out", str(out_dir), "--top-k", "2", "--windows", "3,5",
+         "--rho-f-sizes", "3,5"] + flags
+    ) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out_dir.exists()  # nothing is written
 
 
 def test_toy_space_quality_extremes(toy_space):

@@ -5,7 +5,6 @@ digests pinned from that writer's logs."""
 
 import hashlib
 import json
-import math
 import os
 
 import pytest
@@ -54,18 +53,23 @@ class _Float(float):
         return "not-json"
 
 
+class _Int(int):
+    """An int subclass whose own repr json.dumps does not use."""
+
+    def __repr__(self):
+        return "not-json"
+
+
 _SPECIAL = '"\\/\x00\x01\x1f\x7f\b\f\n\r\té  𐏿\U0001f600'
 _TEXT = st.text(st.sampled_from(_SPECIAL) | st.characters())
 _ACCURACY = st.one_of(
     st.floats(0.0, 1.0, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1 - 2 ** -53]),
     st.integers(0, 1),
-    st.booleans(),
     st.floats(0.0, 1.0).map(_Float),
 )
 _EPOCHS = st.one_of(
-    st.integers(0, 600), st.integers(-(10 ** 40), 10 ** 40), st.booleans(),
-    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(0, 600), st.integers(-(10 ** 40), 10 ** 40), st.integers().map(_Int),
 )
 
 
@@ -79,7 +83,7 @@ def test_write_and_append_give_the_oracle_bytes(tmp_path):
     records = [
         EvaluationRecord("m\"1\\", "c0r0s0e600", 0.5, None, 600),
         EvaluationRecord("mé2", "c4r4s0e60", 1, 0.0, 60),
-        EvaluationRecord("m3", "c2r2s1e30", _Float(0.25), True, 10 ** 30),
+        EvaluationRecord("m3", "c2r2s1e30", _Float(0.25), 0, 10 ** 30),
     ]
     whole, appended = tmp_path / "whole.jsonl", tmp_path / "appended.jsonl"
     write_log(str(whole), records)
@@ -105,9 +109,7 @@ _READ_ACCURACY = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-05, 2.5e-300, 1 - 2 ** -53]),
     st.integers(0, 1),
 )
-_READ_EPOCHS = st.one_of(
-    st.integers(0, 600), st.integers(-(10 ** 40), 10 ** 40), st.booleans(),
-)
+_READ_EPOCHS = st.one_of(st.integers(0, 600), st.integers(-(10 ** 40), 10 ** 40))
 
 
 _READ_ROW = st.tuples(_TEXT, _TEXT, _READ_ACCURACY, st.none() | _READ_ACCURACY, _READ_EPOCHS)
@@ -120,6 +122,25 @@ def test_read_log_equals_the_json_path(tmp_path_factory, rows):
     write_log(path, records)
     expected = oracle.read_log(path, on_duplicate="keep_last")
     assert _fields(read_log(path, on_duplicate="keep_last")) == _fields(expected)
+
+
+# A record holds only what the log's JSON path reads back, so that
+# read_log takes every log write_log writes.
+@pytest.mark.parametrize("fields", [
+    ("m", "s", 0.5, None, False),
+    ("m", "s", 0.5, None, 30.0),
+    ("m", "s", 0.5, None, "30"),
+    (5, "s", 0.5, None, 30),
+    ("m", None, 0.5, None, 30),
+    ("m", "s", True, None, 30),
+    ("m", "s", 0.5, False, 30),
+], ids=[
+    "boolean_epochs", "float_epochs", "string_epochs", "integer_model_id", "null_setting",
+    "boolean_test_accuracy", "boolean_train_accuracy",
+])
+def test_record_rejects_what_the_reader_refuses(fields):
+    with pytest.raises(LogError):
+        EvaluationRecord(*fields)
 
 
 def test_canonical_lines_take_the_pattern_path(tmp_path):
@@ -190,10 +211,22 @@ def test_non_canonical_lines_read_as_json(tmp_path):
     ('{"epochs_trained": 1%s, "model_id": "a", "setting": "s", "test_accuracy": 0.5}'
      % ("0" * 5000), "JSON"),
     ('{"epochs_trained": 3, "model_id": "a", "setting": "s"}', "bad record"),
+    # the JSON path reads no boolean as a number, no number as a string and
+    # no fraction as an integer
+    ('{"epochs_trained": 3, "model_id": "a", "setting": "s", "test_accuracy": true}',
+     "test_accuracy: expected a number"),
+    ('{"epochs_trained": 3, "model_id": 5, "setting": "s", "test_accuracy": 0.5}',
+     "model_id: expected a string"),
+    ('{"epochs_trained": 2.7, "model_id": "a", "setting": "s", "test_accuracy": 0.5}',
+     "epochs_trained: expected an integer"),
+    ('[3, "a", "s", 0.5]', "bad record"),
+    ('{"epochs_trained": false, "model_id": "a", "setting": "s", "test_accuracy": 0.5}',
+     "epochs_trained: expected an integer"),
 ], ids=[
     "accuracy_above_1", "leading_zero", "control_character", "non_ascii_digit",
     "non_ascii_digit_epochs", "integer_past_float_range", "integer_past_digit_limit",
-    "missing_key",
+    "missing_key", "boolean_accuracy", "integer_model_id", "fractional_epochs",
+    "not_an_object", "boolean_epochs",
 ])
 def test_bad_lines_fail_as_on_the_json_path(tmp_path, line, error):
     path = tmp_path / "eval.jsonl"

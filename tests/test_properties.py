@@ -4,7 +4,7 @@ import dataclasses
 import hashlib
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from econas.genotype import (
     NetworkConfig,
@@ -18,12 +18,13 @@ from econas.genotype import (
     slot_diff,
 )
 import rank_oracles as oracle
+from test_metrics import oracle_ranks
 from econas.metrics import (
     RankVector,
     fractional_ranks,
     hard_rank_error,
+    rho_f_columns,
     rho_f_subsample,
-    rho_f_subsamples,
     spearman_values,
     tolerant_spearman,
 )
@@ -52,12 +53,23 @@ def test_spearman_bounded_and_self_perfect(values):
     assert spearman_values(values, values) == 1.0
 
 
-@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=50))
+@given(
+    st.one_of(
+        st.lists(st.integers(-1000, 1000), max_size=50).map(lambda l: [float(v) for v in l]),
+        # Few distinct values, 0.0 and -0.0 among them: ties everywhere.
+        st.lists(st.sampled_from([0.0, -0.0, 0.25, -1.5, 3.0]), max_size=40),
+    )
+)
+@example([])
+@example([-0.0])
 def test_fractional_ranks_partition_positions(values):
-    ranks = fractional_ranks([float(v) for v in values])
+    ranks = fractional_ranks(values)
     n = len(values)
     assert sum(ranks) == n * (n + 1) / 2  # rank mass is conserved under ties
     assert all(1.0 <= r <= n for r in ranks)
+    # rho_F's oracle ranks through fractional_ranks, which shares its tie
+    # walk with rho_F; the pairwise ranks keep that oracle independent.
+    assert ranks == oracle_ranks(values)
 
 
 @given(
@@ -143,6 +155,14 @@ def test_pair_kernels_equal_their_pairwise_definitions(maps, b):
     assert hard_rank_error(gt_vec, red_vec) == oracle.hard_rank_error(gt_vec, red_vec)
 
 
+def _columns(by_label):
+    """Each setting's sorted model ids and their accuracies in that order."""
+    return {
+        label: (tuple(sorted(accuracies)), [accuracies[i] for i in sorted(accuracies)])
+        for label, accuracies in by_label.items()
+    }
+
+
 @settings(max_examples=60)
 @given(
     maps=st.integers(3, 6).flatmap(lambda n: accuracy_maps(n, min_k=3, max_k=30)),
@@ -155,7 +175,7 @@ def test_rho_f_equals_re_ranking_every_subsample(maps, fractions, seed):
     sizes = [3 + round(fraction * (k - 3)) for fraction in fractions]
     expected = [oracle.rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) for m in sizes]
     assert [rho_f_subsample(by_label, "s0", m, trials=4, seed=seed) for m in sizes] == expected
-    assert rho_f_subsamples(by_label, "s0", sizes, trials=4, seed=seed) == expected
+    assert rho_f_columns(_columns(by_label), "s0", sizes, trials=4, seed=seed) == expected
 
 
 @settings(max_examples=10)
@@ -177,4 +197,4 @@ def test_rho_f_on_zoos_past_a_byte_equals_re_ranking(k, ties, seed):
     }
     sizes = sorted({3, 127, min(128, k), k})
     expected = [oracle.rho_f_subsample(by_label, "s0", m, trials=2, seed=seed) for m in sizes]
-    assert rho_f_subsamples(by_label, "s0", sizes, trials=2, seed=seed) == expected
+    assert rho_f_columns(_columns(by_label), "s0", sizes, trials=2, seed=seed) == expected
