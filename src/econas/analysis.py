@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from . import documents
@@ -20,13 +21,12 @@ from .metrics import (
     ConsistencyRow,
     entropy,
     fractional_ranks,
-    overfit_gap,
     recommend_settings,
     rho_f_columns,
     setting_scores,
 )
 from .proxy import ReductionTable, nominal_speedup, parse_label
-from .records import EvaluationRecord, by_setting
+from .records import EvaluationRecord, read_fields
 
 SCHEMA_VERSION = 1
 
@@ -82,15 +82,39 @@ class SettingColumns:
         """The columns of ``records``; given columns, those columns."""
         if isinstance(records, cls):
             return records
-        columns, gaps, shared = {}, {}, {}
-        for label, group in by_setting(records).items():
-            ids = tuple(sorted(group))
-            ids = shared.setdefault(ids, ids)
-            columns[label] = ids, [group[mid].test_accuracy for mid in ids]
-            # In record order: the gap is a float sum, which depends on it.
-            complete = all(rec.train_accuracy is not None for rec in group.values())
-            gaps[label] = overfit_gap(group.values()) if complete else None
-        return cls(columns, gaps)
+        return _grouped(map(_RECORD_FIELDS, records))
+
+
+_RECORD_FIELDS = attrgetter("model_id", "setting", "test_accuracy", "train_accuracy")
+
+
+def read_columns(path: str, on_duplicate: str = "error") -> SettingColumns:
+    """The columns of the log at ``path``: ``SettingColumns.of(read_log(path,
+    on_duplicate))``, with the same errors, grouped from the fields
+    :func:`~econas.records.read_fields` reads without building a record."""
+    return _grouped(read_fields(path, on_duplicate).values())
+
+
+def _grouped(fields) -> SettingColumns:
+    """The columns of records given as their fields (model id, setting, test
+    accuracy, train accuracy, ...) in record order; a later record of the
+    same (model, setting) replaces the earlier one in its place."""
+    groups: dict[str, dict] = {}
+    for f in fields:
+        group = groups.get(f[1])
+        if group is None:
+            groups[f[1]] = group = {}
+        group[f[0]] = f
+    columns, gaps, shared = {}, {}, {}
+    for label, group in groups.items():
+        ids = tuple(sorted(group))
+        ids = shared.setdefault(ids, ids)
+        columns[label] = ids, [group[mid][2] for mid in ids]
+        # overfit_gap's float sum, in record order, on which it depends.
+        rows = group.values()
+        complete = all(f[3] is not None for f in rows)
+        gaps[label] = sum([f[3] - f[2] for f in rows]) / len(rows) if complete else None
+    return SettingColumns(columns, gaps)
 
 
 def acceleration_ratio(label: str, gt_label: str, table: ReductionTable) -> float:

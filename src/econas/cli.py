@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--rho-f-trials", type=int, default=100)
     an.add_argument("--seed", type=int, default=0)
     an.add_argument("--allow-duplicates", action="store_true",
-                    help="keep the last record per (model, setting); needed for search histories")
+                    help="keep the last record per (model, setting) instead of rejecting a repeat")
 
     se = sub.add_parser("search", help="run the evolutionary search")
     se.set_defaults(run=_cmd_search)

@@ -24,8 +24,10 @@ from .genotype import (
     NetworkConfig,
     OperationSet,
     OutputRule,
+    ParseError,
     ZOO13,
     decode,
+    decode_stored,
     encode,
     random_genotype,
 )
@@ -40,7 +42,7 @@ from .proxy import (
 from .records import (
     EvaluationRecord,
     append_records,
-    read_log,
+    read_fields,
     truncate_torn_tail,
     write_log,
 )
@@ -144,10 +146,16 @@ def load_zoo(zoo_dir: str) -> list[tuple[str, Genotype]]:
     models = []
     for entry in index.models:
         with open(documents.resolve_path(index_path, entry.file), "r", encoding="utf-8") as fh:
-            g = decode(fh.read())
-        if g.content_hash != entry.hash:
-            raise HarnessError("zoo file %s does not match its indexed hash" % entry.file)
-        models.append((g.content_hash, g))
+            text = fh.read()
+        try:
+            # A file as zoo_generate wrote it is the document of its id.
+            g = decode_stored(entry.hash, text)
+        except ParseError:
+            # Any other file must decode to the genotype of that id.
+            g = decode(text)
+            if g.content_hash != entry.hash:
+                raise HarnessError("zoo file %s does not match its indexed hash" % entry.file)
+        models.append((entry.hash, g))
     return models
 
 
@@ -337,20 +345,16 @@ def zoo_evaluate(
     labelled = sorted(((format_label(s), s) for s in manifest.settings), key=itemgetter(0))
     total = len(models) * len(labelled)
     existed = os.path.exists(log)
-    existing: list[EvaluationRecord] = []
+    existing: dict[tuple[str, str], tuple] = {}
     if resume and existed:
         if truncate_torn_tail(log):
             logger.warning("dropped an unfinished last line from %s; its pair runs again", log)
-        existing = read_log(log)
-    done: dict[str, set] = {}
-    for rec in existing:
-        done.setdefault(rec.model_id, set()).add(rec.setting)
+        existing = read_fields(log)
     # The pending pairs as (model id, label) and their evaluator jobs.
     keys, jobs = [], []
     for mid, g in sorted(models):
-        skip = done.get(mid, ())
         for label, setting in labelled:
-            if label not in skip:
+            if (mid, label) not in existing:
                 keys.append((mid, label))
                 jobs.append((g, setting, 0, setting.epochs, None))
 
@@ -380,9 +384,9 @@ def zoo_evaluate(
     # The batch ran in canonical order, so a log the append created is
     # sorted already; any other log is rewritten in that order.
     if existed or (fresh and not resume):
-        existing.extend(fresh)
-        existing.sort(key=EvaluationRecord.key)
-        write_log(log, existing)
+        fresh += [EvaluationRecord(*fields) for fields in existing.values()]
+        fresh.sort(key=EvaluationRecord.key)
+        write_log(log, fresh)
     return completed, failed, total
 
 
@@ -557,9 +561,9 @@ def run_analyze(
     seed: int = 0,
     allow_duplicates: bool = False,
 ):
-    records = read_log(log_path, on_duplicate="keep_last" if allow_duplicates else "error")
-    columns = analysis.SettingColumns.of(records)
-    del records  # frees the records; the columns hold every value the report reads
+    columns = analysis.read_columns(
+        log_path, on_duplicate="keep_last" if allow_duplicates else "error"
+    )
     report = analysis.build_report(
         columns, gt_label, table, top_k=top_k, windows=windows, tolerant_b=tolerant_b
     )

@@ -31,6 +31,21 @@ class LogError(ValueError):
     """Malformed or inconsistent evaluation log."""
 
 
+def _check(fields: tuple) -> None:
+    """Raise LogError unless a record's fields (model id, setting, test
+    accuracy, train accuracy, epochs) hold only what the log's JSON path
+    reads back: string ids, an integer epoch count, no boolean anywhere, and
+    accuracies in [0, 1]."""
+    model_id, setting, test, train, epochs = fields
+    if not (isinstance(model_id, str) and isinstance(setting, str)
+            and isinstance(epochs, int)) or bool in (type(epochs), type(test), type(train)):
+        raise LogError("a field of the wrong type in %r" % (fields,))
+    if not 0.0 <= test <= 1.0:
+        raise LogError("test accuracy %r outside [0, 1] for %s" % (test, model_id))
+    if train is not None and not 0.0 <= train <= 1.0:
+        raise LogError("train accuracy %r outside [0, 1] for %s" % (train, model_id))
+
+
 @dataclass(frozen=True)
 class EvaluationRecord:
     model_id: str
@@ -40,21 +55,8 @@ class EvaluationRecord:
     epochs_trained: int = 0
 
     def __post_init__(self):
-        # Only what the log's JSON path reads back: string ids, an integer
-        # epoch count and no boolean anywhere.
-        epochs, test, train = self.epochs_trained, self.test_accuracy, self.train_accuracy
-        if not (isinstance(self.model_id, str) and isinstance(self.setting, str)
-                and isinstance(epochs, int)) or bool in (type(epochs), type(test), type(train)):
-            raise LogError("a field of the wrong type in %r" % (self,))
-        if not 0.0 <= self.test_accuracy <= 1.0:
-            raise LogError(
-                "test accuracy %r outside [0, 1] for %s" % (self.test_accuracy, self.model_id)
-            )
-        if self.train_accuracy is not None and not 0.0 <= self.train_accuracy <= 1.0:
-            raise LogError(
-                "train accuracy %r outside [0, 1] for %s"
-                % (self.train_accuracy, self.model_id)
-            )
+        _check((self.model_id, self.setting, self.test_accuracy, self.train_accuracy,
+                self.epochs_trained))
 
     def key(self) -> tuple[str, str]:
         return (self.model_id, self.setting)
@@ -107,9 +109,9 @@ _FIELDS = (("model_id", str), ("setting", str), ("test_accuracy", float),
            ("train_accuracy", Optional[float], None), ("epochs_trained", int, 0))
 
 
-def _parse_record(obj, lineno: int) -> EvaluationRecord:
-    """The record of a line read as JSON, each field converted as a document's
-    key is (no boolean as a number, no fraction as an integer)."""
+def _json_fields(obj) -> tuple:
+    """The fields of a line read as JSON, each converted as a document's key
+    is (no boolean as a number, no fraction as an integer)."""
     fields = []
     for key, hint, *default in _FIELDS:
         try:
@@ -118,11 +120,19 @@ def _parse_record(obj, lineno: int) -> EvaluationRecord:
             value = obj.get(key, *default)
             fields.append(value if type(value) is hint else documents.convert(hint, value))
         except ValueError as exc:
-            raise LogError("line %d: bad record (%s: %s)" % (lineno, key, exc)) from None
+            raise LogError("%s: %s" % (key, exc)) from None
+    return tuple(fields)
+
+
+def _record_fields(parsed, lineno: int) -> tuple:
+    """The checked fields of line ``lineno``, given as :func:`_parse_line`
+    read it: a tuple of fields or a JSON value."""
     try:
-        return EvaluationRecord(*fields)
+        fields = parsed if type(parsed) is tuple else _json_fields(parsed)
+        _check(fields)
     except LogError as exc:
         raise LogError("line %d: bad record (%s)" % (lineno, exc)) from None
+    return fields
 
 
 # The lines _line writes, as far as a pattern tells them apart from other
@@ -160,42 +170,41 @@ def _parse_line(line: str):
     )
 
 
-def read_log(path: str, on_duplicate: str = "error") -> list[EvaluationRecord]:
-    """Read a log; duplicate (model_id, setting) keys either raise or keep
-    the last occurrence (``on_duplicate`` = 'error' | 'keep_last').
-
-    Search histories legitimately repeat a key when mutation rediscovers an
-    architecture, so history ingestion passes 'keep_last'; zoo evaluation
-    logs are expected unique.
+def read_fields(path: str, on_duplicate: str = "error") -> dict[tuple[str, str], tuple]:
+    """The fields of a log's records, read line by line, as the tuple
+    (model_id, setting, test_accuracy, train_accuracy, epochs_trained) under
+    its key (model_id, setting), each checked as :class:`EvaluationRecord`
+    checks its fields. A duplicate key either raises or keeps its first
+    place with the last occurrence's fields (``on_duplicate`` = 'error' |
+    'keep_last').
 
     A line in the exact shape :func:`_line` writes (strings without escapes)
     is read by one compiled pattern; every other line, such as one with
     reordered keys, extra fields or escaped text, is parsed as JSON. Both
-    give the same record.
+    give the same fields.
     """
     if on_duplicate not in ("error", "keep_last"):
         raise LogError("on_duplicate must be 'error' or 'keep_last'")
     keep_last = on_duplicate == "keep_last"
-    records: dict[tuple[str, str], EvaluationRecord] = {}
+    by_key: dict[tuple[str, str], tuple] = {}
     try:
-        for lineno, fields in documents.read_lines(path, _HEADER_KIND, _parse_line):
-            if type(fields) is tuple:
-                try:
-                    rec = EvaluationRecord(*fields)
-                except LogError as exc:
-                    raise LogError("line %d: bad record (%s)" % (lineno, exc)) from None
-            else:
-                rec = _parse_record(fields, lineno)
-            key = (rec.model_id, rec.setting)
-            if key in records and not keep_last:
-                raise LogError(
-                    "line %d: duplicate record for (%s, %s)"
-                    % (lineno, rec.model_id, rec.setting)
-                )
-            records[key] = rec
+        for lineno, parsed in documents.read_lines(path, _HEADER_KIND, _parse_line):
+            fields = _record_fields(parsed, lineno)
+            key = fields[:2]
+            if key in by_key and not keep_last:
+                raise LogError("line %d: duplicate record for (%s, %s)" % ((lineno,) + key))
+            by_key[key] = fields
     except documents.Rejected as exc:
         raise LogError(str(exc)) from None
-    return list(records.values())
+    return by_key
+
+
+def read_log(path: str, on_duplicate: str = "error") -> list[EvaluationRecord]:
+    """The records of a log, in the order and under the duplicate policy of
+    :func:`read_fields`. Zoo evaluation logs hold each key once. A search's
+    ``history.jsonl`` reads as a log with 'keep_last', since mutation can
+    rediscover an architecture."""
+    return [EvaluationRecord(*fields) for fields in read_fields(path, on_duplicate).values()]
 
 
 def by_setting(records: Iterable[EvaluationRecord]) -> dict[str, dict[str, EvaluationRecord]]:

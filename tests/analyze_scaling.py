@@ -11,9 +11,12 @@ Ground-Truth setting; then analyze runs with rho_F over subsample sizes
 5-50 at 100 trials, as in the benchmark's ``zoo_analyze`` workload. The
 script asserts that both variants write byte-identical TSV files and prints
 one JSON object with, per variant, the wall time of the whole analyze and
-of ``read_log``, ``build_report``, ``rho_f_curve`` and
-``write_report_files``, and the speed-ups. Both variants write through
-econas's ``write_report_files``.
+of ``read``, ``build_report``, ``rho_f_curve`` and ``write_report_files``,
+and the speed-ups. econas's ``read`` is ``analysis.read_columns``, which
+reads the log straight into per-setting columns; the oracles' is their
+``read_log``, which builds a record per line and leaves the grouping to
+each later phase. Both variants write through econas's
+``write_report_files``.
 """
 
 import json
@@ -73,20 +76,20 @@ class Phases(dict):
 def econas_analyze(log: str, out_dir: str) -> dict:
     """harness.run_analyze, with each phase timed where harness calls it."""
     phases = Phases()
-    patched = [(harness, "read_log")] + [
-        (analysis, name) for name in ("build_report", "rho_f_curve", "write_report_files")
+    patched = [("read_columns", "read")] + [
+        (name, name) for name in ("build_report", "rho_f_curve", "write_report_files")
     ]
-    originals = [getattr(owner, name) for owner, name in patched]
-    for (owner, name), fn in zip(patched, originals):
-        setattr(owner, name, phases.timed(name, fn))
+    originals = [getattr(analysis, name) for name, _ in patched]
+    for (name, phase), fn in zip(patched, originals):
+        setattr(analysis, name, phases.timed(phase, fn))
     try:
         phases.timed("analyze", harness.run_analyze)(
             log, GROUND_TRUTH, out_dir, CIFAR10_TABLE,
             rho_f_sizes=RHO_F_SIZES, rho_f_trials=100, seed=3,
         )
     finally:
-        for (owner, name), fn in zip(patched, originals):
-            setattr(owner, name, fn)
+        for (name, _), fn in zip(patched, originals):
+            setattr(analysis, name, fn)
     return phases
 
 
@@ -95,7 +98,7 @@ def oracle_analyze(log: str, out_dir: str) -> dict:
     phases = Phases()
 
     def run():
-        records = phases.timed("read_log", rank_oracles.read_log)(log)
+        records = phases.timed("read", rank_oracles.read_log)(log)
         report = phases.timed("build_report", rank_oracles.build_report)(
             records, GROUND_TRUTH, CIFAR10_TABLE
         )

@@ -30,7 +30,7 @@ from econas.metrics import (
     spearman_values,
 )
 from econas.proxy import nominal_speedup, parse_label
-from econas.records import LogError, by_setting
+from econas.records import EvaluationRecord, LogError, by_setting
 from econas.seeding import derive_rng
 
 
@@ -144,7 +144,7 @@ def read_log(path, on_duplicate="error"):
     order = []
     try:
         for lineno, obj in documents.read_lines(path, "evaluation_log"):
-            rec = records_module._parse_record(obj, lineno)
+            rec = EvaluationRecord(*records_module._record_fields(obj, lineno))
             if rec.key() in records:
                 if on_duplicate == "error":
                     raise LogError(

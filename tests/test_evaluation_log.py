@@ -8,12 +8,14 @@ import json
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from econas.cli import main
 from econas.evaluator import EvaluatorFailure
 import rank_oracles as oracle
 from econas import records as records_module
+from econas.analysis import SettingColumns, read_columns
+from econas.metrics import overfit_gap
 from econas.harness import (
     ExperimentManifest, load_zoo, run_analyze, zoo_evaluate, zoo_generate,
 )
@@ -237,6 +239,86 @@ def test_bad_lines_fail_as_on_the_json_path(tmp_path, line, error):
     with pytest.raises(LogError) as expected:
         oracle.read_log(str(path))
     assert str(got.value) == str(expected.value)
+
+
+# -- the column reader: a log's fields grouped without records -----------------------
+
+_LOG_IDS = st.sampled_from(["m1", "m2", 'm"3', "mé", "m\\4"])
+_LOG_LABELS = st.sampled_from(["c0r0s0e600", "c1r0s0e30", "c2r0s0e30"])
+_BAD_LINES = [
+    '{"epochs_trained": 3, "model_id": "m1", "setting": "s", "test_accuracy": 1.5}',
+    '{"epochs_trained": 3, "model_id": "m1", "setting": "s", "test_accuracy": 0.5, '
+    '"train_accuracy": -0.25}',
+    '{"epochs_trained": 3, "model_id": "m1", "setting": "s"}',
+    '{"epochs_trained": 3, "model_id": "m1", "setting": "s", "test_accuracy": true}',
+    '{"epochs_trained": 3, "model_id": "m1", "setting": "s", "test_accuracy": 0.5',
+    "[3, 0.5]",
+]
+
+
+@st.composite
+def _log_text(draw):
+    """A log whose lines are canonical, JSON in another shape (reordered keys,
+    extra fields, escapes, integer accuracies, a null train accuracy), blank,
+    or now and then bad; ids and labels repeat, so keys do too."""
+    lines = ['{"kind": "evaluation_log", "schema_version": 1}']
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["canonical"] * 4 + ["json"] * 3 + ["blank", "bad"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            continue
+        if kind == "bad":
+            lines.append(draw(st.sampled_from(_BAD_LINES)))
+            continue
+        rec = EvaluationRecord(draw(_LOG_IDS), draw(_LOG_LABELS), draw(_READ_ACCURACY),
+                               draw(st.none() | _READ_ACCURACY), draw(_READ_EPOCHS))
+        if kind == "canonical":
+            lines.append(_line(rec)[:-1])
+            continue
+        obj = _record_obj(rec)
+        if rec.train_accuracy is None and draw(st.booleans()):
+            obj["train_accuracy"] = None
+        if draw(st.booleans()):
+            obj["note"] = draw(st.sampled_from(["x", 'q"\\', "\u00e9\x01"]))
+        items = draw(st.permutations(list(obj.items())))
+        lines.append(json.dumps(dict(items), ensure_ascii=draw(st.booleans())))
+    return "\n".join(lines) + "\n"
+
+
+def _columns_of(read):
+    """A column reader's outcome, each accuracy and gap by type and repr and
+    each setting in its place, or the LogError text."""
+    try:
+        columns = read()
+    except LogError as exc:
+        return str(exc)
+    return [
+        (label, ids, [(type(v), repr(v)) for v in values], repr(columns.gaps[label]))
+        for label, (ids, values) in columns.columns.items()
+    ]
+
+
+def _grouped_by_oracle(records):
+    """The columns, grouped from the JSON-path oracle's records by
+    ``by_setting`` and ``overfit_gap``."""
+    columns, gaps = {}, {}
+    for label, group in records_module.by_setting(records).items():
+        ids = tuple(sorted(group))
+        columns[label] = ids, [group[mid].test_accuracy for mid in ids]
+        complete = all(rec.train_accuracy is not None for rec in group.values())
+        gaps[label] = overfit_gap(group.values()) if complete else None
+    return SettingColumns(columns, gaps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_text(), st.sampled_from(["error", "keep_last"]))
+def test_read_columns_equals_the_record_path(tmp_path_factory, text, on_duplicate):
+    path = str(tmp_path_factory.mktemp("log") / "eval.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    got = _columns_of(lambda: read_columns(path, on_duplicate))
+    assert got == _columns_of(lambda: SettingColumns.of(read_log(path, on_duplicate)))
+    assert got == _columns_of(lambda: _grouped_by_oracle(oracle.read_log(path, on_duplicate)))
 
 
 def test_analyze_rejects_every_torn_last_line(tmp_path):

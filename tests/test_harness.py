@@ -15,11 +15,11 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from econas import harness, search
+from econas import genotype as genotype_module, harness, search
 from econas.analysis import AnalysisError, build_report
 from econas.cli import main
 from econas.evaluator import EvalResult, EvaluatorFailure
-from econas.genotype import OperationKind, OperationSet, OutputRule, ZOO13, decode
+from econas.genotype import OperationKind, OperationSet, OutputRule, ZOO13, decode, encode
 from econas.harness import (
     ExperimentManifest,
     HarnessError,
@@ -94,6 +94,42 @@ def test_zoo_generate_empty_and_refusal(tmp_path):
         zoo_generate(str(out), count=0)  # refuses without force
     zoo_generate(str(out), count=2, node_count=2, force=True)
     assert len(load_zoo(str(out))) == 2
+
+
+def test_load_zoo_builds_no_document_for_a_canonical_zoo(tmp_path, monkeypatch):
+    out = tmp_path / "zoo"
+    entries = zoo_generate(str(out), count=5, node_count=3, seed=5)
+
+    def refuse(g):
+        raise AssertionError("built a genotype document")
+
+    monkeypatch.setattr(genotype_module, "_build_document", refuse)
+    models = load_zoo(str(out))
+    assert [(h, g.content_hash) for h, g in models] == [(h, h) for h, _ in entries]
+    for (h, filename), (_, g) in zip(entries, models):
+        assert encode(g) == (out / filename).read_text(encoding="utf-8")
+
+
+def test_load_zoo_takes_a_reformatted_file_of_the_same_genotype(tmp_path):
+    out = tmp_path / "zoo"
+    (h, filename), *_ = zoo_generate(str(out), count=3, node_count=3, seed=5)
+    canonical = (out / filename).read_text(encoding="utf-8")
+    obj = json.loads(canonical)
+    (out / filename).write_text(json.dumps(dict(reversed(list(obj.items())))), encoding="utf-8")
+    (got_id, got), *_ = load_zoo(str(out))
+    assert got_id == got.content_hash == h
+    assert encode(got) == canonical
+
+
+def test_load_zoo_rejects_an_edited_genotype(tmp_path):
+    out = tmp_path / "zoo"
+    (_, filename), *_ = zoo_generate(str(out), count=3, node_count=3, seed=5)
+    obj = json.loads((out / filename).read_text(encoding="utf-8"))
+    node = obj["normal"]["nodes"][0]
+    node["op_a"] = next(op.value for op in ZOO13.members if op.value != node["op_a"])
+    (out / filename).write_text(encode(decode(json.dumps(obj))), encoding="utf-8")
+    with pytest.raises(HarnessError, match="does not match its indexed hash"):
+        load_zoo(str(out))
 
 
 def test_zoo_generate_cli_roundtrip(tmp_path):
