@@ -27,6 +27,7 @@ from .metrics import (
 )
 from .proxy import ReductionTable, nominal_speedup, parse_label
 from .records import EvaluationRecord, read_fields
+from .seeding import left_sum
 
 SCHEMA_VERSION = 1
 
@@ -113,7 +114,7 @@ def _grouped(fields) -> SettingColumns:
         # overfit_gap's float sum, in record order, on which it depends.
         rows = group.values()
         complete = all(f[3] is not None for f in rows)
-        gaps[label] = sum([f[3] - f[2] for f in rows]) / len(rows) if complete else None
+        gaps[label] = left_sum([f[3] - f[2] for f in rows]) / len(rows) if complete else None
     return SettingColumns(columns, gaps)
 
 
@@ -215,13 +216,13 @@ def _entropy_tables(rho_by_dims, table: ReductionTable) -> list:
             value = entropy([grid[(a, b)] for a in range(n_c)])
             along_c.append(value)
             out.append(EntropyRow(s_idx, epochs, "c", b, value))
-        out.append(EntropyRow(s_idx, epochs, "c", None, sum(along_c) / len(along_c)))
+        out.append(EntropyRow(s_idx, epochs, "c", None, left_sum(along_c) / len(along_c)))
         along_r = []
         for a in range(n_c):
             value = entropy([grid[(a, b)] for b in range(n_r)])
             along_r.append(value)
             out.append(EntropyRow(s_idx, epochs, "r", a, value))
-        out.append(EntropyRow(s_idx, epochs, "r", None, sum(along_r) / len(along_r)))
+        out.append(EntropyRow(s_idx, epochs, "r", None, left_sum(along_r) / len(along_r)))
     return out
 
 

@@ -14,12 +14,12 @@ import sys
 from . import harness
 from .analysis import AnalysisError
 from .bridge import serve
-from .genotype import GenotypeError, OutputRule
+from .genotype import BUILTIN_OP_SETS, GenotypeError, OutputRule
 from .metrics import MetricError
 from .proxy import SettingError, resolve_table
 from .records import LogError
-from .search import SearchError, resolve_op_set
-from .surrogate import SurrogateError, SurrogateEvaluator, SurrogateParams
+from .search import SearchError
+from .surrogate import SurrogateError, SurrogateParams
 
 _USER_ERRORS = (
     harness.HarnessError,
@@ -34,25 +34,33 @@ _USER_ERRORS = (
 )
 
 
+def _csv(text: str) -> list[str]:
+    return [part for part in text.split(",") if part.strip()]
+
+
 def _csv_ints(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in _csv(text)]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers: %r" % text) from None
 
 
-def _workers(text: str) -> int:
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError("expected at least 1 worker, got %d" % workers)
-    return workers
+def _at_least(minimum: int, what: str):
+    """An argparse type: an integer ``what`` of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "expected a %s of at least %d, got %d" % (what, minimum, value)
+            )
+        return value
+
+    parse.__name__ = what  # argparse names the type in "invalid ... value"
+    return parse
 
 
-def _cycle(text: str) -> int:
-    cycle = int(text)
-    if cycle < 0:
-        raise argparse.ArgumentTypeError("expected a cycle of at least 0, got %d" % cycle)
-    return cycle
+_workers = _at_least(1, "worker count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--count", type=int, default=50)
     gen.add_argument("--nodes", type=int, default=5)
-    gen.add_argument("--op-set", default="zoo13", choices=["zoo13", "search8"])
+    gen.add_argument("--op-set", default="zoo13", choices=sorted(BUILTIN_OP_SETS))
     gen.add_argument(
         "--output-rule", default="all_intermediate", choices=[r.value for r in OutputRule]
     )
@@ -78,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = zoo_sub.add_parser("evaluate", help="evaluate a zoo over a setting grid")
     ev.set_defaults(run=_cmd_zoo_evaluate)
-    # Without --manifest these flags describe the run; a manifest sets all
-    # of them, so their defaults are applied only without one.
+    # Without --manifest these flags are the manifest's keys (_MANIFEST_KEYS);
+    # a manifest sets all of them, so none may be given with one.
     ev.add_argument("--manifest", help="experiment manifest document")
     ev.add_argument("--zoo", help="zoo directory (manifest-less mode)")
     ev.add_argument("--table", help="built-in name or table document (default cifar10)")
-    ev.add_argument("--settings", help="comma-separated setting labels")
+    ev.add_argument("--settings", type=_csv, help="comma-separated setting labels")
     ev.add_argument("--out", help="output evaluation log")
     ev.add_argument("--evaluator", help="'surrogate' (default) or 'cmd:...'")
     ev.add_argument("--params", help="surrogate parameters document")
@@ -113,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--resume", action="store_true", help="continue from checkpoint")
     se.add_argument("--force", action="store_true", help="ignore an existing checkpoint")
     se.add_argument("--workers", type=_workers, default=None)
-    se.add_argument("--stop-after-cycle", type=_cycle, default=None,
+    se.add_argument("--stop-after-cycle", type=_at_least(0, "cycle"), default=None,
                     help="stop at a cycle boundary (for testing interrupted runs)")
 
     bt = sub.add_parser("bridge-selftest", help="check the subprocess evaluator path")
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--table", default="cifar10")
     bt.add_argument("--seed", type=int, default=7)
     bt.add_argument("--params", help="surrogate parameters document")
-    bt.add_argument("--checks", type=int, default=3)
+    bt.add_argument("--checks", type=_at_least(1, "check count"), default=3)
 
     sv = sub.add_parser(
         "surrogate-serve", help="serve the surrogate over the wire protocol on stdio"
@@ -137,11 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params(path: str | None, seed: int) -> SurrogateParams:
-    """The ``--params`` document, else the packaged calibration at ``--seed``."""
-    if path:
-        return SurrogateParams.load(path)
-    return SurrogateParams().with_seed(seed)
+def _params(path: str | None) -> SurrogateParams | None:
+    """The ``--params`` document; without one, ``harness.make_evaluator``
+    uses the packaged calibration at ``--seed``."""
+    return SurrogateParams.load(path) if path else None
 
 
 def _cmd_zoo_generate(args) -> int:
@@ -149,7 +156,7 @@ def _cmd_zoo_generate(args) -> int:
         args.out,
         count=args.count,
         node_count=args.nodes,
-        op_set=resolve_op_set(args.op_set),
+        op_set=BUILTIN_OP_SETS[args.op_set],
         seed=args.seed,
         output_rule=OutputRule(args.output_rule),
         force=args.force,
@@ -158,39 +165,30 @@ def _cmd_zoo_generate(args) -> int:
     return 0
 
 
-_MANIFEST_FLAGS = ("zoo", "table", "settings", "out", "evaluator", "params", "seed")
+# Each flag of `zoo evaluate` that describes the run, and its manifest key.
+_MANIFEST_KEYS = {
+    "zoo": "zoo", "table": "table", "settings": "settings", "out": "output_log",
+    "evaluator": "evaluator", "params": "surrogate_params", "seed": "seed",
+}
 
 
 def _manifest_from_args(args) -> harness.ExperimentManifest:
+    given = [flag for flag in _MANIFEST_KEYS if getattr(args, flag) is not None]
     if args.manifest:
-        given = ["--" + name for name in _MANIFEST_FLAGS if getattr(args, name) is not None]
         if given:
             raise harness.HarnessError(
-                "%s cannot be given with --manifest, which sets them" % ", ".join(given)
+                "%s cannot be given with --manifest, which sets them"
+                % ", ".join("--" + flag for flag in given)
             )
         manifest = harness.load_manifest(args.manifest)
-        if args.workers is not None:
-            manifest.workers = args.workers
-        return manifest
-    if not (args.zoo and args.settings and args.out):
-        raise harness.HarnessError(
-            "either --manifest or all of --zoo/--settings/--out are required"
-        )
-    table = resolve_table(args.table or "cifar10")
-    settings = harness._resolve_settings(
-        [lbl.strip() for lbl in args.settings.split(",") if lbl.strip()], table
-    )
-    seed = 7 if args.seed is None else args.seed
-    return harness.ExperimentManifest(
-        table=table,
-        settings=settings,
-        zoo_dir=args.zoo,
-        evaluator_spec=args.evaluator or "surrogate",
-        seed=seed,
-        output_log=args.out,
-        surrogate_params=_params(args.params, seed),
-        workers=args.workers if args.workers is not None else 1,
-    )
+    else:
+        # A manifest must name its table; the flags default to cifar10.
+        fields = {"table": "cifar10", "seed": 7}
+        fields.update((_MANIFEST_KEYS[flag], getattr(args, flag)) for flag in given)
+        manifest = harness.resolve_manifest(fields, "command line", "")
+    if args.workers is not None:
+        manifest.workers = args.workers
+    return manifest
 
 
 def _cmd_zoo_evaluate(args) -> int:
@@ -258,13 +256,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bridge_selftest(args) -> int:
-    table = resolve_table(args.table)
-    params = _params(args.params, args.seed)
     command = args.serve_command or harness.default_serve_command(
         args.table, args.seed, args.params
     )
     lines = harness.bridge_selftest(
-        command=command, table=table, params=params, seed=args.seed, checks=args.checks
+        command, resolve_table(args.table), _params(args.params), args.seed, args.checks
     )
     for line in lines:
         print(line)
@@ -273,7 +269,7 @@ def _cmd_bridge_selftest(args) -> int:
 
 def _cmd_surrogate_serve(args) -> int:
     table = resolve_table(args.table)
-    serve(SurrogateEvaluator(_params(args.params, args.seed), table), table)
+    serve(harness.make_evaluator("surrogate", table, _params(args.params), args.seed), table)
     return 0
 
 

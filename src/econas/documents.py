@@ -155,11 +155,6 @@ def convert(hint, value):
     raise TypeError("no conversion to %r" % hint)
 
 
-def resolve_path(document: str, path: str) -> str:
-    """``path`` as written in the file ``document``: relative to its directory."""
-    return os.path.join(os.path.dirname(os.path.abspath(document)), path)
-
-
 @contextmanager
 def replacing(path: str):
     """Yield a text file that replaces ``path`` once the block ends; on any

@@ -254,8 +254,6 @@ def random_cell(
 ) -> CellSpec:
     """Sample a cell node by node: two inputs uniform over the legal set,
     two operations uniform over ``op_set``."""
-    if node_count < 1:
-        raise GenotypeError("cannot build an empty cell (node_count=0)")
     nodes = []
     for j in range(node_count):
         choices = legal_inputs(j)

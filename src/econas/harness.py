@@ -145,7 +145,7 @@ def load_zoo(zoo_dir: str) -> list[tuple[str, Genotype]]:
     index = documents.load(index_path, "zoo_index", ZooIndex, HarnessError)
     models = []
     for entry in index.models:
-        with open(documents.resolve_path(index_path, entry.file), "r", encoding="utf-8") as fh:
+        with open(os.path.join(zoo_dir, entry.file), "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
             # A file as zoo_generate wrote it is the document of its id.
@@ -242,16 +242,17 @@ def _check_shared_keys(doc) -> None:
         raise HarnessError("evaluator_timeout must be a positive number of seconds")
 
 
-def _companions(path: str, doc) -> tuple[ReductionTable, Optional[SurrogateParams]]:
-    """The table and surrogate parameters a manifest or search config at
-    ``path`` names; a table that is not built in is a path, like the params."""
+def _companions(base: str, doc) -> tuple[ReductionTable, Optional[SurrogateParams]]:
+    """The table and surrogate parameters a manifest or search config names;
+    a table that is not built in is a path, like the params, relative to the
+    directory ``base``."""
     with documents.at_key("table"):
         table = resolve_table(
-            doc.table if doc.table in BUILTIN_TABLES else documents.resolve_path(path, doc.table)
+            doc.table if doc.table in BUILTIN_TABLES else os.path.join(base, doc.table)
         )
     with documents.at_key("surrogate_params"):
         params = (
-            SurrogateParams.load(documents.resolve_path(path, doc.surrogate_params))
+            SurrogateParams.load(os.path.join(base, doc.surrogate_params))
             if doc.surrogate_params
             else None
         )
@@ -262,10 +263,19 @@ def load_manifest(path: str) -> ExperimentManifest:
     """Read an ``experiment_manifest`` document; the paths it holds are
     relative to its own directory."""
     with documents.reading(path, HarnessError):
-        doc = documents.build(_ManifestDocument, documents.read(path, "experiment_manifest"))
-        table, params = _companions(path, doc)
+        fields = documents.read(path, "experiment_manifest")
+    return resolve_manifest(fields, path, os.path.dirname(os.path.abspath(path)))
+
+
+def resolve_manifest(fields: dict, source: str, base: str) -> ExperimentManifest:
+    """The run that the manifest keys ``fields`` describe, with paths relative
+    to the directory ``base`` ("" for the working directory); any fault is a
+    HarnessError that names ``source`` and the key."""
+    with documents.reading(source, HarnessError):
+        doc = documents.build(_ManifestDocument, fields)
+        table, params = _companions(base, doc)
         with documents.at_key("zoo"):
-            zoo_dir = documents.resolve_path(path, doc.zoo)
+            zoo_dir = os.path.join(base, doc.zoo)
             if not os.path.isdir(zoo_dir):
                 raise HarnessError("zoo directory %s does not exist" % zoo_dir)
         with documents.at_key("settings"):
@@ -276,7 +286,7 @@ def load_manifest(path: str) -> ExperimentManifest:
         zoo_dir=zoo_dir,
         evaluator_spec=doc.evaluator,
         seed=doc.seed,
-        output_log=documents.resolve_path(path, doc.output_log),
+        output_log=os.path.join(base, doc.output_log),
         surrogate_params=params,
         workers=doc.workers,
         evaluator_timeout=doc.evaluator_timeout,
@@ -436,7 +446,7 @@ def load_search_config(path: str) -> SearchCommandConfig:
     its own directory."""
     with documents.reading(path, HarnessError):
         doc = documents.build(_SearchDocument, documents.read(path, "search_config"))
-        table, params = _companions(path, doc)
+        table, params = _companions(os.path.dirname(os.path.abspath(path)), doc)
         with documents.at_key("setting"):  # the engine substitutes each span's epochs
             setting = parse_label(doc.setting if "e" in doc.setting else doc.setting + "e1", table)
         with documents.at_key("op_set"):
@@ -586,23 +596,15 @@ def default_serve_command(table_name: str, seed: int, params_path: Optional[str]
 
 
 def bridge_selftest(
-    command=None,
-    table: Optional[ReductionTable] = None,
-    params: Optional[SurrogateParams] = None,
-    seed: int = 7,
-    checks: int = 3,
+    command, table: ReductionTable, params: Optional[SurrogateParams], seed: int, checks: int
 ) -> list[str]:
-    """Spawn the surrogate behind the wire protocol and verify it answers
-    exactly like the in-process surrogate, including a resumed evaluation.
-    Returns human-readable check lines; raises HarnessError on mismatch.
+    """Spawn ``command``, which serves a surrogate over the wire protocol, and
+    verify it answers exactly like the in-process surrogate that
+    :func:`make_evaluator` makes of ``table``, ``params`` and ``seed``,
+    including a resumed evaluation. Returns human-readable check lines;
+    raises HarnessError on mismatch.
     """
-    from .proxy import CIFAR10_TABLE
-
-    table = table if table is not None else CIFAR10_TABLE
-    params = params if params is not None else SurrogateParams().with_seed(seed)
-    local = SurrogateEvaluator(params, table)
-    if command is None:
-        command = default_serve_command(table.name, seed)
+    local = make_evaluator("surrogate", table, params, seed)
     lines = []
     with ExternalEvaluator(command, timeout=30.0) as remote:
         if not remote.ping():

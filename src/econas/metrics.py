@@ -36,7 +36,7 @@ from itertools import groupby
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
-from .seeding import derive_rng
+from .seeding import derive_rng, left_sum
 
 
 class MetricError(ValueError):
@@ -92,7 +92,7 @@ def _spearman_from_ranks(x: Sequence[float], y: Sequence[float]) -> float:
     k = len(x)
     if k < 2:
         raise MetricError("Spearman needs at least 2 models, got %d" % k)
-    return _spearman_from_d2(sum((a - b) ** 2 for a, b in zip(x, y)), k)
+    return _spearman_from_d2(left_sum((a - b) ** 2 for a, b in zip(x, y)), k)
 
 
 def _tied_pairs(values: Iterable) -> int:
@@ -412,7 +412,7 @@ def overfit_gap(records: Iterable) -> float:
         gaps.append(rec.train_accuracy - rec.test_accuracy)
     if not gaps:
         raise MetricError("no records given")
-    return sum(gaps) / len(gaps)
+    return left_sum(gaps) / len(gaps)
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,6 @@ class ReductionTable:
             raise SettingError(
                 "sample-ratio index %d out of range for table %r" % (s.s_idx, self.name)
             )
-        if s.epochs <= 0:
-            raise SettingError("epochs must be positive, got %d" % s.epochs)
 
     def grid(
         self, epochs: Sequence[int] | None = None, *, c: Sequence[int] | None = None,

@@ -43,7 +43,7 @@ from .genotype import (
 )
 from .proxy import ReducedSetting, format_label
 from .records import EvaluationRecord, truncate_torn_tail
-from .seeding import derive_rng
+from .seeding import derive_rng, left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +110,8 @@ class EcoNasConfig:
         w1, w2, w3 = self.tier_weights
         if not 0 < w1 < w2 < w3:
             raise SearchError("tier weights must be positive and strictly increasing")
+        if any(cap is not None and cap < 1 for cap in (self.cap_e, self.cap_2e, self.cap_3e)):
+            raise SearchError("tier capacities must be positive or null")
 
     @property
     def capacity_e(self) -> int:
@@ -250,7 +252,7 @@ def _draw_parent(ranked: list, rng) -> Candidate:
     candidates has weight n, the worst weight 1."""
     if not ranked:
         raise SearchError("cannot sample a parent: all tiers are empty")
-    total = sum(w for _, w in ranked)
+    total = left_sum(w for _, w in ranked)
     x = rng.random() * total
     chosen = ranked[-1][0]
     for pool, w in ranked:

@@ -4,12 +4,16 @@ All randomness in the package flows from explicit seeds through this module:
 a child stream is identified by a tuple of string-able parts hashed with
 SHA-256, so derived streams are stable across runs, platforms, and Python
 versions, and never depend on the order in which sibling streams are drawn.
+Float sums that results depend on go through :func:`left_sum`, for the same
+reason.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from functools import reduce
+from operator import add
 
 
 def derive_seed(*parts) -> int:
@@ -30,3 +34,10 @@ def unit_interval(*parts) -> float:
 def signed_unit(*parts) -> float:
     """Deterministic value in [-1, 1) keyed by the given parts."""
     return 2.0 * unit_interval(*parts) - 1.0
+
+
+def left_sum(values):
+    """The sum of ``values`` added one by one from the left, as ``sum`` does
+    up to Python 3.11; from 3.12 on, ``sum`` compensates float rounding
+    (``sum([1.0, 1e100, 1.0, -1e100])`` is 0.0 here and 2.0 there)."""
+    return reduce(add, values, 0)

@@ -31,8 +31,8 @@ from .genotype import (
     OutputRule,
     legal_inputs,
 )
-from .proxy import ReducedSetting, ReductionTable, CIFAR10_TABLE
-from .seeding import signed_unit
+from .proxy import ReducedSetting, ReductionTable
+from .seeding import left_sum, signed_unit
 
 
 class SurrogateError(ValueError):
@@ -181,7 +181,7 @@ def true_quality(g: Genotype, params: SurrogateParams) -> float:
             refs.add(node.input_b)
         distinct += len(refs)
         possible += cell.node_count + 1
-    op_mean = sum(scores) / len(scores)
+    op_mean = left_sum(scores) / len(scores)
     connectivity = distinct / possible
     raw = params.op_weight * op_mean + params.connectivity_weight * connectivity
     raw = min(max(raw, 0.0), 1.0)
@@ -251,9 +251,9 @@ def make_token(genotype_hash: str, epochs: int) -> str:
 class SurrogateEvaluator:
     """Binds params + table into the evaluator contract."""
 
-    def __init__(self, params: SurrogateParams | None = None, table: ReductionTable | None = None):
-        self.params = params if params is not None else SurrogateParams()
-        self.table = table if table is not None else CIFAR10_TABLE
+    def __init__(self, params: SurrogateParams, table: ReductionTable):
+        self.params = params
+        self.table = table
         self.params.validate_for_table(self.table)
 
     def evaluate(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rank_oracles as oracle
+from econas import analysis
 from econas.analysis import (
     AnalysisError,
     SettingColumns,
@@ -13,7 +14,7 @@ from econas.analysis import (
     rho_f_curve,
     write_report_files,
 )
-from econas.proxy import CIFAR10_TABLE, parse_label
+from econas.proxy import CIFAR10_TABLE, ReductionTable, parse_label
 from econas.records import EvaluationRecord
 
 
@@ -195,3 +196,22 @@ def test_the_grid_report_equals_the_oracle(grid_records, grid_report):
     assert rho_f_curve(grid_records, "c0r0s0e600", (5, 50), trials=4, seed=1) == (
         oracle.rho_f_curve(grid_records, "c0r0s0e600", (5, 50), trials=4, seed=1)
     )
+
+
+def test_setting_gaps_add_from_the_left():
+    # (test, train) pairs whose gaps a compensated sum would total differently.
+    pairs = [(0.094, 0.028), (0.836, 0.433), (0.762, 0.002), (0.445, 0.722)]
+    records = [EvaluationRecord("m%d" % i, "c0r0s0e30", test, train, 30)
+               for i, (test, train) in enumerate(pairs)]
+    assert SettingColumns.of(records).gaps == {"c0r0s0e30": -0.23800000000000004}
+
+
+def test_entropy_means_add_from_the_left(monkeypatch):
+    # Each dimension's four entropies are 1, 1e100, 1, -1e100: 0.0 summed
+    # from the left, 2.0 with a compensated sum.
+    scores = iter([1.0, 1e100, 1.0, -1e100] * 2)
+    monkeypatch.setattr(analysis, "entropy", lambda values: next(scores))
+    table = ReductionTable("four", (8, 6, 4, 2), (8, 6, 4, 2), (1.0,), (30,))
+    grid = {(a, b): 0.0 for a in range(4) for b in range(4)}
+    rows = analysis._entropy_tables({(0, 30): grid}, table)
+    assert [row.value for row in rows if row.fixed_index is None] == [0.0, 0.0]

@@ -115,7 +115,7 @@ def test_serve_rejects_an_oversized_or_non_object_request_then_serves_the_next()
 
 
 def test_bridge_selftest_roundtrip():
-    lines = bridge_selftest(seed=7, checks=2)
+    lines = bridge_selftest(default_serve_command("cifar10", 7), CIFAR10_TABLE, None, 7, 2)
     assert lines[-1].startswith("bridge-selftest: all 2 checks passed")
 
 

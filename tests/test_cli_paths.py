@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import shlex
 import sys
@@ -9,6 +10,7 @@ from econas.cli import main
 from econas.genotype import OperationKind
 from econas.harness import zoo_generate
 from econas.records import read_log
+from econas.surrogate import SurrogateParams
 
 
 def test_zoo_evaluate_inline_flags(tmp_path, capsys):
@@ -32,8 +34,25 @@ def test_zoo_evaluate_inline_flags(tmp_path, capsys):
     assert {r.setting for r in records} == {"c0r0s0e600", "c4r4s0e60"}
 
 
-def test_zoo_evaluate_requires_inputs(tmp_path):
+def test_zoo_evaluate_requires_inputs(tmp_path, capsys):
     assert main(["zoo", "evaluate", "--zoo", str(tmp_path)]) == 2
+    # The flags are manifest keys, and an error names the key.
+    assert "command line: key 'output_log': required key is missing" in capsys.readouterr().err
+
+
+def test_zoo_evaluate_flags_and_manifest_write_the_same_log(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    zoo_generate("zoo", count=3, node_count=2, seed=1)
+    SurrogateParams(tau=9.0).save("params.json")
+    labels = ["c0r0s0e600", "c4r4s0e60"]
+    (tmp_path / "m.json").write_text(json.dumps({
+        "kind": "experiment_manifest", "table": "cifar10", "zoo": "zoo", "seed": 7,
+        "output_log": "manifest.jsonl", "settings": labels, "surrogate_params": "params.json",
+    }))
+    assert main(["zoo", "evaluate", "--manifest", "m.json"]) == 0
+    assert main(["zoo", "evaluate", "--zoo", "zoo", "--settings", ",".join(labels),
+                 "--params", "params.json", "--out", "flags.jsonl"]) == 0
+    assert (tmp_path / "flags.jsonl").read_bytes() == (tmp_path / "manifest.jsonl").read_bytes()
 
 
 def test_zoo_evaluate_refuses_run_flags_given_with_a_manifest(tmp_path, monkeypatch, capsys):
@@ -84,6 +103,22 @@ def test_bridge_selftest_cli(capsys):
     out = capsys.readouterr().out
     assert "ping: ok" in out
     assert "all 1 checks passed" in out
+
+
+def test_bridge_selftest_with_params_compares_like_with_like(capsys):
+    params = importlib.resources.files("econas") / "data" / "surrogate_cifar10.json"
+    assert main(["bridge-selftest", "--params", str(params), "--seed", "3"]) == 0
+    assert "all 3 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("checks", ["0", "-2"])
+def test_bridge_selftest_needs_at_least_one_check(capsys, checks):
+    with pytest.raises(SystemExit) as exc:
+        main(["bridge-selftest", "--checks", checks])
+    assert exc.value.code == 2
+    assert "--checks: expected a check count of at least 1, got %s" % checks in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.fixture(scope="module")

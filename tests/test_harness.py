@@ -1330,6 +1330,20 @@ def test_load_search_config_coerces_or_rejects_values(tmp_path):
         load_search_config(path)
 
 
+@pytest.mark.parametrize("algorithm, config", [
+    ("hierarchical", {"cap_e": 0}),
+    ("hierarchical", {"cap_2e": -3}),
+    ("hierarchical", {"cap_3e": 0}),
+    ("flat", {"capacity": 0}),
+], ids=["cap_e", "cap_2e", "cap_3e", "flat_capacity"])
+def test_tier_capacities_below_one_are_rejected(tmp_path, algorithm, config):
+    path = _search_config(tmp_path, algorithm=algorithm, config=config)
+    with pytest.raises(HarnessError, match="key 'config': .* must be positive"):
+        load_search_config(path)
+    assert main(["search", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_load_search_config_rejects_unknown_top_level_key(tmp_path):
     path = _search_config(tmp_path, workerz=4)
     with pytest.raises(HarnessError, match="workerz"):

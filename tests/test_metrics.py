@@ -362,6 +362,19 @@ def test_overfit_gap():
         overfit_gap([])
 
 
+def test_overfit_gap_adds_gaps_from_the_left():
+    # (test, train) pairs whose gaps a compensated sum would total differently.
+    pairs = [(0.094, 0.028), (0.836, 0.433), (0.762, 0.002), (0.445, 0.722)]
+    assert overfit_gap(_records(pairs)) == -0.23800000000000004
+
+
+def test_spearman_adds_squared_differences_from_the_left():
+    # d^2 = (1e16, 1, 1): from the left both 1s are lost; a compensated sum keeps them.
+    ids = ("a", "b", "c")
+    rho = spearman(RankVector(ids, (1e8, 1.0, 1.0)), RankVector(ids, (0.0, 0.0, 0.0)))
+    assert rho == 1.0 - 1e16 / 4
+
+
 # -- recommendations ---------------------------------------------------------------------
 
 

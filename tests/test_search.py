@@ -127,6 +127,25 @@ def test_sample_parent_tier_weights_renormalized():
     assert abs(hits / n - 0.8) < 0.02
 
 
+class _FixedDraw:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_sample_parent_adds_tier_weights_from_the_left():
+    # (0.1 + 0.2) + 0.3 is 0.6000000000000001, so a draw of 1/6 lands just past
+    # tier E; a compensated sum (0.6) would keep it inside.
+    tiers = PopulationTiers(
+        tier_e=[cand("e", 0.5, seq=0)],
+        tier_2e=[cand("2e", 0.5, seq=1, epochs=10)],
+        tier_3e=[cand("3e", 0.5, seq=2, epochs=15)],
+    )
+    assert sample_parent(tiers, (0.1, 0.2, 0.3), _FixedDraw(1 / 6)).model_id == "2e"
+
+
 # -- promote ----------------------------------------------------------------------
 
 

@@ -106,6 +106,14 @@ def test_quality_deterministic_function_of_content():
     assert 0.0 < true_quality(a, params) < 1.0
 
 
+def test_true_quality_adds_op_scores_from_the_left():
+    # A compensated sum of these 20 scores gives 0.726901.
+    g = random_genotype(
+        derive_rng("naive", 5), NetworkConfig(node_count=5), ZOO13, OutputRule.ALL_INTERMEDIATE
+    )
+    assert true_quality(g, SurrogateParams()) == 0.7269009999999999
+
+
 def test_all_zeros_genotype_minimal_op_contribution():
     zeros_set = OperationSet("z", (OperationKind.ZEROS, OperationKind.SEP_CONV_5X5))
     params = SurrogateParams()
