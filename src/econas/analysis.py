@@ -271,7 +271,7 @@ def _scatter_row(p: ScatterPoint) -> str:
     return "%s\t%s\t%r\t%r\n" % (p.label, p.model_id, p.gt_rank, p.red_rank)
 
 
-def _write_table(path: str, comment: str, header: list, rows, row=_row) -> None:
+def _write_table(path: str, comment: str, header: list, rows, row) -> None:
     with documents.replacing(path) as fh:
         fh.write("# %s\n" % comment)
         fh.write("\t".join(header) + "\n")
@@ -297,66 +297,33 @@ def write_report_files(
             repr(report.tolerant_b),
         )
     )
-    paths = []
-
-    path = os.path.join(out_dir, "report.tsv")
-    header = ["label", "rho_sp", "tolerant_rho", "hre", "speedup", "acceleration"]
-    header += ["retained_w%d" % w for w in report.windows]
-    header += ["overfit_gap"]
-    _write_table(
-        path,
-        "kind=consistency_report " + meta,
-        header,
-        [
+    report_header = ["label", "rho_sp", "tolerant_rho", "hre", "speedup", "acceleration"]
+    report_header += ["retained_w%d" % w for w in report.windows] + ["overfit_gap"]
+    # (file name, kind, header, rows, row formatter), in the order written
+    tables = [
+        ("report", "consistency_report", report_header, (
             [r.label, r.rho_sp, r.tolerant_rho, r.hre, r.speedup, r.acceleration]
-            + list(r.retained)
-            + [r.overfit_gap]
+            + list(r.retained) + [r.overfit_gap]
             for r in report.rows
-        ],
-    )
-    paths.append(path)
-
-    path = os.path.join(out_dir, "entropy.tsv")
-    _write_table(
-        path,
-        "kind=entropy_tables " + meta,
-        ["s_idx", "epochs", "dimension", "fixed_index", "entropy"],
-        [
+        ), _row),
+        ("entropy", "entropy_tables",
+         ["s_idx", "epochs", "dimension", "fixed_index", "entropy"], (
             [e.s_idx, e.epochs, e.dimension, "mean" if e.fixed_index is None else e.fixed_index, e.value]
             for e in report.entropy_rows
-        ],
-    )
-    paths.append(path)
-
-    path = os.path.join(out_dir, "recommendations.tsv")
-    _write_table(
-        path,
-        "kind=recommendations " + meta,
-        ["bucket", "label", "rho_sp", "acceleration", "speedup"],
-        [
+        ), _row),
+        ("recommendations", "recommendations",
+         ["bucket", "label", "rho_sp", "acceleration", "speedup"], (
             [rec.bucket, rec.row.label, rec.row.rho_sp, rec.row.acceleration, rec.row.speedup]
             for rec in report.recommendations
-        ],
-    )
-    paths.append(path)
-
-    path = os.path.join(out_dir, "rank_scatter.tsv")
-    _write_table(
-        path,
-        "kind=rank_scatter " + meta,
-        ["label", "model_id", "gt_rank", "red_rank"],
-        report.scatter,
-        _scatter_row,
-    )
-    paths.append(path)
-
+        ), _row),
+        ("rank_scatter", "rank_scatter",
+         ["label", "model_id", "gt_rank", "red_rank"], report.scatter, _scatter_row),
+    ]
     if rho_f is not None:
-        path = os.path.join(out_dir, "rho_f.tsv")
-        _write_table(
-            path,
-            "kind=rho_f_curve " + meta,
-            ["subsample_size", "rho_f"],
-            [[m, value] for m, value in rho_f],
-        )
+        tables.append(("rho_f", "rho_f_curve", ["subsample_size", "rho_f"], rho_f, _row))
+    paths = []
+    for name, kind, header, rows, row in tables:
+        path = os.path.join(out_dir, name + ".tsv")
+        _write_table(path, "kind=%s %s" % (kind, meta), header, rows, row)
         paths.append(path)
     return paths

@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = zoo_sub.add_parser("generate", help="write a zoo of random genotypes")
     gen.set_defaults(run=_cmd_zoo_generate)
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--count", type=int, default=50)
-    gen.add_argument("--nodes", type=int, default=5)
+    gen.add_argument("--count", type=_at_least(0, "model count"), default=50)
+    gen.add_argument("--nodes", type=_at_least(1, "node count"), default=5)
     gen.add_argument("--op-set", default="zoo13", choices=sorted(BUILTIN_OP_SETS))
     gen.add_argument(
         "--output-rule", default="all_intermediate", choices=[r.value for r in OutputRule]

@@ -393,15 +393,6 @@ def _parse_op(value, path: str) -> OperationKind:
         raise ParseError("%s: unknown operation %r" % (path, value)) from None
 
 
-# Canonical operation values and, for each of the first _TABLE_NODES node
-# positions, the canonical tokens of the inputs that node may use. A node
-# with any value outside these tables takes the per-field parse,
-# _parse_node, which accepts or rejects it and names the path.
-_TABLE_NODES = 16
-_OPERATIONS = {op.value: op for op in OperationKind}
-_LEGAL_TOKENS = [{ref.token(): ref for ref in legal_inputs(j)} for j in range(_TABLE_NODES)]
-
-
 def _parse_node(raw, npath: str, j: int) -> NodeSpec:
     if not isinstance(raw, dict):
         raise ParseError("%s: expected an object" % npath)
@@ -435,27 +426,14 @@ def _parse_cell(obj, path: str) -> CellSpec:
     raw_nodes = obj.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ParseError("%s.nodes: expected a non-empty list" % path)
-    nodes = []
-    ops = _OPERATIONS
-    for j, raw in enumerate(raw_nodes):
-        legal = _LEGAL_TOKENS[j] if j < _TABLE_NODES else {}
-        try:
-            node = NodeSpec(
-                legal[raw["input_a"]], legal[raw["input_b"]], ops[raw["op_a"]], ops[raw["op_b"]]
-            )
-        except (KeyError, TypeError):  # not a dict, a missing key, or a value off the tables
-            node = _parse_node(raw, "%s.nodes[%d]" % (path, j), j)
-        nodes.append(node)
-    return CellSpec(tuple(nodes), rule)
+    nodes = tuple(
+        _parse_node(raw, "%s.nodes[%d]" % (path, j), j) for j, raw in enumerate(raw_nodes)
+    )
+    return CellSpec(nodes, rule)
 
 
 def decode(doc: str) -> Genotype:
-    """Inverse of :func:`encode`; raises ParseError naming the offending path.
-
-    Canonical input tokens (``cell:0``, ``node:3``) and operation values are
-    looked up in precomputed tables. Any other value (``node:01``, a number,
-    an unknown operation) takes the per-field parse, which accepts or rejects
-    it and words the error exactly as when every field took that parse."""
+    """Inverse of :func:`encode`; raises ParseError naming the offending path."""
     try:
         obj = json.loads(doc)
     except json.JSONDecodeError as exc:
@@ -471,12 +449,7 @@ def decode(doc: str) -> Genotype:
     raw_members = raw_set.get("members")
     if not isinstance(name, str) or not isinstance(raw_members, list):
         raise ParseError("op_set: requires 'name' and 'members'")
-    try:
-        members = tuple(map(_OPERATIONS.__getitem__, raw_members))
-    except (KeyError, TypeError):
-        members = tuple(
-            _parse_op(m, "op_set.members[%d]" % i) for i, m in enumerate(raw_members)
-        )
+    members = tuple(_parse_op(m, "op_set.members[%d]" % i) for i, m in enumerate(raw_members))
     builtin = BUILTIN_OP_SETS.get(name)
     op_set = builtin if builtin is not None and builtin.members == members else OperationSet(name, members)
     normal = _parse_cell(obj.get("normal"), "normal")

@@ -104,6 +104,10 @@ def zoo_generate(
     for a fixed seed (same bytes every run). A ``count`` beyond the number
     of distinct genotypes of ``node_count`` nodes over ``op_set`` is an
     error."""
+    if count < 0:
+        raise HarnessError("count must be at least 0, got %d" % count)
+    if node_count < 1:
+        raise HarnessError("node_count must be at least 1, got %d" % node_count)
     limit = space_size(node_count, len(op_set.members))
     if count > limit:
         raise HarnessError(

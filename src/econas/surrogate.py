@@ -58,11 +58,6 @@ DEFAULT_OP_SCORES = {
 }
 
 
-def _non_negative(name, seq):
-    if any(v < 0 for v in seq):
-        raise SurrogateError("%s must be non-negative" % name)
-
-
 @dataclass(frozen=True)
 class SurrogateParams:
     """Calibration constants of the synthetic evaluator.
@@ -100,29 +95,22 @@ class SurrogateParams:
             raise SurrogateError("tau must be positive")
         if not 0 < self.quality_low < self.quality_high < 1:
             raise SurrogateError("quality range must satisfy 0 < low < high < 1")
-        for name, seq in (
-            ("beta_c", self.beta_c),
-            ("beta_r", self.beta_r),
-            ("beta_s", self.beta_s),
-            ("sigma_c", self.sigma_c),
-            ("sigma_r", self.sigma_r),
-            ("sigma_s", self.sigma_s),
-        ):
-            _non_negative(name, seq)
         if self.sigma_base < 0:
             raise SurrogateError("sigma_base must be non-negative")
-        if any(a < b for a, b in zip(self.beta_c, self.beta_c[1:])):
-            raise SurrogateError("beta_c must be non-increasing")
-        for name, seq in (("beta_r", self.beta_r), ("beta_s", self.beta_s)):
-            if any(a > b for a, b in zip(seq, seq[1:])):
-                raise SurrogateError("%s must be non-decreasing" % name)
-        for name, seq in (
-            ("sigma_c", self.sigma_c),
-            ("sigma_r", self.sigma_r),
-            ("sigma_s", self.sigma_s),
+        for name, direction in (
+            ("beta_c", "non-increasing"),
+            ("beta_r", "non-decreasing"),
+            ("beta_s", "non-decreasing"),
+            ("sigma_c", "non-decreasing"),
+            ("sigma_r", "non-decreasing"),
+            ("sigma_s", "non-decreasing"),
         ):
-            if any(a > b for a, b in zip(seq, seq[1:])):
-                raise SurrogateError("%s must be non-decreasing" % name)
+            seq = getattr(self, name)
+            if any(v < 0 for v in seq):
+                raise SurrogateError("%s must be non-negative" % name)
+            steps = zip(seq, seq[1:]) if direction == "non-decreasing" else zip(seq[1:], seq)
+            if any(a > b for a, b in steps):
+                raise SurrogateError("%s must be %s" % (name, direction))
 
     def validate_for_table(self, table: ReductionTable) -> None:
         if len(self.beta_c) < len(table.channels):

@@ -1,7 +1,9 @@
-"""The genotype decoder the table-driven ``decode`` replaced, kept as an
-oracle: every field goes through ``InputRef.from_token`` and
-``OperationKind``, with its path formatted first. Tests require the same
-``Genotype``, or the same exception and message, from both.
+"""A stand-alone copy of the per-field genotype decoder, the algorithm
+``econas.genotype.decode`` also runs: every field goes through
+``InputRef.from_token`` and ``OperationKind``, with its path formatted
+first. It is the reference ``test_decode_equals_the_per_field_oracle``
+compares ``decode`` against; that test requires the same ``Genotype``, or
+the same exception and message, from both.
 """
 
 import json

@@ -121,6 +121,21 @@ def test_bridge_selftest_needs_at_least_one_check(capsys, checks):
     )
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--count", "-1", "expected a model count of at least 0, got -1"),
+    ("--nodes", "0", "expected a node count of at least 1, got 0"),
+])
+def test_zoo_generate_count_and_nodes_below_their_minimum_are_usage_errors(
+    tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "zoo"
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "generate", "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert "%s: %s" % (flag, message) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def eval_log(tmp_path_factory):
     """An 8-model zoo's log over the Ground Truth and three reduced settings."""

@@ -238,8 +238,8 @@ def test_decode_malformed_document():
 # -- decode against the per-field oracle ------------------------------------------------
 
 
-# Input tokens: canonical ones on both sides of the decoder's table limit
-# (16 nodes), and text str.isdigit or int() reads differently from the table.
+# Input tokens: canonical ones, node indices past 15 among them, and text
+# that str.isdigit or int() reads differently from its canonical form.
 _TOKENS = [
     "cell:0", "cell:1", "node:0", "node:1", "node:3", "node:15", "node:16", "node:17",
     "node:01", "cell:2", "node:\uff11", " cell:0", "node:j", "node:-1", "cell:", "node",

@@ -96,6 +96,19 @@ def test_zoo_generate_empty_and_refusal(tmp_path):
     assert len(load_zoo(str(out))) == 2
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"count": -1}, "count must be at least 0, got -1"),
+    ({"node_count": 0}, "node_count must be at least 1, got 0"),
+])
+def test_zoo_generate_rejects_a_negative_count_or_no_nodes_before_writing(
+    tmp_path, kwargs, message
+):
+    out = tmp_path / "zoo"
+    with pytest.raises(HarnessError, match="^%s$" % message):
+        zoo_generate(str(out), **kwargs)
+    assert not out.exists()
+
+
 def test_load_zoo_builds_no_document_for_a_canonical_zoo(tmp_path, monkeypatch):
     out = tmp_path / "zoo"
     entries = zoo_generate(str(out), count=5, node_count=3, seed=5)

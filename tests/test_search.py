@@ -615,31 +615,48 @@ class _Interrupt(BaseException):
 
 
 class _InterruptedAt:
-    """Every call takes a little while; call number ``n`` (from 1) raises
-    ``_Interrupt`` in its worker, or sends SIGINT to the main thread."""
+    """Call number ``n`` (from 1) raises ``_Interrupt`` in its worker, or
+    sends SIGINT to the main thread. The calls before it take a little
+    while; each call after it waits, for at most ``bound`` seconds, until
+    ``dropped`` is set, so its worker starts no job between the
+    interruption and its delivery, however late that comes."""
+
+    bound = 30
 
     def __init__(self, n, by_signal):
         self.n = n
         self.by_signal = by_signal
         self.calls = 0
+        self.dropped = threading.Event()
         self._lock = threading.Lock()
 
     def evaluate(self, *args):
         with self._lock:
             self.calls += 1
             call = self.calls
-        if call == self.n:
+        if call > self.n:
+            self.dropped.wait(self.bound)
+        elif call == self.n:
             if not self.by_signal:
                 raise _Interrupt()
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        time.sleep(0.05)
+        else:
+            time.sleep(0.05)
         return call
 
 
 @pytest.mark.parametrize("by_signal", [False, True], ids=["in_a_job", "sigint"])
 @pytest.mark.parametrize("workers,n", [(2, 3), (4, 10)])
-def test_interruption_drops_jobs_not_yet_started(workers, n, by_signal):
+def test_interruption_drops_jobs_not_yet_started(monkeypatch, workers, n, by_signal):
     ev = _InterruptedAt(n, by_signal)
+
+    class Pool(search_module.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            ev.dropped.set()  # the jobs not yet started are cancelled by now, or never will be
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(search_module, "ThreadPoolExecutor", Pool)
     jobs = [(None, None, 0, 1, None)] * 100
     with pytest.raises(KeyboardInterrupt if by_signal else _Interrupt):
         _evaluate_jobs(ev, jobs, workers)

@@ -56,6 +56,26 @@ def test_params_invariants_enforced():
         SurrogateParams(tau=0.0)
 
 
+@pytest.mark.parametrize("name,direction", [
+    ("beta_c", "non-increasing"),
+    ("beta_r", "non-decreasing"),
+    ("beta_s", "non-decreasing"),
+    ("sigma_c", "non-decreasing"),
+    ("sigma_r", "non-decreasing"),
+    ("sigma_s", "non-decreasing"),
+])
+def test_every_ladder_rejects_a_negative_entry_and_a_wrong_step(name, direction):
+    ladder = [0.0, 0.01, 0.02, 0.03]
+    if direction == "non-increasing":
+        ladder.reverse()
+    SurrogateParams(**{name: tuple(ladder)})
+    negative = [-0.01 if v == 0.0 else v for v in ladder]  # the direction still holds
+    with pytest.raises(SurrogateError, match="^%s must be non-negative$" % name):
+        SurrogateParams(**{name: tuple(negative)})
+    with pytest.raises(SurrogateError, match="^%s must be %s$" % (name, direction)):
+        SurrogateParams(**{name: tuple(reversed(ladder))})
+
+
 def test_params_roundtrip_and_packaged_document(tmp_path):
     params = SurrogateParams()
     path = tmp_path / "params.json"
