@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
@@ -26,7 +27,7 @@ from .metrics import (
     setting_scores,
 )
 from .proxy import ReductionTable, nominal_speedup, parse_label
-from .records import EvaluationRecord, read_fields
+from .records import EvaluationRecord, scan_fields
 from .seeding import left_sum
 
 SCHEMA_VERSION = 1
@@ -83,7 +84,13 @@ class SettingColumns:
         """The columns of ``records``; given columns, those columns."""
         if isinstance(records, cls):
             return records
-        return _grouped(map(_RECORD_FIELDS, records))
+        # A later record of the same (model, setting) replaces the earlier
+        # one in its place.
+        groups: dict[str, dict] = {}
+        for fields in map(_RECORD_FIELDS, records):
+            group, mid = _group_of(groups, fields)
+            group[mid] = fields
+        return _columns(groups)
 
 
 _RECORD_FIELDS = attrgetter("model_id", "setting", "test_accuracy", "train_accuracy")
@@ -91,21 +98,26 @@ _RECORD_FIELDS = attrgetter("model_id", "setting", "test_accuracy", "train_accur
 
 def read_columns(path: str, on_duplicate: str = "error") -> SettingColumns:
     """The columns of the log at ``path``: ``SettingColumns.of(read_log(path,
-    on_duplicate))``, with the same errors, grouped from the fields
-    :func:`~econas.records.read_fields` reads without building a record."""
-    return _grouped(read_fields(path, on_duplicate).values())
-
-
-def _grouped(fields) -> SettingColumns:
-    """The columns of records given as their fields (model id, setting, test
-    accuracy, train accuracy, ...) in record order; a later record of the
-    same (model, setting) replaces the earlier one in its place."""
+    on_duplicate))``, with the same errors, grouped by setting as
+    :func:`~econas.records.scan_fields` reads each record's fields, without
+    building a record or a (model, setting)-keyed dict."""
     groups: dict[str, dict] = {}
-    for f in fields:
-        group = groups.get(f[1])
-        if group is None:
-            groups[f[1]] = group = {}
-        group[f[0]] = f
+    scan_fields(path, on_duplicate, partial(_group_of, groups))
+    return _columns(groups)
+
+
+def _group_of(groups: dict, fields) -> tuple[dict, str]:
+    """The group of record ``fields`` (model id, setting, test accuracy,
+    train accuracy, ...) in ``groups``, {setting: {model id: fields}}, made
+    if new, and the record's key there."""
+    group = groups.get(fields[1])
+    if group is None:
+        groups[fields[1]] = group = {}
+    return group, fields[0]
+
+
+def _columns(groups: dict) -> SettingColumns:
+    """The columns of records grouped as {setting: {model id: fields}}."""
     columns, gaps, shared = {}, {}, {}
     for label, group in groups.items():
         ids = tuple(sorted(group))

@@ -11,6 +11,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from heapq import merge
 from operator import itemgetter
 from typing import Optional
 
@@ -343,18 +344,21 @@ def zoo_evaluate(
 
     Pairs already present in the log are skipped (resume); a last line cut
     short by a crash mid-append is dropped with a warning. The pending pairs
-    run as one batch in (model_id, setting label) order, the log's canonical
-    order, and their records are appended after the whole batch finishes. A
-    log this call created is then already sorted and stays as appended; any
-    other log is rewritten from the records in hand, sorted by (model_id,
-    setting), so the final bytes never depend on scheduling or on what an
-    earlier run left. With ``resume`` off every pair runs again and the
-    rewrite replaces any old log, which then holds exactly the fresh
-    records. Without an ``evaluator`` one is made from the manifest and
-    closed when the batch ends, however it ends. Returns (completed,
-    failed, total-in-grid).
+    stream through :func:`~econas.search._evaluate_jobs` as one batch in
+    (model_id, setting label) order, the log's canonical order, each
+    starting only when a worker is free. After the whole batch, each
+    finished pair's record is appended straight from its outcome. A log
+    this call created is then already sorted and stays as appended; any
+    other log is rewritten, merging those records with the ones it held in
+    (model_id, setting) order, so the final bytes never depend on
+    scheduling or on what an earlier run left. An interrupted batch writes
+    nothing. With ``resume`` off every pair runs again and the rewrite
+    replaces any old log, which then holds exactly the fresh records.
+    Without an ``evaluator`` one is made from the manifest and closed when
+    the batch ends, however it ends. Returns (completed, failed,
+    total-in-grid).
     """
-    models = load_zoo(manifest.zoo_dir)
+    models = sorted(load_zoo(manifest.zoo_dir))
     log = manifest.output_log
     labelled = sorted(((format_label(s), s) for s in manifest.settings), key=itemgetter(0))
     total = len(models) * len(labelled)
@@ -364,44 +368,49 @@ def zoo_evaluate(
         if truncate_torn_tail(log):
             logger.warning("dropped an unfinished last line from %s; its pair runs again", log)
         existing = read_fields(log)
-    # The pending pairs as (model id, label) and their evaluator jobs.
-    keys, jobs = [], []
-    for mid, g in sorted(models):
-        for label, setting in labelled:
-            if (mid, label) not in existing:
-                keys.append((mid, label))
-                jobs.append((g, setting, 0, setting.epochs, None))
+
+    def pending():
+        """The pairs not in the log, in canonical order, as (model id,
+        genotype, label, setting); each pass gives the same sequence."""
+        for mid, g in models:
+            for label, setting in labelled:
+                if (mid, label) not in existing:
+                    yield mid, g, label, setting
 
     with _evaluator(
         evaluator, manifest.evaluator_spec, manifest.table, manifest.surrogate_params,
         manifest.seed, manifest.evaluator_timeout,
     ) as ev:
-        outcomes = _evaluate_jobs(ev, jobs, manifest.workers)
-    os.makedirs(os.path.dirname(os.path.abspath(log)), exist_ok=True)
+        outcomes = _evaluate_jobs(
+            ev, ((g, setting, 0, setting.epochs, None) for _, g, _, setting in pending()),
+            manifest.workers,
+        )
     failed = 0
-    completed = total - len(jobs)
-    fresh = []
-    for (mid, label), (_, setting, *_), outcome in zip(keys, jobs, outcomes):
+    for (mid, _, label, _), outcome in zip(pending(), outcomes):
         if isinstance(outcome, EvaluatorFailure):
             failed += 1
             logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
-            continue
-        fresh.append(EvaluationRecord(
-            mid, label, outcome.accuracy, outcome.train_accuracy, setting.epochs
-        ))
-    del outcomes  # the rewrite below holds every record; keep the peak low
-    completed += len(fresh)
+
+    def fresh():
+        """The records of the pairs this batch finished, in canonical order."""
+        for (mid, _, label, setting), outcome in zip(pending(), outcomes):
+            if not isinstance(outcome, EvaluatorFailure):
+                yield EvaluationRecord(
+                    mid, label, outcome.accuracy, outcome.train_accuracy, setting.epochs
+                )
+
+    kept = len(outcomes) - failed
+    os.makedirs(os.path.dirname(os.path.abspath(log)), exist_ok=True)
     # Without resume the rewrite replaces the old log whole; appending to
     # it first would pair its stale records with the fresh ones.
-    if fresh and resume:
-        append_records(log, fresh)
+    if kept and resume:
+        append_records(log, fresh())
     # The batch ran in canonical order, so a log the append created is
     # sorted already; any other log is rewritten in that order.
-    if existed or (fresh and not resume):
-        fresh += [EvaluationRecord(*fields) for fields in existing.values()]
-        fresh.sort(key=EvaluationRecord.key)
-        write_log(log, fresh)
-    return completed, failed, total
+    if existed or (kept and not resume):
+        held = (EvaluationRecord(*fields) for fields in sorted(existing.values()))
+        write_log(log, merge(fresh(), held, key=EvaluationRecord.key))
+    return total - failed, failed, total
 
 
 # -- search command ----------------------------------------------------------------

@@ -170,13 +170,13 @@ def _parse_line(line: str):
     )
 
 
-def read_fields(path: str, on_duplicate: str = "error") -> dict[tuple[str, str], tuple]:
-    """The fields of a log's records, read line by line, as the tuple
-    (model_id, setting, test_accuracy, train_accuracy, epochs_trained) under
-    its key (model_id, setting), each checked as :class:`EvaluationRecord`
-    checks its fields. A duplicate key either raises or keeps its first
-    place with the last occurrence's fields (``on_duplicate`` = 'error' |
-    'keep_last').
+def scan_fields(path: str, on_duplicate: str, place) -> None:
+    """Read a log's records line by line, each as the tuple of its fields
+    (model_id, setting, test_accuracy, train_accuracy, epochs_trained),
+    checked as :class:`EvaluationRecord` checks them, and store each in the
+    dict and under the key ``place(fields)`` gives, one key per (model_id,
+    setting). A duplicate either raises or keeps its first place with the
+    last occurrence's fields (``on_duplicate`` = 'error' | 'keep_last').
 
     A line in the exact shape :func:`_line` writes (strings without escapes)
     is read by one compiled pattern; every other line, such as one with
@@ -186,16 +186,22 @@ def read_fields(path: str, on_duplicate: str = "error") -> dict[tuple[str, str],
     if on_duplicate not in ("error", "keep_last"):
         raise LogError("on_duplicate must be 'error' or 'keep_last'")
     keep_last = on_duplicate == "keep_last"
-    by_key: dict[tuple[str, str], tuple] = {}
     try:
         for lineno, parsed in documents.read_lines(path, _HEADER_KIND, _parse_line):
             fields = _record_fields(parsed, lineno)
-            key = fields[:2]
-            if key in by_key and not keep_last:
-                raise LogError("line %d: duplicate record for (%s, %s)" % ((lineno,) + key))
-            by_key[key] = fields
+            slots, key = place(fields)
+            if key in slots and not keep_last:
+                raise LogError("line %d: duplicate record for (%s, %s)" % ((lineno,) + fields[:2]))
+            slots[key] = fields
     except documents.Rejected as exc:
         raise LogError(str(exc)) from None
+
+
+def read_fields(path: str, on_duplicate: str = "error") -> dict[tuple[str, str], tuple]:
+    """The fields of a log's records, as :func:`scan_fields` reads them,
+    under their key (model_id, setting)."""
+    by_key: dict[tuple[str, str], tuple] = {}
+    scan_fields(path, on_duplicate, lambda fields: (by_key, fields[:2]))
     return by_key
 
 

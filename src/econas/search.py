@@ -21,7 +21,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager, suppress
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Optional
@@ -322,15 +322,20 @@ def _checked(outcome):
 
 
 def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
-    """Run evaluation jobs, returning (result | EvaluatorFailure) per slot in
-    order. Every value an evaluator returns passes :func:`_checked` here,
-    where it enters search and zoo evaluation alike; the check never
-    raises. ``done(slot, outcome)``, if given, gets each outcome in the
-    calling thread as soon as it completes. Any other exception, from a
-    job or an interrupt of the caller, drops the jobs not yet started;
-    those in flight finish, and their results reach ``done``, before it
-    propagates. Their failures do not: the interrupt may have caused them
-    (a Ctrl-C also stops a trainer child)."""
+    """Run evaluation jobs, taken from any iterable, returning (result |
+    EvaluatorFailure) per slot in order. Every value an evaluator returns
+    passes :func:`_checked` here, where it enters search and zoo evaluation
+    alike; the check never raises. ``done(slot, outcome)``, if given, gets
+    each outcome in the calling thread as soon as it completes.
+
+    The next job is taken only when a worker is free: one at a time with one
+    worker, and with ``workers`` > 1 at most twice that many taken and not
+    yet finished, one running on each worker and as many queued. Any other
+    exception, from a job, from ``jobs`` or an interrupt of the caller,
+    wherever it lands, takes no further job: those queued are dropped; those
+    in flight finish, and their results reach ``done``, before it
+    propagates. Their failures do not: the interrupt may have caused them (a
+    Ctrl-C also stops a trainer child)."""
 
     def run(job):
         g, setting, start, end, token = job
@@ -340,18 +345,30 @@ def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
             return exc
 
     report = done or (lambda slot, outcome: None)
-    if workers <= 1 or len(jobs) <= 1:
-        outcomes = []
+    outcomes = []
+    if workers <= 1:
         for slot, job in enumerate(jobs):
             outcomes.append(run(job))
             report(slot, outcomes[-1])
         return outcomes
+    unreported = {}  # future -> slot, of each job taken and not yet reported
+
+    def collect():
+        finished, _ = wait(unreported, return_when=FIRST_COMPLETED)
+        for future in finished:
+            slot = unreported.pop(future)
+            outcomes[slot] = future.result()
+            report(slot, outcomes[slot])
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, job) for job in jobs]
-        unreported = {future: slot for slot, future in enumerate(futures)}
         try:
-            for future in as_completed(futures):
-                report(unreported.pop(future), future.result())
+            for slot, job in enumerate(jobs):
+                outcomes.append(None)
+                unreported[pool.submit(run, job)] = slot
+                if len(unreported) == 2 * workers:
+                    collect()
+            while unreported:
+                collect()
         finally:
             pool.shutdown(cancel_futures=True)  # waits for the jobs in flight
             for future, slot in unreported.items():
@@ -360,7 +377,7 @@ def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
                     and isinstance(future.result(), EvalResult)
                 ):
                     report(slot, future.result())
-        return [future.result() for future in futures]
+    return outcomes
 
 
 def promote(
@@ -635,7 +652,7 @@ class SearchEngine:
             self._append_journal(documents.json_line(line))
 
         done = journal if self._written else None
-        ran = _evaluate_jobs(self.evaluator, [jobs[slot] for slot in todo], self.workers, done)
+        ran = _evaluate_jobs(self.evaluator, (jobs[slot] for slot in todo), self.workers, done)
         for slot, outcome in zip(todo, ran):
             outcomes[slot] = outcome
         return outcomes

@@ -279,6 +279,30 @@ def test_zoo_evaluate_workers_same_bytes(tmp_path):
         assert fh.read() == bytes1
 
 
+@pytest.mark.parametrize("held", [False, True], ids=["fresh_log", "log_with_records"])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_interrupted_zoo_evaluate_resumes_to_a_straight_runs_bytes(tmp_path, held, workers, at):
+    straight = _mini_manifest(tmp_path)
+    assert zoo_evaluate(straight) == (18, 0, 18)
+    reference = pathlib.Path(straight.output_log).read_bytes()
+    manifest = _mini_manifest(tmp_path, workers=workers)
+    log = tmp_path / "interrupted.jsonl"
+    manifest.output_log = str(log)
+    kept = read_log(straight.output_log)[1::3][::-1] if held else []
+    if kept:  # out of canonical order, so the resume has to rewrite the log
+        write_log(str(log), kept)
+    before = log.read_bytes() if kept else None
+    surrogate = make_evaluator("surrogate", manifest.table, None, manifest.seed)
+    n = {"first": 1, "middle": 5, "last": 18 - len(kept)}[at]
+    with pytest.raises(_Killed):
+        zoo_evaluate(manifest, evaluator=_KilledAt(surrogate, n))
+    # The interrupted batch wrote nothing.
+    assert (log.read_bytes() if log.exists() else None) == before
+    assert zoo_evaluate(manifest, evaluator=surrogate) == (18, 0, 18)
+    assert log.read_bytes() == reference
+
+
 class _Flaky:
     def __init__(self, inner, fail_fraction_ids):
         self.inner = inner

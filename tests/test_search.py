@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -616,16 +617,16 @@ class _Interrupt(BaseException):
 
 class _InterruptedAt:
     """Call number ``n`` (from 1) raises ``_Interrupt`` in its worker, or
-    sends SIGINT to the main thread. The calls before it take a little
-    while; each call after it waits, for at most ``bound`` seconds, until
+    sends SIGINT to the main thread. The calls before it take ``pace``
+    seconds; each call after it waits, for at most ``bound`` seconds, until
     ``dropped`` is set, so its worker starts no job between the
-    interruption and its delivery, however late that comes."""
+    interruption and its delivery, unless that comes later than ``bound``."""
 
-    bound = 30
-
-    def __init__(self, n, by_signal):
+    def __init__(self, n, by_signal, pace=0.05, bound=30):
         self.n = n
         self.by_signal = by_signal
+        self.pace = pace
+        self.bound = bound
         self.calls = 0
         self.dropped = threading.Event()
         self._lock = threading.Lock()
@@ -641,7 +642,7 @@ class _InterruptedAt:
                 raise _Interrupt()
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         else:
-            time.sleep(0.05)
+            time.sleep(self.pace)
         return call
 
 
@@ -662,6 +663,61 @@ def test_interruption_drops_jobs_not_yet_started(monkeypatch, workers, n, by_sig
         _evaluate_jobs(ev, jobs, workers)
     # Only the jobs in flight when the interruption came have run.
     assert ev.calls <= n + workers
+
+
+@pytest.mark.parametrize("by_signal", [False, True], ids=["in_a_job", "sigint"])
+def test_interruption_early_in_a_long_batch_starts_no_further_job(monkeypatch, by_signal):
+    # Call 50 of 200,000 comes while a runner that queues its whole batch
+    # first would still be queueing it; the calls after it would then run
+    # (at once, or each after ``bound``) until the queueing ends.
+    ev = _InterruptedAt(50, by_signal, pace=0.001, bound=0.1)
+
+    class Pool(search_module.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            ev.dropped.set()
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(search_module, "ThreadPoolExecutor", Pool)
+    with pytest.raises(KeyboardInterrupt if by_signal else _Interrupt):
+        _evaluate_jobs(ev, [(None, None, 0, 1, None)] * 200_000, 2)
+    assert ev.calls <= 50 + 2
+
+
+class _Counted:
+    """Counts the jobs taken from ``jobs(count)`` and the calls finished,
+    and keeps the largest difference seen at a take; each call returns its
+    job's start epoch as the resume token."""
+
+    def __init__(self):
+        self.taken = self.finished = self.most_unfinished = 0
+        self._lock = threading.Lock()
+
+    def jobs(self, count):
+        for start in range(count):
+            with self._lock:
+                self.taken += 1
+                self.most_unfinished = max(self.most_unfinished, self.taken - self.finished)
+            yield (None, None, start, start + 1, None)
+
+    def evaluate(self, g, setting, start, end, token):
+        with self._lock:
+            self.finished += 1
+        return EvalResult(0.5, None, str(start))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_runner_takes_a_job_only_when_a_worker_is_free(workers):
+    ev = _Counted()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outcomes = _evaluate_jobs(ev, ev.jobs(10_000), workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [outcome.resume_token for outcome in outcomes] == [str(i) for i in range(10_000)]
+    assert ev.finished == 10_000
+    assert ev.most_unfinished <= (1 if workers == 1 else 2 * workers)
 
 
 class _Sleeps:
