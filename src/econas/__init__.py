@@ -60,6 +60,7 @@ from .metrics import (
     spearman_values,
     tolerant_spearman,
 )
+from .documents import UserError
 from .records import EvaluationRecord, LogError, read_log, write_log
 from .evaluator import EvalResult, Evaluator, EvaluatorFailure, ContractViolation
 from .search import (

@@ -33,7 +33,7 @@ from .seeding import left_sum
 SCHEMA_VERSION = 1
 
 
-class AnalysisError(ValueError):
+class AnalysisError(documents.UserError, ValueError):
     pass
 
 

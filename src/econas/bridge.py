@@ -23,9 +23,10 @@ import time
 from contextlib import contextmanager
 from typing import Optional
 
+from .documents import UserError
 from .evaluator import EvalResult, EvaluatorFailure
-from .genotype import Genotype, ParseError, decode, encode
-from .proxy import ReducedSetting, ReductionTable, SettingError, format_label, parse_label
+from .genotype import Genotype, decode, encode
+from .proxy import ReducedSetting, ReductionTable, format_label, parse_label
 
 logger = logging.getLogger(__name__)
 
@@ -156,7 +157,7 @@ class ExternalEvaluator:
         try:
             proc.stdin.write(line.encode() + b"\n")
             proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             raise child.fail("evaluator child unwritable: %s" % exc) from None
         try:
             raw = child.lines.get(timeout=self.timeout)
@@ -261,14 +262,7 @@ def serve(evaluator, table: ReductionTable, fin=None, fout=None) -> None:
                 )
             else:
                 raise ValueError("unknown op %r" % op)
-        except (
-            ValueError,
-            KeyError,
-            TypeError,
-            ParseError,
-            SettingError,
-            EvaluatorFailure,
-        ) as exc:
+        except (ValueError, KeyError, TypeError, UserError) as exc:
             response = _message(request_id, status="error", error=str(exc))
         try:
             fout.write(response + "\n")

@@ -12,26 +12,11 @@ import logging
 import sys
 
 from . import harness
-from .analysis import AnalysisError
 from .bridge import serve
-from .genotype import BUILTIN_OP_SETS, GenotypeError, OutputRule
-from .metrics import MetricError
-from .proxy import SettingError, resolve_table
-from .records import LogError
-from .search import SearchError
-from .surrogate import SurrogateError, SurrogateParams
-
-_USER_ERRORS = (
-    harness.HarnessError,
-    AnalysisError,
-    SettingError,
-    GenotypeError,
-    MetricError,
-    SearchError,
-    SurrogateError,
-    LogError,
-    FileNotFoundError,
-)
+from .documents import UserError
+from .genotype import BUILTIN_OP_SETS, OutputRule
+from .proxy import resolve_table
+from .surrogate import SurrogateParams
 
 
 def _csv(text: str) -> list[str]:
@@ -278,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except _USER_ERRORS as exc:
+    except (UserError, OSError) as exc:  # OSError: a path or a trainer command
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

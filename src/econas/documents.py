@@ -1,7 +1,7 @@
 """JSON documents in, whole files out. Every document a user writes
 (experiment manifest, search config, surrogate parameters, reduction table,
 zoo index) is a JSON object of a given ``kind`` whose other keys,
-``schema_version`` aside, are the fields of a dataclass; any failure,
+``schema_version`` aside, are the fields of a dataclass; any fault,
 including a rejection by the dataclass itself, reaches the caller as one
 error that names the file and, where there is one, the key. Every output
 file written whole goes through :func:`replacing`, which is atomic; JSON
@@ -22,7 +22,13 @@ from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
 
-class Rejected(ValueError):
+class UserError(Exception):
+    """A fault the user can fix: in a document, a flag, a path or a trainer
+    command. Every econas error class takes it as its first base, so a
+    caller that reports user faults catches this one name."""
+
+
+class Rejected(UserError, ValueError):
     """A value a reader cannot use; ``key`` is its dotted path, if known."""
 
     def __init__(self, message: str, key: str | None = None):
@@ -32,22 +38,23 @@ class Rejected(ValueError):
 
 @contextmanager
 def at_key(name: str):
-    """Attribute any failure inside the block to key ``name``."""
+    """Attribute a ValueError or UserError inside the block to key ``name``;
+    any other exception is a bug and passes through."""
     try:
         yield
     except Rejected as exc:
         raise Rejected(str(exc), name if exc.key is None else "%s.%s" % (name, exc.key)) from None
-    except (ValueError, RuntimeError) as exc:  # RuntimeError: HarnessError, SearchError
+    except (ValueError, UserError) as exc:
         raise Rejected(str(exc), name) from None
 
 
 @contextmanager
 def reading(path: str, error: type[Exception]):
-    """Raise any failure inside the block as one ``error`` naming ``path``
-    and, when it is known, the key."""
+    """Raise a ValueError or UserError inside the block as one ``error``
+    naming ``path`` and, when it is known, the key."""
     try:
         yield
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, UserError) as exc:
         key = getattr(exc, "key", None)
         where = path if key is None else "%s: key %r" % (path, key)
         raise error("%s: %s" % (where, exc)) from None

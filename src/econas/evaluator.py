@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Protocol
 
+from .documents import UserError
 from .genotype import Genotype
 from .proxy import ReducedSetting
 
@@ -22,7 +23,7 @@ class EvalResult(NamedTuple):
     resume_token: str
 
 
-class EvaluatorFailure(RuntimeError):
+class EvaluatorFailure(UserError, RuntimeError):
     """A single evaluation failed; the caller may drop the candidate."""
 
 

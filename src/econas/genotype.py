@@ -15,8 +15,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from .documents import UserError
 
-class GenotypeError(ValueError):
+
+class GenotypeError(UserError, ValueError):
     """Invalid genotype structure or parameters."""
 
 

@@ -65,7 +65,7 @@ logger = logging.getLogger(__name__)
 ZOO_INDEX_NAME = "index.json"
 
 
-class HarnessError(RuntimeError):
+class HarnessError(documents.UserError, RuntimeError):
     pass
 
 
@@ -559,11 +559,9 @@ def write_search_outputs(result: SearchResult, cfg: SearchCommandConfig, out_dir
             for i, t in enumerate(result.top)
         ],
     }
-    top_dir = os.path.join(out_dir, "top")
-    os.makedirs(top_dir, exist_ok=True)
-    for i, t in enumerate(result.top):
-        path = os.path.join(top_dir, "rank%d_%s.json" % (i + 1, t.model_id[:16]))
-        with documents.replacing(path) as fh:
+    os.makedirs(os.path.join(out_dir, "top"), exist_ok=True)
+    for t, entry in zip(result.top, summary["top"]):
+        with documents.replacing(os.path.join(out_dir, entry["file"])) as fh:
             fh.write(encode(t.genotype))
     documents.write(os.path.join(out_dir, "summary.json"), "search_summary", summary)
 

@@ -36,10 +36,11 @@ from itertools import groupby
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
+from .documents import UserError
 from .seeding import derive_rng, left_sum
 
 
-class MetricError(ValueError):
+class MetricError(UserError, ValueError):
     """Inputs unusable for a rank metric (mismatched ids, too few models)."""
 
 

@@ -19,7 +19,7 @@ from . import documents
 from .genotype import Genotype, NetworkConfig, OperationKind
 
 
-class SettingError(ValueError):
+class SettingError(documents.UserError, ValueError):
     """Invalid reduction table, setting, or setting label."""
 
 

@@ -27,7 +27,7 @@ from .documents import json_scalar
 _HEADER_KIND = "evaluation_log"
 
 
-class LogError(ValueError):
+class LogError(documents.UserError, ValueError):
     """Malformed or inconsistent evaluation log."""
 
 

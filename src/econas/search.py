@@ -50,7 +50,7 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 
-class SearchError(RuntimeError):
+class SearchError(documents.UserError, RuntimeError):
     """The search cannot proceed (bad config, empty population, total failure)."""
 
 
@@ -544,7 +544,9 @@ class SearchEngine:
     def _register(self, genotype: Genotype) -> str:
         mid = genotype.content_hash
         if self.checkpoint_path is None:
-            # Only checkpoint writes read the cached document; drop it.
+            # Checkpoint writes and each cmd: request read the cached
+            # document. Without a checkpoint, dropping it trades memory
+            # for rebuilding it on each promotion request of a cmd: search.
             genotype.__dict__.pop("_document", None)
         self.state.genotypes.setdefault(mid, genotype)
         return mid

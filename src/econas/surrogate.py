@@ -35,7 +35,7 @@ from .proxy import ReducedSetting, ReductionTable
 from .seeding import left_sum, signed_unit
 
 
-class SurrogateError(ValueError):
+class SurrogateError(documents.UserError, ValueError):
     """Invalid surrogate parameters or space bounds."""
 
 

@@ -280,15 +280,20 @@ def test_zoo_evaluate_exits_1_when_over_a_tenth_of_the_grid_fails(tmp_path, caps
     assert "more than 10% of the grid failed" in captured.err
 
 
-def test_search_workers_flag_overrides_the_config(tmp_path, monkeypatch):
+def _search_config(tmp_path, evaluator="surrogate"):
     config = tmp_path / "search.json"
     config.write_text(json.dumps({
         "schema_version": 1, "kind": "search_config", "algorithm": "hierarchical",
-        "table": "cifar10", "setting": "c4r4s0", "evaluator": "surrogate", "op_set": "search8",
+        "table": "cifar10", "setting": "c4r4s0", "evaluator": evaluator, "op_set": "search8",
         "node_count": 1, "workers": 2,
         "config": {"n_init": 4, "cycles": 2, "epoch_unit": 5, "mutants_per_cycle": 2,
                    "promote_to_2e": 1, "promote_to_3e": 1, "seed": 3},
     }))
+    return config
+
+
+def test_search_workers_flag_overrides_the_config(tmp_path, monkeypatch):
+    config = _search_config(tmp_path)
     workers = []
     run_search = harness.run_search
 
@@ -303,3 +308,48 @@ def test_search_workers_flag_overrides_the_config(tmp_path, monkeypatch):
     assert workers == [3, 2]
     for name in ("history.jsonl", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# -- faults outside the documents: paths and trainer commands -----------------------
+
+
+def _analyze_a_directory(tmp_path):
+    return ["analyze", "--log", str(tmp_path), "--ground-truth", "c0r0s0e600",
+            "--out", str(tmp_path / "report")]
+
+
+def _search_into_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["search", "--config", str(_search_config(tmp_path)), "--out", str(tmp_path / "taken")]
+
+
+def _zoo_into_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["zoo", "generate", "--out", str(tmp_path / "taken"), "--count", "2"]
+
+
+def _search_with_a_trainer_that_cannot_start(tmp_path):
+    # Executable, but no interpreter line and not a binary: exec fails.
+    trainer = tmp_path / "trainer"
+    trainer.write_text("not a program\n")
+    trainer.chmod(0o755)
+    config = _search_config(tmp_path, evaluator="cmd:" + shlex.quote(str(trainer)))
+    return ["search", "--config", str(config), "--out", str(tmp_path / "run")]
+
+
+def _selftest_of_a_trainer_that_exits(tmp_path):
+    return ["bridge-selftest", "--command", shlex.join([sys.executable, "-c", "pass"])]
+
+
+@pytest.mark.parametrize("argv", [
+    _analyze_a_directory,
+    _search_into_a_file,
+    _zoo_into_a_file,
+    _search_with_a_trainer_that_cannot_start,
+    _selftest_of_a_trainer_that_exits,
+])
+def test_a_path_or_trainer_fault_is_one_error_line(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err

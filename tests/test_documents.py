@@ -202,6 +202,19 @@ def test_evaluator_timeout_reaches_the_trainer_client(tmp_path, monkeypatch, zoo
     assert timeouts == [7200.0]
 
 
+def test_a_bug_inside_a_document_read_is_not_a_user_error(tmp_path, monkeypatch, zoo):
+    # Only a ValueError or a UserError is a fault of the document's key.
+    def broken(settings, table):
+        raise RuntimeError("a bug, not a fault of the manifest")
+
+    monkeypatch.setattr(harness, "_resolve_settings", broken)
+    doc, path, _ = _manifest(tmp_path)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RuntimeError, match="a bug") as caught:
+        load_manifest(str(path))
+    assert type(caught.value) is RuntimeError
+
+
 def test_relative_paths_follow_the_document(tmp_path, zoo):
     (tmp_path / "sub").mkdir()
     doc, _, _ = _table(tmp_path)

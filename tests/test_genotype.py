@@ -345,6 +345,56 @@ def test_decode_equals_the_per_field_oracle(doc):
         assert got.op_set == expected.op_set and encode(got) == encode(expected)
 
 
+@st.composite
+def _genotypes(draw):
+    """Any genotype: a built-in or custom op set, 1 to 6 nodes, each cell's
+    output rule, inputs and operations drawn slot by slot."""
+    custom = draw(st.lists(st.sampled_from(list(OperationKind)), min_size=1, unique=True))
+    op_set = draw(st.sampled_from([SEARCH8, ZOO13, OperationSet("custom", tuple(custom))]))
+    inputs = [st.sampled_from(legal_inputs(j)) for j in range(draw(st.integers(1, 6)))]
+    ops = st.sampled_from(op_set.members)
+
+    def cell():
+        nodes = tuple(NodeSpec(draw(i), draw(i), draw(ops), draw(ops)) for i in inputs)
+        return CellSpec(nodes, draw(st.sampled_from(list(OutputRule))))
+
+    return Genotype(cell(), cell(), op_set)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_genotypes())
+def test_every_canonical_document_round_trips(g):
+    doc = encode(g)
+    copy = decode(doc)
+    assert copy == g and encode(copy) == doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_genotypes(), st.data())
+def test_each_one_field_corruption_is_rejected_as_the_oracle_rejects_it(g, data):
+    obj = json.loads(encode(g))
+    cell = obj[data.draw(st.sampled_from(["normal", "reduction"]))]
+    j = data.draw(st.integers(0, g.node_count - 1))
+    field = data.draw(st.sampled_from(["op", "input", "node_count", "kind", "output_rule"]))
+    if field == "op":
+        outside = [op.value for op in OperationKind if op not in g.op_set] or ["conv_9x9"]
+        cell["nodes"][j][data.draw(st.sampled_from(["op_a", "op_b"]))] = data.draw(
+            st.sampled_from(outside))
+    elif field == "input":
+        dangling = "node:%d" % data.draw(st.integers(j, j + 3))
+        cell["nodes"][j][data.draw(st.sampled_from(["input_a", "input_b"]))] = dangling
+    elif field == "node_count":
+        obj["node_count"] = data.draw(st.integers(0, 8).filter(lambda n: n != g.node_count))
+    elif field == "kind":
+        obj["kind"] = data.draw(st.sampled_from(["genotype_v2", "", None]))
+    else:
+        cell["output_rule"] = data.draw(st.sampled_from(["all", "UNUSED_ONLY", None]))
+    doc = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    got = _outcome(decode, doc)
+    assert got == _outcome(oracle.decode, doc)
+    assert isinstance(got, tuple) and got[0] is ParseError
+
+
 def test_hash_equality_iff_structural_equality():
     for i in range(200):
         a = make_genotype(seed=i)
