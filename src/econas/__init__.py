@@ -69,7 +69,6 @@ from .search import (
     EcoNasConfig,
     FlatConfig,
     HistoryEntry,
-    PopulationTiers,
     SearchEngine,
     SearchError,
     SearchResult,

@@ -85,6 +85,15 @@ class _Child:
         self.consecutive_failures += 1
         return EvaluatorFailure(message)
 
+    def gone(self) -> EvaluatorFailure:
+        """The failure of a child whose pipes closed mid-request, found by
+        the request's write or its reply's read, as its exit races them."""
+        try:
+            status = self.proc.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            return self.fail("evaluator child closed its pipes mid-request")
+        return self.fail("evaluator child exited mid-request with status %d" % status)
+
 
 class ExternalEvaluator:
     """Evaluator backed by child processes speaking the protocol.
@@ -157,8 +166,8 @@ class ExternalEvaluator:
         try:
             proc.stdin.write(line.encode() + b"\n")
             proc.stdin.flush()
-        except OSError as exc:
-            raise child.fail("evaluator child unwritable: %s" % exc) from None
+        except OSError:
+            raise child.gone() from None
         try:
             raw = child.lines.get(timeout=self.timeout)
         except queue.Empty:
@@ -166,7 +175,7 @@ class ExternalEvaluator:
                 "evaluator child timed out after %.1fs" % self.timeout
             ) from None
         if raw is None:
-            raise child.fail("evaluator child exited mid-request")
+            raise child.gone()
         if len(raw) > MAX_LINE_BYTES:
             raise child.fail("evaluator child sent an oversized line")
         try:

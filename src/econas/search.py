@@ -1,14 +1,17 @@
 """Hierarchical-proxy evolutionary search engine.
 
-The population is split into three tiers holding candidates trained for E,
-2E, and 3E epochs. Each cycle mutates parents sampled across tiers (longer
-trained tiers are more likely), trains the children for E epochs, promotes
-the most accurate candidates one tier up with E more epochs of training,
-and ages out the oldest candidates beyond each tier's capacity. Every
-completed training segment lands in an append-only history, and the final
-answer is read from history alone. The budget ledger is a view of that
-history (each entry is one epoch unit of training ending at the entry's
-``epochs_trained``), so checkpoints store history but no ledger.
+The population is one list of candidates in creation order, and a
+candidate's tier is the number of epoch units it has trained: E, 2E or 3E
+epochs. Each cycle mutates parents sampled across tiers (longer trained
+tiers are more likely), trains the children for E epochs, promotes the most
+accurate candidates one tier up with E more epochs of training, and ages
+out the oldest candidates beyond each tier's capacity. Every completed
+training segment lands in an append-only history, and the final answer is
+read from history alone. The budget ledger is a view of that history (each
+entry is one epoch unit of training ending at the entry's
+``epochs_trained``), so checkpoints store history but no ledger. A
+checkpoint lists each tier's members in ``seq`` order; a candidate whose
+epochs contradict its tier is a SearchError naming the file.
 
 All randomness is derived per (master seed, cycle, slot), and each cycle's
 child evaluations are independent jobs joined in slot order, so results are
@@ -65,22 +68,16 @@ class Candidate:
     resume_token: Optional[str] = None
 
 
-@dataclass
-class PopulationTiers:
-    tier_e: list = field(default_factory=list)
-    tier_2e: list = field(default_factory=list)
-    tier_3e: list = field(default_factory=list)
-
-    def all_candidates(self) -> list:
-        return [c for pool in _pools(self) for c in pool]
+_TIER_KEYS = ("e", "2e", "3e")  # checkpoint keys, in the order of _tiers
 
 
-_TIER_KEYS = ("e", "2e", "3e")  # checkpoint keys, in the order of _pools
-
-
-def _pools(tiers: PopulationTiers) -> tuple:
-    """The member lists of the E, 2E and 3E tiers, in that order."""
-    return (tiers.tier_e, tiers.tier_2e, tiers.tier_3e)
+def _tiers(population: list, epoch_unit: int) -> tuple:
+    """The members of the E, 2E and 3E tiers, each in population order: a
+    candidate that has trained k epoch units is in tier k - 1."""
+    tiers = ([], [], [])
+    for c in population:
+        tiers[c.epochs_trained // epoch_unit - 1].append(c)
+    return tiers
 
 
 @dataclass(frozen=True)
@@ -236,13 +233,13 @@ class SearchResult:
         return [entry.to_record() for entry in self.history]
 
 
-def _rank_tiers(tiers: PopulationTiers, weights: tuple[float, float, float]) -> list:
+def _rank_tiers(population: list, cfg: EcoNasConfig) -> list:
     """Each non-empty tier, best first (accuracy, then insertion order), with
     its weight."""
     return [
-        (sorted(pool, key=lambda cand: (-cand.accuracy, cand.seq)), w)
-        for pool, w in zip(_pools(tiers), weights)
-        if pool
+        (sorted(tier, key=lambda cand: (-cand.accuracy, cand.seq)), w)
+        for tier, w in zip(_tiers(population, cfg.epoch_unit), cfg.tier_weights)
+        if tier
     ]
 
 
@@ -271,28 +268,23 @@ def _draw_parent(ranked: list, rng) -> Candidate:
     return chosen[-1]
 
 
-def sample_parent(
-    tiers: PopulationTiers, weights: tuple[float, float, float], rng
-) -> Candidate:
-    """Pick a tier with probability proportional to its weight (renormalized
-    over non-empty tiers), then a member by linear rank weighting. A search
-    cycle ranks its tiers once and draws every parent from that ranking."""
-    return _draw_parent(_rank_tiers(tiers, weights), rng)
+def sample_parent(population: list, cfg: EcoNasConfig, rng) -> Candidate:
+    """Pick a tier with probability proportional to its weight in
+    ``cfg.tier_weights`` (renormalized over non-empty tiers), then a member
+    by linear rank weighting. A search cycle ranks its tiers once and draws
+    every parent from that ranking."""
+    return _draw_parent(_rank_tiers(population, cfg), rng)
 
 
-def remove_dead(tiers: PopulationTiers, cfg: EcoNasConfig) -> None:
-    """Aging: truncate each tier to capacity by dropping the OLDEST members
+def remove_dead(population: list, cfg: EcoNasConfig) -> None:
+    """Aging: truncate each tier to capacity by dropping its OLDEST members
     (smallest birth cycle, then insertion order), regardless of accuracy."""
     caps = (cfg.capacity_e, cfg.capacity_2e, cfg.capacity_3e)
-    for pool, cap in zip(_pools(tiers), caps):
-        excess = len(pool) - cap
-        if excess <= 0:
-            continue
-        doomed = {
-            id(c)
-            for c in sorted(pool, key=lambda cand: (cand.birth_cycle, cand.seq))[:excess]
-        }
-        pool[:] = [c for c in pool if id(c) not in doomed]
+    doomed = set()
+    for tier, cap in zip(_tiers(population, cfg.epoch_unit), caps):
+        oldest_first = sorted(tier, key=lambda cand: (cand.birth_cycle, cand.seq))
+        doomed.update(id(c) for c in oldest_first[:max(0, len(tier) - cap)])
+    population[:] = [c for c in population if id(c) not in doomed]
 
 
 _NUMBER = (int, float)
@@ -381,7 +373,7 @@ def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
 
 
 def promote(
-    tiers: PopulationTiers,
+    population: list,
     evaluate,
     n: int,
     from_tier: str,
@@ -391,41 +383,30 @@ def promote(
     history: list,
 ) -> None:
     """Train the top min(n, tier size) candidates of ``from_tier`` for one
-    more epoch unit, move them to the next tier and log each to ``history``
-    under ``cycle``; a failed evaluation leaves its candidate where it was.
-    ``evaluate(jobs)`` gives each :func:`_evaluate_jobs` job's outcome in
-    slot order."""
+    more epoch unit, which moves each to the next tier, and log each to
+    ``history`` under ``cycle``; a failed evaluation leaves its candidate
+    where it was. ``evaluate(jobs)`` gives each :func:`_evaluate_jobs`
+    job's outcome in slot order."""
     if from_tier not in _TIER_KEYS[:-1]:
         raise SearchError("promotions only run from tier 'e' or '2e'")
-    level = _TIER_KEYS.index(from_tier)
-    source, target = _pools(tiers)[level:level + 2]
+    span = cfg.epoch_unit
+    source = _tiers(population, span)[_TIER_KEYS.index(from_tier)]
     if n <= 0 or not source:
         return
     chosen = sorted(source, key=lambda cand: (-cand.accuracy, cand.seq))[:n]
     jobs = [
-        (
-            c.genotype,
-            setting.with_epochs(c.epochs_trained + cfg.epoch_unit),
-            c.epochs_trained,
-            c.epochs_trained + cfg.epoch_unit,
-            c.resume_token,
-        )
+        (c.genotype, setting.with_epochs(c.epochs_trained + span), c.epochs_trained,
+         c.epochs_trained + span, c.resume_token)
         for c in chosen
     ]
     for cand, outcome in zip(chosen, evaluate(jobs)):
         if isinstance(outcome, EvaluatorFailure):
-            logger.warning(
-                "promotion of %s failed, leaving it in tier %s: %s",
-                cand.model_id[:12],
-                from_tier,
-                outcome,
-            )
+            logger.warning("promotion of %s failed, leaving it in tier %s: %s",
+                           cand.model_id[:12], from_tier, outcome)
             continue
-        cand.epochs_trained += cfg.epoch_unit
+        cand.epochs_trained += span
         cand.accuracy = outcome.accuracy
         cand.resume_token = outcome.resume_token
-        source[:] = [c for c in source if c is not cand]
-        target.append(cand)
         history.append(HistoryEntry.from_outcome(
             cycle, cand.model_id, setting.with_epochs(cand.epochs_trained), outcome
         ))
@@ -449,7 +430,7 @@ def _top_models(history: list, genotypes: dict, top_k: int) -> list:
 
 @dataclass
 class _EngineState:
-    tiers: PopulationTiers = field(default_factory=PopulationTiers)
+    population: list = field(default_factory=list)  # candidates in seq order
     history: list = field(default_factory=list)
     genotypes: dict = field(default_factory=dict)
     seq_counter: int = 0
@@ -561,7 +542,7 @@ class SearchEngine:
         setting = self.setting_base.with_epochs(span)
         models = [g for g in genotypes if g is not None]
         outcomes = self._evaluate(cycle, "child", [(g, setting, 0, span, None) for g in models])
-        live = {c.model_id for c in st.tiers.all_candidates()}
+        live = {c.model_id for c in st.population}
         added = 0
         for g, outcome in zip(models, outcomes):
             mid = self._register(g)
@@ -572,7 +553,7 @@ class SearchEngine:
             st.history.append(HistoryEntry.from_outcome(cycle, mid, setting, outcome))
             if mid not in live:
                 live.add(mid)
-                st.tiers.tier_e.append(Candidate(
+                st.population.append(Candidate(
                     g, mid, outcome.accuracy, span, cycle, st.seq_counter, outcome.resume_token
                 ))
                 st.seq_counter += 1
@@ -593,7 +574,7 @@ class SearchEngine:
         else:
             # Parents are sampled against the cycle-start population, ranked
             # once, so the N0 mutant jobs are independent of each other.
-            ranked = _rank_tiers(self.state.tiers, cfg.tier_weights)
+            ranked = _rank_tiers(self.state.population, cfg)
             children = []
             for slot in range(cfg.mutants_per_cycle):
                 rng = derive_rng(cfg.seed, "cycle", cycle, "slot", slot)
@@ -608,10 +589,10 @@ class SearchEngine:
                 (cfg.promote_to_2e, "e", "2e"), (cfg.promote_to_3e, "2e", "3e")
             ):
                 promote(
-                    self.state.tiers, partial(self._evaluate, cycle, to_tier), n, from_tier,
+                    self.state.population, partial(self._evaluate, cycle, to_tier), n, from_tier,
                     self.setting_base, cfg, cycle, self.state.history,
                 )
-            remove_dead(self.state.tiers, cfg)
+            remove_dead(self.state.population, cfg)
         unused = self._journaled.pop(cycle, None)
         if unused:
             raise SearchError("%s: results journaled for cycle %d name slots it lacks: %s" % (
@@ -689,8 +670,8 @@ class SearchEngine:
             "next_cycle": st.next_cycle,
             "seq_counter": st.seq_counter,
             "tiers": {
-                key: [_candidate_obj(c) for c in pool]
-                for key, pool in zip(_TIER_KEYS, _pools(st.tiers))
+                key: [_candidate_obj(c) for c in tier]
+                for key, tier in zip(_TIER_KEYS, _tiers(st.population, self.cfg.epoch_unit))
             },
             "genotypes": {mid: encode(g) for mid, g in sorted(st.genotypes.items())},
             "history": [_history_obj(h) for h in st.history],
@@ -819,11 +800,18 @@ class SearchEngine:
             raise SearchError("checkpoint lacks section(s): %s" % ", ".join(missing))
         with _malformed("checkpoint"):
             genotypes = {mid: decode_stored(mid, doc) for mid, doc in obj["genotypes"].items()}
+            population = []
+            for units, key in enumerate(_TIER_KEYS, 1):
+                for c in obj["tiers"][key]:
+                    population.append(Candidate(genotype=genotypes[c["model_id"]], **c))
+                    epochs, tier_epochs = c["epochs_trained"], units * self.cfg.epoch_unit
+                    if type(epochs) is not int or epochs != tier_epochs:
+                        raise SearchError(
+                            "checkpoint candidate %s of tier %s has trained %r epochs, not %d"
+                            % (c["model_id"], key, epochs, tier_epochs)
+                        )
             state = _EngineState(
-                tiers=PopulationTiers(*(
-                    [Candidate(genotype=genotypes[c["model_id"]], **c) for c in obj["tiers"][key]]
-                    for key in _TIER_KEYS
-                )),
+                population=sorted(population, key=lambda c: c.seq),  # creation order
                 history=[HistoryEntry(**h) for h in obj["history"]],
                 genotypes=genotypes,
                 seq_counter=obj["seq_counter"],

@@ -244,6 +244,31 @@ def test_misbehaving_child_fails_single_request_then_recovers(tmp_path, mode, fa
     assert len(_stub_pids(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("script, first", [
+    ("import sys; sys.exit(4)", True),  # gone before the request is written
+    ("import sys; sys.stdin.readline(); sys.exit(4)", False),  # reads it, then exits
+], ids=["exits_at_once", "exits_after_reading"])
+def test_child_gone_mid_request_is_one_message_with_its_status(
+    monkeypatch, fast_restarts, script, first
+):
+    # Whether the write of the request or the read of its reply finds the
+    # pipes closed, the failure reads the same.
+    if first:
+        ensure_running = ExternalEvaluator._ensure_running
+
+        def exited(self, child):
+            proc = ensure_running(self, child)
+            proc.wait()
+            return proc
+
+        monkeypatch.setattr(ExternalEvaluator, "_ensure_running", exited)
+    with ExternalEvaluator([sys.executable, "-c", script], timeout=20.0) as ev:
+        for _ in range(2):  # the first child, then its restart
+            with pytest.raises(EvaluatorFailure) as failure:
+                ev.ping()
+            assert str(failure.value) == "evaluator child exited mid-request with status 4"
+
+
 def test_error_reply_fails_its_request_and_keeps_the_child(tmp_path):
     # A clean protocol-level error is the trainer's answer, not a fault of
     # the child: the same process serves the next request.

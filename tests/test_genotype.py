@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -239,7 +240,9 @@ def test_decode_malformed_document():
 
 
 # Input tokens: canonical ones, node indices past 15 among them, and text
-# that str.isdigit or int() reads differently from its canonical form.
+# that str.isdigit or int() reads differently from its canonical form. Each
+# strategy draws a copy, since a mutation writes into what it has drawn: a
+# shared list could come to hold itself.
 _TOKENS = [
     "cell:0", "cell:1", "node:0", "node:1", "node:3", "node:15", "node:16", "node:17",
     "node:01", "cell:2", "node:\uff11", " cell:0", "node:j", "node:-1", "cell:", "node",
@@ -249,7 +252,9 @@ _OPS = [op.value for op in OperationKind] + [
     "conv_9x9", "Zeros", " zeros", "", None, 3, True, ["zeros"], {"op": "zeros"},
 ]
 _NODE_KEYS = ["input_a", "input_b", "op_a", "op_b"]
-_ANY = st.sampled_from(_TOKENS + _OPS + [[], {}, "x"])
+_TOKEN = st.sampled_from(_TOKENS).map(copy.deepcopy)
+_OP = st.sampled_from(_OPS).map(copy.deepcopy)
+_ANY = st.sampled_from(_TOKENS + _OPS + [[], {}, "x"]).map(copy.deepcopy)
 
 
 @st.composite
@@ -262,9 +267,9 @@ def _mutation(draw, obj):
         "op_set", "top", "drop_last_node",
     ]))
     if where == "token":
-        node[draw(st.sampled_from(_NODE_KEYS[:2]))] = draw(st.sampled_from(_TOKENS))
+        node[draw(st.sampled_from(_NODE_KEYS[:2]))] = draw(_TOKEN)
     elif where == "op":
-        node[draw(st.sampled_from(_NODE_KEYS[2:]))] = draw(st.sampled_from(_OPS))
+        node[draw(st.sampled_from(_NODE_KEYS[2:]))] = draw(_OP)
     elif where == "drop_node_key":
         del node[draw(st.sampled_from(_NODE_KEYS))]
     elif where == "node":
@@ -285,7 +290,7 @@ def _mutation(draw, obj):
         elif choice == "subset":
             del members[draw(st.integers(0, len(members) - 1)):]
         elif choice == "replace":
-            members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(_OPS))
+            members[draw(st.integers(0, len(members) - 1))] = draw(_OP)
         elif choice == "empty":
             members.clear()
         else:

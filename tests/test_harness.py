@@ -1263,15 +1263,16 @@ def _tamper(doc):
     "damage",
     [
         "garbage_line", "cycle_gap", "cycle_gap_without_eval_lines", "checkpoint_genotype_id",
-        "eval_model_id", "eval_span",
+        "checkpoint_tier_epochs", "eval_model_id", "eval_span",
     ],
 )
 def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     config = _search_config(tmp_path)
     out = tmp_path / "run"
-    if damage == "checkpoint_genotype_id":
+    if damage.startswith("checkpoint_"):
         # The start snapshot is empty; stop at a boundary for one that
-        # holds genotypes, then kill the resume in cycle 5.
+        # holds genotypes and promoted candidates, then kill the resume in
+        # cycle 5.
         run_search(load_search_config(config), str(out), stop_after_cycle=1)
         _counted_run(config, out, _IN_CYCLE_5 - (8 + 7), resume=True)
     else:
@@ -1290,6 +1291,7 @@ def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     damaged, reason = journal, {
         "garbage_line": "JSON", "cycle_gap": "jumps", "cycle_gap_without_eval_lines": "jumps",
         "eval_model_id": "re-derives", "eval_span": "re-derives",
+        "checkpoint_tier_epochs": "of tier 2e has trained 5 epochs, not 10",
     }.get(damage, "SHA-256")
     if damage == "garbage_line":
         lines[second] = "}{ not json\n"
@@ -1308,15 +1310,18 @@ def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     else:
         damaged = ckpt
         obj = json.loads(ckpt.read_text())
-        mid = sorted(obj["genotypes"])[0]
-        obj["genotypes"][mid] = _tamper(obj["genotypes"][mid])
+        if damage == "checkpoint_tier_epochs":
+            obj["tiers"]["2e"][0]["epochs_trained"] = 5  # E epochs in tier 2E
+        else:
+            mid = sorted(obj["genotypes"])[0]
+            obj["genotypes"][mid] = _tamper(obj["genotypes"][mid])
         ckpt.write_text(json.dumps(obj))
     journal.write_text("".join(lines))
     capsys.readouterr()
     assert main(["search", "--config", config, "--out", str(out), "--resume"]) == 2
     err = capsys.readouterr().err
     assert str(damaged) in err and reason in err
-    assert "Traceback" not in err
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 # -- search config parsing ----------------------------------------------------------------

@@ -15,7 +15,6 @@ from econas.search import (
     Candidate,
     EcoNasConfig,
     FlatConfig,
-    PopulationTiers,
     SearchEngine,
     SearchError,
     _evaluate_jobs,
@@ -62,6 +61,11 @@ def cand(model_id, accuracy, birth_cycle=0, seq=0, epochs=5):
     )
 
 
+def tier(population, units, epoch_unit=5):
+    """The members of ``population`` that have trained ``units`` epoch units."""
+    return [c for c in population if c.epochs_trained == units * epoch_unit]
+
+
 # -- config --------------------------------------------------------------------
 
 
@@ -91,37 +95,33 @@ def test_config_validation():
 
 
 def test_sample_parent_single_tier_deterministic():
-    tiers = PopulationTiers(tier_e=[cand("a", 0.9)])
     rng = derive_rng("sp", 0)
-    assert sample_parent(tiers, (1, 2, 4), rng).model_id == "a"
+    assert sample_parent([cand("a", 0.9)], toy_config(), rng).model_id == "a"
 
 
 def test_sample_parent_empty_error():
     with pytest.raises(SearchError):
-        sample_parent(PopulationTiers(), (1, 2, 4), derive_rng(0))
+        sample_parent([], toy_config(), derive_rng(0))
 
 
 def test_sample_parent_rank_weights():
-    tiers = PopulationTiers(
-        tier_e=[cand("low", 0.1, seq=0), cand("high", 0.9, seq=1), cand("mid", 0.5, seq=2)]
-    )
+    population = [cand("low", 0.1, seq=0), cand("high", 0.9, seq=1), cand("mid", 0.5, seq=2)]
+    cfg = toy_config()
     counts = {"high": 0, "mid": 0, "low": 0}
     n = 100_000
     for i in range(n):
-        counts[sample_parent(tiers, (1, 2, 4), derive_rng("rank", i)).model_id] += 1
+        counts[sample_parent(population, cfg, derive_rng("rank", i)).model_id] += 1
     assert abs(counts["high"] / n - 3 / 6) < 0.02
     assert abs(counts["mid"] / n - 2 / 6) < 0.02
     assert abs(counts["low"] / n - 1 / 6) < 0.02
 
 
 def test_sample_parent_tier_weights_renormalized():
-    tiers = PopulationTiers(
-        tier_e=[cand("e", 0.5, seq=0)],
-        tier_3e=[cand("best", 0.7, seq=1, epochs=15)],
-    )
+    population = [cand("e", 0.5, seq=0), cand("best", 0.7, seq=1, epochs=15)]
+    cfg = toy_config(tier_weights=(1.0, 2.0, 4.0))
     n = 50_000
     hits = sum(
-        sample_parent(tiers, (1.0, 2.0, 4.0), derive_rng("tw", i)).model_id == "best"
+        sample_parent(population, cfg, derive_rng("tw", i)).model_id == "best"
         for i in range(n)
     )
     # weights renormalize over non-empty tiers: 4 / (1 + 4)
@@ -139,12 +139,11 @@ class _FixedDraw:
 def test_sample_parent_adds_tier_weights_from_the_left():
     # (0.1 + 0.2) + 0.3 is 0.6000000000000001, so a draw of 1/6 lands just past
     # tier E; a compensated sum (0.6) would keep it inside.
-    tiers = PopulationTiers(
-        tier_e=[cand("e", 0.5, seq=0)],
-        tier_2e=[cand("2e", 0.5, seq=1, epochs=10)],
-        tier_3e=[cand("3e", 0.5, seq=2, epochs=15)],
-    )
-    assert sample_parent(tiers, (0.1, 0.2, 0.3), _FixedDraw(1 / 6)).model_id == "2e"
+    population = [
+        cand("e", 0.5, seq=0), cand("2e", 0.5, seq=1, epochs=10), cand("3e", 0.5, seq=2, epochs=15)
+    ]
+    cfg = toy_config(tier_weights=(0.1, 0.2, 0.3))
+    assert sample_parent(population, cfg, _FixedDraw(1 / 6)).model_id == "2e"
 
 
 # -- promote ----------------------------------------------------------------------
@@ -159,12 +158,12 @@ def test_promote_clamps_to_tier_size():
     cfg = toy_config()
     engine = SearchEngine(ev, cfg, SETTING, network=TOY_NET)
     engine.run(stop_after_cycle=0)  # init only
-    tiers = engine.state.tiers
-    tiers.tier_e[:] = tiers.tier_e[:2]
-    promote(tiers, _serially(ev), 8, "e", SETTING, cfg, 0, [])
-    assert len(tiers.tier_e) == 0
-    assert len(tiers.tier_2e) == 2
-    for c in tiers.tier_2e:
+    population = engine.state.population
+    population[:] = population[:2]
+    promote(population, _serially(ev), 8, "e", SETTING, cfg, 0, [])
+    assert len(tier(population, 1)) == 0
+    assert len(tier(population, 2)) == 2
+    for c in tier(population, 2):
         assert c.epochs_trained == 2 * cfg.epoch_unit
 
 
@@ -173,14 +172,14 @@ def test_promote_picks_most_accurate_and_remeasures():
     cfg = toy_config()
     engine = SearchEngine(ev, cfg, SETTING, network=TOY_NET)
     engine.run(stop_after_cycle=0)
-    tiers = engine.state.tiers
-    best = max(tiers.tier_e, key=lambda c: c.accuracy)
+    population = engine.state.population
+    best = max(tier(population, 1), key=lambda c: c.accuracy)
     expected = ev.evaluate(
         best.genotype, SETTING.with_epochs(2 * cfg.epoch_unit), 0, 2 * cfg.epoch_unit
     )
-    promote(tiers, _serially(ev), 1, "e", SETTING, cfg, 0, [])
-    assert len(tiers.tier_2e) == 1
-    promoted = tiers.tier_2e[0]
+    promote(population, _serially(ev), 1, "e", SETTING, cfg, 0, [])
+    assert len(tier(population, 2)) == 1
+    promoted = tier(population, 2)[0]
     assert promoted.model_id == best.model_id
     # accuracy replaced by the longer-epoch measurement, not the old value
     assert promoted.accuracy == expected.accuracy
@@ -202,19 +201,19 @@ def test_promote_failure_leaves_candidate_in_place():
     cfg = toy_config()
     engine = SearchEngine(ev, cfg, SETTING, network=TOY_NET)
     engine.run(stop_after_cycle=0)
-    tiers = engine.state.tiers
-    ranked = sorted(tiers.tier_e, key=lambda c: (-c.accuracy, c.seq))
+    population = engine.state.population
+    ranked = sorted(tier(population, 1), key=lambda c: (-c.accuracy, c.seq))
     failing = _FailingEvaluator(ev, [ranked[0].model_id])
-    promote(tiers, _serially(failing), 2, "e", SETTING, cfg, 0, [])
-    assert ranked[0] in tiers.tier_e  # best stayed (its evaluation failed)
-    assert len(tiers.tier_2e) == 1
-    assert tiers.tier_2e[0].model_id == ranked[1].model_id
+    promote(population, _serially(failing), 2, "e", SETTING, cfg, 0, [])
+    assert ranked[0] in tier(population, 1)  # best stayed (its evaluation failed)
+    assert len(tier(population, 2)) == 1
+    assert tier(population, 2)[0].model_id == ranked[1].model_id
 
 
 def test_promote_rejects_unknown_tier():
     with pytest.raises(SearchError):
         promote(
-            PopulationTiers(), _serially(toy_evaluator()), 1, "3e", SETTING, toy_config(), 0, []
+            [], _serially(toy_evaluator()), 1, "3e", SETTING, toy_config(), 0, []
         )
 
 
@@ -223,34 +222,30 @@ def test_promote_rejects_unknown_tier():
 
 def test_remove_dead_under_capacity_noop():
     cfg = toy_config(cap_e=10)
-    tiers = PopulationTiers(tier_e=[cand("a", 0.5), cand("b", 0.6, seq=1)])
-    remove_dead(tiers, cfg)
-    assert [c.model_id for c in tiers.tier_e] == ["a", "b"]
+    population = [cand("a", 0.5), cand("b", 0.6, seq=1)]
+    remove_dead(population, cfg)
+    assert [c.model_id for c in population] == ["a", "b"]
 
 
 def test_remove_dead_removes_oldest_regardless_of_accuracy():
     cfg = toy_config(cap_e=2)
-    tiers = PopulationTiers(
-        tier_e=[
-            cand("old-great", 0.99, birth_cycle=1, seq=0),
-            cand("mid-bad", 0.10, birth_cycle=2, seq=1),
-            cand("new-ok", 0.50, birth_cycle=3, seq=2),
-        ]
-    )
-    remove_dead(tiers, cfg)
-    assert [c.model_id for c in tiers.tier_e] == ["mid-bad", "new-ok"]
+    population = [
+        cand("old-great", 0.99, birth_cycle=1, seq=0),
+        cand("mid-bad", 0.10, birth_cycle=2, seq=1),
+        cand("new-ok", 0.50, birth_cycle=3, seq=2),
+    ]
+    remove_dead(population, cfg)
+    assert [c.model_id for c in population] == ["mid-bad", "new-ok"]
 
 
 def test_remove_dead_ties_break_by_insertion_order():
     cfg = toy_config(cap_e=1)
-    tiers = PopulationTiers(
-        tier_e=[
-            cand("first", 0.9, birth_cycle=1, seq=0),
-            cand("second", 0.1, birth_cycle=1, seq=1),
-        ]
-    )
-    remove_dead(tiers, cfg)
-    assert [c.model_id for c in tiers.tier_e] == ["second"]
+    population = [
+        cand("first", 0.9, birth_cycle=1, seq=0),
+        cand("second", 0.1, birth_cycle=1, seq=1),
+    ]
+    remove_dead(population, cfg)
+    assert [c.model_id for c in population] == ["second"]
 
 
 # -- full runs -------------------------------------------------------------------------
@@ -282,18 +277,19 @@ def test_history_and_tier_invariants_cycle_by_cycle():
     engine = SearchEngine(toy_evaluator(), cfg, SETTING, network=TOY_NET)
     for stop in range(cfg.cycles + 1):
         engine.run(stop_after_cycle=stop)
-        tiers = engine.state.tiers
-        ids = [c.model_id for c in tiers.all_candidates()]
+        population = engine.state.population
+        ids = [c.model_id for c in population]
         assert len(ids) == len(set(ids))  # each hash in at most one tier
-        assert len(tiers.tier_e) <= cfg.capacity_e
-        assert len(tiers.tier_2e) <= cfg.capacity_2e
-        assert len(tiers.tier_3e) <= cfg.capacity_3e
+        assert len(tier(population, 1)) <= cfg.capacity_e
+        assert len(tier(population, 2)) <= cfg.capacity_2e
+        assert len(tier(population, 3)) <= cfg.capacity_3e
         expected = cfg.n_init + stop * (
             cfg.mutants_per_cycle + cfg.promote_to_2e + cfg.promote_to_3e
         )
         assert len(engine.state.history) == expected
-        for c in tiers.all_candidates():
+        for c in population:
             assert c.epochs_trained in (5, 10, 15)
+        assert [c.seq for c in population] == sorted(c.seq for c in population)
 
 
 def test_workers_do_not_change_history():
@@ -427,6 +423,33 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert [(t.model_id, t.accuracy) for t in resumed.top] == [
         (t.model_id, t.accuracy) for t in full.top
     ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stop_at_any_cycle_leaves_the_final_checkpoint_unchanged(tmp_path, seed):
+    # The CI search config at 8 cycles. A resume loads the tiers grouped by
+    # key; unless it restores creation order, some stops (seed 3, cycle 7)
+    # write another final snapshot than a straight run.
+    cfg = EcoNasConfig(
+        n_init=8, cycles=8, epoch_unit=5, mutants_per_cycle=4, promote_to_2e=2,
+        promote_to_3e=1, seed=seed,
+    )
+
+    def engine(path):
+        return SearchEngine(
+            SurrogateEvaluator(SurrogateParams().with_seed(seed), CIFAR10_TABLE), cfg, SETTING,
+            network=NetworkConfig(2), checkpoint_path=str(path),
+        )
+
+    engine(tmp_path / "straight.json").run()
+    straight = (tmp_path / "straight.json").read_bytes()
+    for stop in range(cfg.cycles):
+        path = tmp_path / ("stopped%d.json" % stop)
+        engine(path).run(stop_after_cycle=stop)
+        resumed = engine(path)
+        resumed.load_checkpoint()
+        resumed.run()
+        assert path.read_bytes() == straight, "stopped at cycle %d" % stop
 
 
 @pytest.mark.parametrize("algorithm", ["hierarchical", "flat"])
