@@ -46,7 +46,7 @@ class EntropyRow:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScatterPoint:
     label: str
     model_id: str
@@ -88,8 +88,8 @@ class SettingColumns:
         # one in its place.
         groups: dict[str, dict] = {}
         for fields in map(_RECORD_FIELDS, records):
-            group, mid = _group_of(groups, fields)
-            group[mid] = fields
+            group, mid, value = _place(groups, fields)
+            group[mid] = value
         return _columns(groups)
 
 
@@ -100,33 +100,37 @@ def read_columns(path: str, on_duplicate: str = "error") -> SettingColumns:
     """The columns of the log at ``path``: ``SettingColumns.of(read_log(path,
     on_duplicate))``, with the same errors, grouped by setting as
     :func:`~econas.records.scan_fields` reads each record's fields, without
-    building a record or a (model, setting)-keyed dict."""
+    building a record or a (model, setting)-keyed dict. Until the grouping
+    ends it keeps a (test, train) pair per record, under the model id string
+    shared by every record of that model."""
     groups: dict[str, dict] = {}
-    scan_fields(path, on_duplicate, partial(_group_of, groups))
+    scan_fields(path, on_duplicate, partial(_place, groups))
     return _columns(groups)
 
 
-def _group_of(groups: dict, fields) -> tuple[dict, str]:
-    """The group of record ``fields`` (model id, setting, test accuracy,
-    train accuracy, ...) in ``groups``, {setting: {model id: fields}}, made
-    if new, and the record's key there."""
+def _place(groups: dict, fields) -> tuple[dict, str, tuple]:
+    """Where record ``fields`` (model id, setting, test accuracy, train
+    accuracy, ...) goes in ``groups``, {setting: {model id: (test, train)}}:
+    its group, made if new, its key there and the pair kept."""
     group = groups.get(fields[1])
     if group is None:
         groups[fields[1]] = group = {}
-    return group, fields[0]
+    return group, fields[0], fields[2:4]
 
 
 def _columns(groups: dict) -> SettingColumns:
-    """The columns of records grouped as {setting: {model id: fields}}."""
+    """The columns of records grouped as {setting: {model id: (test, train)}},
+    which it empties group by group, so that the two are never both whole."""
     columns, gaps, shared = {}, {}, {}
-    for label, group in groups.items():
+    for label in list(groups):
+        group = groups.pop(label)
         ids = tuple(sorted(group))
         ids = shared.setdefault(ids, ids)
-        columns[label] = ids, [group[mid][2] for mid in ids]
+        columns[label] = ids, [group[mid][0] for mid in ids]
         # overfit_gap's float sum, in record order, on which it depends.
         rows = group.values()
-        complete = all(f[3] is not None for f in rows)
-        gaps[label] = left_sum([f[3] - f[2] for f in rows]) / len(rows) if complete else None
+        complete = all(f[1] is not None for f in rows)
+        gaps[label] = left_sum([f[1] - f[0] for f in rows]) / len(rows) if complete else None
     return SettingColumns(columns, gaps)
 
 

@@ -137,9 +137,13 @@ class ExternalEvaluator:
         if child.consecutive_failures:
             time.sleep(min(RESTART_BACKOFF * 2 ** (child.consecutive_failures - 1), MAX_BACKOFF))
         child.lines = queue.Queue()
-        child.proc = subprocess.Popen(
-            self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
-        )
+        try:
+            child.proc = subprocess.Popen(
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+            )
+        except OSError as exc:  # a fault of the command, not of one evaluation
+            raise UserError("cannot start evaluator command %r: [Errno %s] %s"
+                            % (shlex.join(self.command), exc.errno, exc.strerror)) from None
         threading.Thread(
             target=_read_lines, args=(child.proc.stdout, child.lines), daemon=True
         ).start()

@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (UserError, OSError) as exc:  # OSError: a path or a trainer command
+    except (UserError, OSError) as exc:  # OSError: a path
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

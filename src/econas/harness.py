@@ -12,6 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from heapq import merge
+from math import isnan, nan
 from operator import itemgetter
 from typing import Optional
 
@@ -346,12 +347,13 @@ def zoo_evaluate(
     short by a crash mid-append is dropped with a warning. The pending pairs
     stream through :func:`~econas.search._evaluate_jobs` as one batch in
     (model_id, setting label) order, the log's canonical order, each
-    starting only when a worker is free. After the whole batch, each
-    finished pair's record is appended straight from its outcome. A log
-    this call created is then already sorted and stays as appended; any
-    other log is rewritten, merging those records with the ones it held in
-    (model_id, setting) order, so the final bytes never depend on
-    scheduling or on what an earlier run left. An interrupted batch writes
+    starting only when a worker is free. Until the batch ends it keeps two
+    accuracies per finished pair, never the trainer's resume token; after
+    it, their records are appended. A log this call created is then
+    already sorted and stays as appended; any other log is rewritten,
+    merging those records with the ones it held in (model_id, setting)
+    order, so the final bytes never depend on scheduling or on what an
+    earlier run left. An interrupted batch writes
     nothing. With ``resume`` off every pair runs again and the rewrite
     replaces any old log, which then holds exactly the fresh records.
     Without an ``evaluator`` one is made from the manifest and closed when
@@ -377,29 +379,42 @@ def zoo_evaluate(
                 if (mid, label) not in existing:
                     yield mid, g, label, setting
 
+    # By slot: each finished pair's accuracies (NaN: no train accuracy) and
+    # each failure. The doubles sit in memoryviews, since importing `array`
+    # adds about 0.5 MB to the resident size of every run, a search too.
+    count = sum(1 for _ in pending())
+    test, train = (memoryview(bytearray(8 * count)).cast("d") for _ in range(2))
+    failures: dict[int, EvaluatorFailure] = {}
+
+    def done(slot: int, outcome) -> None:
+        if isinstance(outcome, EvaluatorFailure):
+            failures[slot] = outcome
+        else:
+            test[slot] = outcome.accuracy
+            train[slot] = nan if outcome.train_accuracy is None else outcome.train_accuracy
+
     with _evaluator(
         evaluator, manifest.evaluator_spec, manifest.table, manifest.surrogate_params,
         manifest.seed, manifest.evaluator_timeout,
     ) as ev:
-        outcomes = _evaluate_jobs(
+        _evaluate_jobs(
             ev, ((g, setting, 0, setting.epochs, None) for _, g, _, setting in pending()),
-            manifest.workers,
+            manifest.workers, done,
         )
-    failed = 0
-    for (mid, _, label, _), outcome in zip(pending(), outcomes):
-        if isinstance(outcome, EvaluatorFailure):
-            failed += 1
-            logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, outcome)
+    for slot, (mid, _, label, _) in enumerate(pending()):
+        if slot in failures:
+            logger.warning("evaluation failed for %s at %s: %s", mid[:12], label, failures[slot])
 
     def fresh():
         """The records of the pairs this batch finished, in canonical order."""
-        for (mid, _, label, setting), outcome in zip(pending(), outcomes):
-            if not isinstance(outcome, EvaluatorFailure):
+        for slot, (mid, _, label, setting) in enumerate(pending()):
+            if slot not in failures:
                 yield EvaluationRecord(
-                    mid, label, outcome.accuracy, outcome.train_accuracy, setting.epochs
+                    mid, label, test[slot], None if isnan(train[slot]) else train[slot],
+                    setting.epochs,
                 )
 
-    kept = len(outcomes) - failed
+    kept = count - len(failures)
     os.makedirs(os.path.dirname(os.path.abspath(log)), exist_ok=True)
     # Without resume the rewrite replaces the old log whole; appending to
     # it first would pair its stale records with the fresh ones.
@@ -410,7 +425,7 @@ def zoo_evaluate(
     if existed or (kept and not resume):
         held = (EvaluationRecord(*fields) for fields in sorted(existing.values()))
         write_log(log, merge(fresh(), held, key=EvaluationRecord.key))
-    return total - failed, failed, total
+    return total - len(failures), len(failures), total
 
 
 # -- search command ----------------------------------------------------------------

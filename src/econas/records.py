@@ -173,10 +173,12 @@ def _parse_line(line: str):
 def scan_fields(path: str, on_duplicate: str, place) -> None:
     """Read a log's records line by line, each as the tuple of its fields
     (model_id, setting, test_accuracy, train_accuracy, epochs_trained),
-    checked as :class:`EvaluationRecord` checks them, and store each in the
-    dict and under the key ``place(fields)`` gives, one key per (model_id,
-    setting). A duplicate either raises or keeps its first place with the
-    last occurrence's fields (``on_duplicate`` = 'error' | 'keep_last').
+    checked as :class:`EvaluationRecord` checks them, with one string object
+    per distinct model id and setting label for the whole log. For each,
+    ``place(fields)`` gives a dict, a key in it, one per (model_id,
+    setting), and the value to keep there, so a caller keeps only what it
+    reads. A duplicate either raises or keeps its first place with the last
+    occurrence's value (``on_duplicate`` = 'error' | 'keep_last').
 
     A line in the exact shape :func:`_line` writes (strings without escapes)
     is read by one compiled pattern; every other line, such as one with
@@ -186,22 +188,25 @@ def scan_fields(path: str, on_duplicate: str, place) -> None:
     if on_duplicate not in ("error", "keep_last"):
         raise LogError("on_duplicate must be 'error' or 'keep_last'")
     keep_last = on_duplicate == "keep_last"
+    shared: dict[str, str] = {}
     try:
         for lineno, parsed in documents.read_lines(path, _HEADER_KIND, _parse_line):
             fields = _record_fields(parsed, lineno)
-            slots, key = place(fields)
+            fields = (*map(shared.setdefault, fields[:2], fields[:2]), *fields[2:])
+            slots, key, value = place(fields)
             if key in slots and not keep_last:
                 raise LogError("line %d: duplicate record for (%s, %s)" % ((lineno,) + fields[:2]))
-            slots[key] = fields
+            slots[key] = value
     except documents.Rejected as exc:
         raise LogError(str(exc)) from None
 
 
 def read_fields(path: str, on_duplicate: str = "error") -> dict[tuple[str, str], tuple]:
     """The fields of a log's records, as :func:`scan_fields` reads them,
-    under their key (model_id, setting)."""
+    under their key (model_id, setting); all five are kept, and the records
+    of one model share its id string, those of one setting its label."""
     by_key: dict[tuple[str, str], tuple] = {}
-    scan_fields(path, on_duplicate, lambda fields: (by_key, fields[:2]))
+    scan_fields(path, on_duplicate, lambda fields: (by_key, fields[:2], fields))
     return by_key
 
 

@@ -313,12 +313,13 @@ def _checked(outcome):
     )
 
 
-def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
-    """Run evaluation jobs, taken from any iterable, returning (result |
-    EvaluatorFailure) per slot in order. Every value an evaluator returns
+def _evaluate_jobs(evaluator, jobs, workers: int, done) -> None:
+    """Run evaluation jobs, taken from any iterable, handing each one's
+    outcome (result | EvaluatorFailure) to ``done(slot, outcome)`` in the
+    calling thread as soon as it completes; the runner keeps no outcome, so
+    each caller keeps only what it needs. Every value an evaluator returns
     passes :func:`_checked` here, where it enters search and zoo evaluation
-    alike; the check never raises. ``done(slot, outcome)``, if given, gets
-    each outcome in the calling thread as soon as it completes.
+    alike; the check never raises.
 
     The next job is taken only when a worker is free: one at a time with one
     worker, and with ``workers`` > 1 at most twice that many taken and not
@@ -336,26 +337,20 @@ def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
         except EvaluatorFailure as exc:
             return exc
 
-    report = done or (lambda slot, outcome: None)
-    outcomes = []
     if workers <= 1:
         for slot, job in enumerate(jobs):
-            outcomes.append(run(job))
-            report(slot, outcomes[-1])
-        return outcomes
+            done(slot, run(job))
+        return
     unreported = {}  # future -> slot, of each job taken and not yet reported
 
     def collect():
         finished, _ = wait(unreported, return_when=FIRST_COMPLETED)
         for future in finished:
-            slot = unreported.pop(future)
-            outcomes[slot] = future.result()
-            report(slot, outcomes[slot])
+            done(unreported.pop(future), future.result())
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             for slot, job in enumerate(jobs):
-                outcomes.append(None)
                 unreported[pool.submit(run, job)] = slot
                 if len(unreported) == 2 * workers:
                     collect()
@@ -368,8 +363,7 @@ def _evaluate_jobs(evaluator, jobs, workers: int, done=None):
                     not future.cancelled() and future.exception() is None
                     and isinstance(future.result(), EvalResult)
                 ):
-                    report(slot, future.result())
-    return outcomes
+                    done(slot, future.result())
 
 
 def promote(
@@ -622,7 +616,10 @@ class SearchEngine:
                 )
             outcomes.append(None if stored is None else stored[3])
 
-        def journal(i: int, outcome) -> None:
+        def done(i: int, outcome) -> None:
+            outcomes[todo[i]] = outcome
+            if not self._written:
+                return
             g, _, start, end, _ = jobs[todo[i]]
             line = {
                 "cycle": cycle, "phase": phase, "slot": todo[i], "model_id": g.content_hash,
@@ -634,10 +631,7 @@ class SearchEngine:
                 line.update(outcome._asdict())
             self._append_journal(documents.json_line(line))
 
-        done = journal if self._written else None
-        ran = _evaluate_jobs(self.evaluator, (jobs[slot] for slot in todo), self.workers, done)
-        for slot, outcome in zip(todo, ran):
-            outcomes[slot] = outcome
+        _evaluate_jobs(self.evaluator, (jobs[slot] for slot in todo), self.workers, done)
         return outcomes
 
     # -- checkpointing -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Time ``analyze`` on a surrogate zoo log at K=200 and K=400 models, phase
 by phase, as econas runs it and as the oracles of ``tests/rank_oracles.py``
 run it: every line parsed as JSON, every setting scored through the public
-O(K^2) pair loops, rho_F re-ranking every subsample.
+O(K^2) pair loops, rho_F re-ranking every subsample. A second pass, not
+timed, runs both again under ``tracemalloc`` for each phase's peak memory.
 
     PYTHONPATH=src python3 tests/analyze_scaling.py
 
@@ -12,10 +13,13 @@ Ground-Truth setting; then analyze runs with rho_F over subsample sizes
 script asserts that both variants write byte-identical TSV files and prints
 one JSON object with, per variant, the wall time of the whole analyze and
 of ``read``, ``build_report``, ``rho_f_curve`` and ``write_report_files``,
-and the speed-ups. econas's ``read`` is ``analysis.read_columns``, which
-reads the log straight into per-setting columns; the oracles' is their
-``read_log``, which builds a record per line and leaves the grouping to
-each later phase. Both variants write through econas's
+the speed-ups and, under ``memory``, each phase's peak: the most memory
+traced at once while it ran, above what was traced when it began, in MB.
+The script fails if econas's ``read`` peak is not below the oracles'.
+econas's ``read`` is ``analysis.read_columns``, which reads the log
+straight into per-setting columns; the oracles' is their ``read_log``,
+which builds a record per line and leaves the grouping to each later
+phase. Both variants write through econas's
 ``write_report_files``.
 """
 
@@ -24,6 +28,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import rank_oracles
 from econas import analysis, harness
@@ -63,7 +68,7 @@ def make_log(work: str, k: int) -> str:
 class Phases(dict):
     """Wall time per phase, in seconds."""
 
-    def timed(self, name, fn):
+    def measured(self, name, fn):
         def wrapped(*args, **kwargs):
             start = time.perf_counter()
             try:
@@ -73,17 +78,38 @@ class Phases(dict):
         return wrapped
 
 
-def econas_analyze(log: str, out_dir: str) -> dict:
-    """harness.run_analyze, with each phase timed where harness calls it."""
-    phases = Phases()
+class PeakMemory(dict):
+    """Peak traced memory per phase, in MB, above what was traced when the
+    phase began; a phase's peak covers the phases nested in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.highs = []  # the highest traced total seen in each open phase
+
+    def measured(self, name, fn):
+        def wrapped(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            self.highs = [max(high, peak) for high in self.highs] + [current]
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                high = max(self.highs.pop(), tracemalloc.get_traced_memory()[1])
+                self.highs = [max(h, high) for h in self.highs]
+                self[name + "_mb"] = round((high - current) / 2**20, 2)
+        return wrapped
+
+
+def econas_analyze(log: str, out_dir: str, phases) -> dict:
+    """harness.run_analyze, with each phase measured where harness calls it."""
     patched = [("read_columns", "read")] + [
         (name, name) for name in ("build_report", "rho_f_curve", "write_report_files")
     ]
     originals = [getattr(analysis, name) for name, _ in patched]
     for (name, phase), fn in zip(patched, originals):
-        setattr(analysis, name, phases.timed(phase, fn))
+        setattr(analysis, name, phases.measured(phase, fn))
     try:
-        phases.timed("analyze", harness.run_analyze)(
+        phases.measured("analyze", harness.run_analyze)(
             log, GROUND_TRUTH, out_dir, CIFAR10_TABLE,
             rho_f_sizes=RHO_F_SIZES, rho_f_trials=100, seed=3,
         )
@@ -93,23 +119,22 @@ def econas_analyze(log: str, out_dir: str) -> dict:
     return phases
 
 
-def oracle_analyze(log: str, out_dir: str) -> dict:
+def oracle_analyze(log: str, out_dir: str, phases) -> dict:
     """The same steps through the oracles, each given the records."""
-    phases = Phases()
 
     def run():
-        records = phases.timed("read", rank_oracles.read_log)(log)
-        report = phases.timed("build_report", rank_oracles.build_report)(
+        records = phases.measured("read", rank_oracles.read_log)(log)
+        report = phases.measured("build_report", rank_oracles.build_report)(
             records, GROUND_TRUTH, CIFAR10_TABLE
         )
-        rho_f = phases.timed("rho_f_curve", rank_oracles.rho_f_curve)(
+        rho_f = phases.measured("rho_f_curve", rank_oracles.rho_f_curve)(
             records, GROUND_TRUTH, RHO_F_SIZES, trials=100, seed=3
         )
-        phases.timed("write_report_files", analysis.write_report_files)(
+        phases.measured("write_report_files", analysis.write_report_files)(
             report, out_dir, rho_f=rho_f
         )
 
-    phases.timed("analyze", run)()
+    phases.measured("analyze", run)()
     return phases
 
 
@@ -128,11 +153,22 @@ def main() -> None:
             log = make_log(work, k)
             kernels_dir = os.path.join(work, "kernels")
             oracle_dir = os.path.join(work, "oracle")
-            fast = econas_analyze(log, kernels_dir)
-            slow = oracle_analyze(log, oracle_dir)
+            fast = econas_analyze(log, kernels_dir, Phases())
+            slow = oracle_analyze(log, oracle_dir, Phases())
             if tsv_bytes(kernels_dir) != tsv_bytes(oracle_dir):
                 raise SystemExit("K=%d: report files differ between kernels and oracles" % k)
-        result["k%d" % k] = {"kernels": fast, "oracles": slow}
+            tracemalloc.start()
+            try:
+                memory = {
+                    "kernels": econas_analyze(log, kernels_dir, PeakMemory()),
+                    "oracles": oracle_analyze(log, oracle_dir, PeakMemory()),
+                }
+            finally:
+                tracemalloc.stop()
+        if memory["kernels"]["read_mb"] >= memory["oracles"]["read_mb"]:
+            raise SystemExit("K=%d: econas's read peaks at %s MB, the oracles' at %s MB" % (
+                k, memory["kernels"]["read_mb"], memory["oracles"]["read_mb"]))
+        result["k%d" % k] = {"kernels": fast, "oracles": slow, "memory": memory}
         for phase in sorted(fast):
             result["k%d" % k][phase[:-2] + "_speedup"] = round(slow[phase] / fast[phase], 2)
         print("K=%d done" % k, file=sys.stderr)

@@ -47,13 +47,18 @@ REPEATS = 3
 
 
 def timed_run(jobs, workers: int) -> float:
+    failed = []
+
+    def done(slot, outcome):
+        if isinstance(outcome, Exception):
+            failed.append(outcome)
+
     with ExternalEvaluator([sys.executable, "-c", CHILD, str(SLEEP_S)], timeout=30.0) as ev:
         if not ev.ping():
             raise SystemExit("slow child did not answer ping")
         start = time.perf_counter()
-        outcomes = _evaluate_jobs(ev, jobs, workers)
+        _evaluate_jobs(ev, jobs, workers, done)
         elapsed = time.perf_counter() - start
-    failed = [o for o in outcomes if isinstance(o, Exception)]
     if failed:
         raise SystemExit("%d evaluations failed: %s" % (len(failed), failed[0]))
     return elapsed

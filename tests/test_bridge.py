@@ -217,6 +217,13 @@ def _stub_command(tmp_path, mode):
     return [sys.executable, str(path), mode]
 
 
+def _outcomes(ev, jobs):
+    """Each job's outcome, run serially through :func:`_evaluate_jobs`, in order."""
+    outcomes = []
+    _evaluate_jobs(ev, jobs, 1, lambda slot, outcome: outcomes.append(outcome))
+    return outcomes
+
+
 def _stub_pids(tmp_path):
     """Pids of every stub child started so far, in start order."""
     path = tmp_path / "stub_evaluator.py.pids"
@@ -285,7 +292,7 @@ def test_nan_accuracy_and_null_token_fail_the_evaluation(tmp_path):
     g = _genotype(6)
     with ExternalEvaluator(_stub_command(tmp_path, "nan"), timeout=20.0) as ev:
         assert ev.evaluate(g, SETTING.with_epochs(13), 0, 13).resume_token is None
-        [outcome] = _evaluate_jobs(ev, [(g, SETTING.with_epochs(13), 0, 13, None)], 1)
+        [outcome] = _outcomes(ev, [(g, SETTING.with_epochs(13), 0, 13, None)])
     assert isinstance(outcome, EvaluatorFailure)
     assert "accuracy=nan" in str(outcome) and "resume_token=None" in str(outcome)
 
@@ -299,7 +306,7 @@ def test_non_number_accuracy_fails_its_evaluation_and_keeps_the_child(tmp_path, 
     g = _genotype(8)
     jobs = [(g, SETTING, 0, 10, None), (g, SETTING.with_epochs(13), 0, 13, None)]
     with ExternalEvaluator(_stub_command(tmp_path, mode), timeout=20.0) as ev:
-        ok, broken, again = _evaluate_jobs(ev, jobs + jobs[:1], 1)
+        ok, broken, again = _outcomes(ev, jobs + jobs[:1])
     assert isinstance(broken, EvaluatorFailure) and value in str(broken)
     assert isinstance(ok, EvalResult) and again == ok
     assert len(_stub_pids(tmp_path)) == 1
@@ -308,7 +315,7 @@ def test_non_number_accuracy_fails_its_evaluation_and_keeps_the_child(tmp_path, 
 def test_integer_accuracy_on_the_wire_enters_as_a_float(tmp_path):
     g = _genotype(9)
     with ExternalEvaluator(_stub_command(tmp_path, "integer_accuracy"), timeout=20.0) as ev:
-        [result] = _evaluate_jobs(ev, [(g, SETTING.with_epochs(13), 0, 13, None)], 1)
+        [result] = _outcomes(ev, [(g, SETTING.with_epochs(13), 0, 13, None)])
     assert result == EvalResult(1.0, 0.0, "t")
     assert [type(value) for value in result[:2]] == [float, float]
 

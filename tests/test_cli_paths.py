@@ -353,3 +353,6 @@ def test_a_path_or_trainer_fault_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in err
+    if argv is _search_with_a_trainer_that_cannot_start:
+        command = shlex.quote(str(tmp_path / "trainer"))
+        assert "error: cannot start evaluator command %r: [Errno 8] " % command in err

@@ -149,8 +149,15 @@ def test_sample_parent_adds_tier_weights_from_the_left():
 # -- promote ----------------------------------------------------------------------
 
 
+def _outcomes(evaluator, jobs, workers=1):
+    """Each job's outcome in slot order, as :func:`_evaluate_jobs` hands them over."""
+    by_slot = {}
+    _evaluate_jobs(evaluator, jobs, workers, by_slot.__setitem__)
+    return [by_slot[slot] for slot in range(len(by_slot))]
+
+
 def _serially(evaluator):
-    return lambda jobs: _evaluate_jobs(evaluator, jobs, 1)
+    return lambda jobs: _outcomes(evaluator, jobs)
 
 
 def test_promote_clamps_to_tier_size():
@@ -683,7 +690,7 @@ def test_interruption_drops_jobs_not_yet_started(monkeypatch, workers, n, by_sig
     monkeypatch.setattr(search_module, "ThreadPoolExecutor", Pool)
     jobs = [(None, None, 0, 1, None)] * 100
     with pytest.raises(KeyboardInterrupt if by_signal else _Interrupt):
-        _evaluate_jobs(ev, jobs, workers)
+        _evaluate_jobs(ev, jobs, workers, lambda slot, outcome: None)
     # Only the jobs in flight when the interruption came have run.
     assert ev.calls <= n + workers
 
@@ -703,7 +710,7 @@ def test_interruption_early_in_a_long_batch_starts_no_further_job(monkeypatch, b
 
     monkeypatch.setattr(search_module, "ThreadPoolExecutor", Pool)
     with pytest.raises(KeyboardInterrupt if by_signal else _Interrupt):
-        _evaluate_jobs(ev, [(None, None, 0, 1, None)] * 200_000, 2)
+        _evaluate_jobs(ev, [(None, None, 0, 1, None)] * 200_000, 2, lambda slot, outcome: None)
     assert ev.calls <= 50 + 2
 
 
@@ -735,7 +742,7 @@ def test_runner_takes_a_job_only_when_a_worker_is_free(workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        outcomes = _evaluate_jobs(ev, ev.jobs(10_000), workers)
+        outcomes = _outcomes(ev, ev.jobs(10_000), workers)
     finally:
         sys.setswitchinterval(interval)
     assert [outcome.resume_token for outcome in outcomes] == [str(i) for i in range(10_000)]
@@ -793,18 +800,18 @@ class _Returns:
     EvalResult(0.5, False, "t"),
 ])
 def test_broken_outcome_is_a_failure_naming_it(outcome):
-    [result] = _evaluate_jobs(_Returns(outcome), [(None, None, 0, 1, None)], 1)
+    [result] = _outcomes(_Returns(outcome), [(None, None, 0, 1, None)])
     assert isinstance(result, EvaluatorFailure)
     assert repr(outcome) in str(result)
 
 
 @pytest.mark.parametrize("outcome", [EvalResult(0.5, None, "t"), EvalResult(1, 0.0, "")])
 def test_outcome_within_the_contract_passes_unchanged(outcome):
-    assert _evaluate_jobs(_Returns(outcome), [(None, None, 0, 1, None)], 1) == [outcome]
+    assert _outcomes(_Returns(outcome), [(None, None, 0, 1, None)]) == [outcome]
 
 
 def test_integer_accuracy_enters_as_the_float_it_names():
-    [result] = _evaluate_jobs(_Returns(EvalResult(1, 0, "t")), [(None, None, 0, 1, None)], 1)
+    [result] = _outcomes(_Returns(EvalResult(1, 0, "t")), [(None, None, 0, 1, None)])
     assert result == EvalResult(1.0, 0.0, "t")
     assert [type(value) for value in result[:2]] == [float, float]
 
