@@ -25,9 +25,12 @@ def _csv(text: str) -> list[str]:
 
 def _csv_ints(text: str) -> list[int]:
     try:
-        return [int(part) for part in _csv(text)]
+        values = [int(part) for part in _csv(text)]
+        if values:
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers: %r" % text) from None
+        pass
+    raise argparse.ArgumentTypeError("expected comma-separated integers: %r" % text)
 
 
 def _at_least(minimum: int, what: str):

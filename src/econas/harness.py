@@ -33,6 +33,7 @@ from .genotype import (
     encode,
     random_genotype,
 )
+from .metrics import check_trials
 from .proxy import (
     BUILTIN_TABLES,
     ReducedSetting,
@@ -597,6 +598,7 @@ def run_analyze(
     seed: int = 0,
     allow_duplicates: bool = False,
 ):
+    check_trials(rho_f_trials)  # before anything is read or written, sizes or not
     columns = analysis.read_columns(
         log_path, on_duplicate="keep_last" if allow_duplicates else "error"
     )

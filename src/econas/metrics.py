@@ -9,8 +9,10 @@ walk, :func:`_best_first` then :func:`_doubled_ranks`, ranks everything.
 
 The pair statistics (:func:`tolerant_spearman`, :func:`hard_rank_error`)
 count discordant pairs in O(K log K) comparisons instead of visiting all
-K(K-1)/2 pairs, and rho_F ranks each subsample from the full zoo's sort
-order instead of re-ranking it. Every count they combine is an integer, so
+K(K-1)/2 pairs. rho_F ranks each subsample from the full zoo's sort order
+instead of re-ranking it, scores a setting by its integer 4 * sum(d^2)
+rather than a float Spearman, and on small zoos gets every setting's score
+from one big-integer product. Every count they combine is an integer, so
 each returns exactly (``==``) the float of its pairwise definition; the
 test suite keeps those O(K^2) loops as oracles.
 
@@ -282,6 +284,12 @@ def rho_f_subsample(
     return rho_f_columns(columns, gt_label, [m], trials, seed)[0]
 
 
+def check_trials(trials: int) -> None:
+    """Raise a MetricError unless rho_F gets at least 1 trial."""
+    if trials < 1:
+        raise MetricError("rho_F needs at least 1 trial, got %d" % trials)
+
+
 def rho_f_columns(
     columns: Mapping[str, tuple[tuple[str, ...], Sequence[float]]],
     gt_label: str,
@@ -294,12 +302,16 @@ def rho_f_columns(
     accuracies in that order.
 
     Cost: one O(K log K) sort per setting and the full-zoo score ranks,
-    shared by every size; then per size, trial and setting one ordering of
-    the subsample by the full-zoo order: a filter of that order in C for
-    zoos of up to 256 models and samples of up to 127, an O(m log m) sort
-    otherwise. Doubled ranks are integers, so every squared rank difference
-    is summed exactly and the result equals re-ranking each subsample from
-    scratch.
+    shared by every size. Then per size and trial: for zoos of up to 256
+    models and samples of up to 127, one bytes.translate of the untied
+    settings' joined orders and one big-integer product of the result with
+    the weights 2, 4, ..., 2m, taken in time linear in its length, score
+    all of them at once; every other
+    setting sorts the sample, O(m log m). The trial ranks the settings'
+    integer 4 * sum(d^2) through the same tie walk and takes its Spearman
+    with one division. Doubled ranks are integers, so every squared rank
+    difference is summed exactly and the result equals re-ranking each
+    subsample from scratch.
     """
     if gt_label not in columns:
         raise MetricError("ground-truth label %r not present" % gt_label)
@@ -312,8 +324,7 @@ def rho_f_columns(
             raise MetricError("subsample size must be >= 3, got %d" % m)
         if m > len(ids):
             raise MetricError("subsample size %d exceeds zoo size %d" % (m, len(ids)))
-    if trials < 1:
-        raise MetricError("rho_F needs at least 1 trial, got %d" % trials)
+    check_trials(trials)
     for label in labels:
         if columns[label][0] != ids:
             raise MetricError("setting %r covers a different model id set" % label)
@@ -328,72 +339,97 @@ def rho_f_columns(
     orders.sort(key=lambda o: o[1] is not None)
     keys = [(sorted(range(k), key=order.__getitem__).__getitem__, g) for order, g in orders]
     # With at most 256 models each model index fits in a byte, and so does a
-    # doubled rank in a sample of at most 127. Then a setting's sample in
-    # best-first order is its whole best-first order with the other models
-    # deleted, which bytes.translate does while it looks up each model's
-    # Ground-Truth rank.
-    as_bytes = k <= 256
+    # doubled rank in a sample of at most 127. Then the untied settings'
+    # samples in best-first order are their joined best-first orders with the
+    # other models deleted, which one bytes.translate does while it looks up
+    # each model's Ground-Truth rank.
+    untied = sum(group is None for _, group in orders)
+    as_bytes = untied and k <= 256
     if as_bytes:
-        untied_bytes = [bytes(order) for order, group in orders if group is None]
+        joined = b"".join(bytes(order) for order, _ in orders[:untied])
         everyone = bytes(range(k))
     gt_rank = [0] * k  # doubled Ground-Truth rank of each model in the sample
     gt_rank_of = gt_rank.__getitem__
 
-    def scores(idx) -> list[float]:
-        """Every reduced setting's Spearman against Ground Truth on ``idx``,
-        each from one ordering of ``idx`` and one sum of rank products."""
+    def agreements(idx) -> list[int]:
+        """Every reduced setting's -4 * sum(d^2) against Ground Truth on
+        ``idx``. For a given sample size a setting's Spearman falls as its
+        sum(d^2) grows, so these integers order and tie the settings exactly
+        as their Spearmans do."""
         n = len(idx)
         order = sorted(idx, key=gt_place)
         ranks, gt_sq = _doubled_ranks(order, gt_group)
-        for i, rank in zip(order, ranks):
-            gt_rank[i] = rank
-        # 4 * sum(d^2) for each setting, exact because doubled ranks are
-        # integers. The untied settings on the byte path come first; every
-        # other setting sorts the sample, and an untied one gets the evens.
-        d2x4 = []
+        found = []
         if as_bytes and 2 * n < 256:
-            evens, evens_sq = _doubled_ranks(range(n), None)
             table = bytearray(256)
             for i, rank in zip(order, ranks):
                 table[i] = rank
-            others = everyone.translate(None, bytes(idx))
-            d2x4 = [
-                gt_sq + evens_sq - 2 * sum(map(mul, whole.translate(table, others), evens))
-                for whole in untied_bytes
+            ranked = joined.translate(table, everyone.translate(None, bytes(idx)))
+            # Each setting's sum of Ground-Truth rank times its own doubled
+            # rank 2, 4, ..., 2n is one coefficient of a product: ``ranked``
+            # times the weights 2n, ..., 4, 2, as polynomials in x = 256^width;
+            # setting s's sum is coefficient s*n + n - 1. A coefficient adds at
+            # most n products of two numbers up to 2n, so it is at most 4n^3
+            # (127 * 254^2 = 8,193,532 < 2^24 at n = 127), which ``width``
+            # bytes hold: no digit carries into the next, and the integer
+            # product is the polynomial one. The weights
+            # are 2(x^(n+1) - (n+1)x + n) / (x-1)^2, so two shifts and one
+            # exact division take the product in time linear in len(ranked);
+            # multiplying by them outright grows with n times that.
+            width = ((4 * n**3).bit_length() + 7) // 8
+            digits = bytearray(width * len(ranked))
+            digits[::width] = ranked
+            a, shift = int.from_bytes(digits, "little"), 8 * width
+            product = 2 * ((a << shift * (n + 1)) - (n + 1) * (a << shift) + n * a)
+            product //= ((1 << shift) - 1) ** 2
+            product = product.to_bytes(len(digits) + width * n, "little")
+            base = gt_sq + _doubled_ranks(range(n), None)[1]
+            found = [
+                2 * int.from_bytes(product[at:at + width], "little") - base
+                for at in range(width * (n - 1), len(digits), width * n)
             ]
-        for key, group in keys[len(d2x4):]:
+        for i, rank in zip(order, ranks):
+            gt_rank[i] = rank
+        for key, group in keys[len(found):]:
             order = sorted(idx, key=key)
             ranks, sq = _doubled_ranks(order, group)
-            d2x4.append(gt_sq + sq - 2 * sum(map(mul, map(gt_rank_of, order), ranks)))
-        return [_spearman_from_d2(d / 4, n) for d in d2x4]
+            found.append(2 * sum(map(mul, map(gt_rank_of, order), ranks)) - gt_sq - sq)
+        return found
 
-    full_ranks = fractional_ranks(scores(range(k)))
+    # Each trial ranks the settings by agreement and takes its Spearman
+    # against their full-zoo ranks from doubled ranks, as an integer
+    # 4 * sum(d^2) and one division; it is exact, so it equals the Spearman
+    # of the float scores' fractional ranks.
+    full_order, full_group = _best_first(agreements(range(k)))
+    full_ranks, full_sq = _doubled_ranks(full_order, full_group)
+    full_rank_of = dict(zip(full_order, full_ranks)).__getitem__
     means = []
     for m in sizes:
         total = 0.0
         for trial in range(trials):
             rng = derive_rng(seed, "rho_f", m, trial)
-            rho_sub = scores(rng.sample(range(k), m))
-            total += _spearman_from_ranks(fractional_ranks(rho_sub), full_ranks)
+            order, group = _best_first(agreements(rng.sample(range(k), m)))
+            ranks, sq = _doubled_ranks(order, group)
+            d2x4 = sq + full_sq - 2 * sum(map(mul, ranks, map(full_rank_of, order)))
+            total += _spearman_from_d2(d2x4 / 4, len(labels))
         means.append(total / trials)
     return means
 
 
 def _best_first(values: Sequence[float]) -> tuple:
-    """The positions of ``values`` in best-first order and each position's
-    tie-group id, or None for the groups when no two values are equal."""
+    """The positions of ``values`` in best-first order and their tie groups:
+    ``values`` itself, whose equal entries tie, or None when no two are
+    equal."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    distinct = set(values)
-    if len(distinct) == len(values):
+    if len(set(values)) == len(values):
         return order, None
-    gid = dict(zip(distinct, range(len(distinct))))
-    return order, list(map(gid.__getitem__, values))
+    return order, values
 
 
-def _doubled_ranks(order, group: list[int] | None) -> tuple:
+def _doubled_ranks(order, group: Sequence | None) -> tuple:
     """The fractional ranks, times two (always integers), of the positions
     ``order``, given best first, among themselves, and the sum of their
-    squares; ``group`` holds each position's tie group, None for no ties."""
+    squares; positions with equal ``group`` entries tie, None for no ties."""
     n = len(order)
     if group is None:
         return range(2, 2 * n + 1, 2), 2 * n * (n + 1) * (2 * n + 1) // 3

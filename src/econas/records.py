@@ -92,15 +92,23 @@ def append_records(path: str, records: Iterable[EvaluationRecord]) -> None:
 
 def truncate_torn_tail(path: str) -> bool:
     """Cut off a final line that has no newline, which is what an append
-    interrupted mid-write leaves; returns whether anything was cut. Every
-    complete line stays, so :func:`read_log` still rejects damage anywhere
-    else."""
+    interrupted mid-write leaves; returns whether anything was cut. A file
+    without any newline is cut to empty. Every complete line stays, so
+    :func:`read_log` still rejects damage anywhere else. The last newline is
+    found by reading back from the end 64 KiB at a time."""
     with open(path, "rb+") as fh:
-        fh.seek(max(0, fh.seek(0, os.SEEK_END) - 1))
+        cut = fh.seek(0, os.SEEK_END)
+        fh.seek(max(0, cut - 1))
         if fh.read(1) in (b"", b"\n"):
             return False
-        fh.seek(0)
-        fh.truncate(fh.read().rfind(b"\n") + 1)
+        while cut:
+            start = fh.seek(max(0, cut - (1 << 16)))
+            newline = fh.read(cut - start).rfind(b"\n")
+            if newline >= 0:
+                cut = start + newline + 1
+                break
+            cut = start
+        fh.truncate(cut)
     return True
 
 

@@ -2,7 +2,8 @@
 by phase, as econas runs it and as the oracles of ``tests/rank_oracles.py``
 run it: every line parsed as JSON, every setting scored through the public
 O(K^2) pair loops, rho_F re-ranking every subsample. A second pass, not
-timed, runs both again under ``tracemalloc`` for each phase's peak memory.
+timed, runs econas's analyze again under ``tracemalloc`` for each phase's
+peak memory, and of the oracles only ``read``, the phase compared.
 
     PYTHONPATH=src python3 tests/analyze_scaling.py
 
@@ -13,9 +14,9 @@ Ground-Truth setting; then analyze runs with rho_F over subsample sizes
 script asserts that both variants write byte-identical TSV files and prints
 one JSON object with, per variant, the wall time of the whole analyze and
 of ``read``, ``build_report``, ``rho_f_curve`` and ``write_report_files``,
-the speed-ups and, under ``memory``, each phase's peak: the most memory
-traced at once while it ran, above what was traced when it began, in MB.
-The script fails if econas's ``read`` peak is not below the oracles'.
+the speed-ups and, under ``memory``, each traced phase's peak: the most
+memory traced at once while it ran, above what was traced when it began, in
+MB. The script fails if econas's ``read`` peak is not below the oracles'.
 econas's ``read`` is ``analysis.read_columns``, which reads the log
 straight into per-setting columns; the oracles' is their ``read_log``,
 which builds a record per line and leaves the grouping to each later
@@ -157,12 +158,11 @@ def main() -> None:
             slow = oracle_analyze(log, oracle_dir, Phases())
             if tsv_bytes(kernels_dir) != tsv_bytes(oracle_dir):
                 raise SystemExit("K=%d: report files differ between kernels and oracles" % k)
+            memory = {"kernels": PeakMemory(), "oracles": PeakMemory()}
             tracemalloc.start()
             try:
-                memory = {
-                    "kernels": econas_analyze(log, kernels_dir, PeakMemory()),
-                    "oracles": oracle_analyze(log, oracle_dir, PeakMemory()),
-                }
+                econas_analyze(log, kernels_dir, memory["kernels"])
+                memory["oracles"].measured("read", rank_oracles.read_log)(log)
             finally:
                 tracemalloc.stop()
         if memory["kernels"]["read_mb"] >= memory["oracles"]["read_mb"]:

@@ -165,22 +165,25 @@ def test_analyze_with_rho_f_file(eval_log, tmp_path):
     assert values[-1] == 1.0
 
 
+_SIZES = ["--rho-f-sizes", "3,5"]
+
+
 @pytest.mark.parametrize("flags, message", [
+    (_SIZES + ["--rho-f-trials", "0"], "rho_F needs at least 1 trial, got 0"),
+    (_SIZES + ["--rho-f-trials", "-2"], "rho_F needs at least 1 trial, got -2"),
     (["--rho-f-trials", "0"], "rho_F needs at least 1 trial, got 0"),
-    (["--rho-f-trials", "-2"], "rho_F needs at least 1 trial, got -2"),
-    (["--tolerant-b", "nan"], "tolerance b must be >= 0, got nan"),
-    (["--tolerant-b", "-0.1"], "tolerance b must be >= 0, got -0.1"),
-    (["--top-k", "0"], "top_k and window must be >= 1, got 0 and 3"),
-    (["--top-k", "-1"], "top_k and window must be >= 1, got -1 and 3"),
-    (["--windows", "0"], "top_k and window must be >= 1, got 2 and 0"),
-], ids=["no_trials", "negative_trials", "nan_b", "negative_b", "top_0", "top_negative",
-        "window_0"])
+    (_SIZES + ["--tolerant-b", "nan"], "tolerance b must be >= 0, got nan"),
+    (_SIZES + ["--tolerant-b", "-0.1"], "tolerance b must be >= 0, got -0.1"),
+    (_SIZES + ["--top-k", "0"], "top_k and window must be >= 1, got 0 and 3"),
+    (_SIZES + ["--top-k", "-1"], "top_k and window must be >= 1, got -1 and 3"),
+    (_SIZES + ["--windows", "0"], "top_k and window must be >= 1, got 2 and 0"),
+], ids=["no_trials", "negative_trials", "no_trials_without_sizes", "nan_b", "negative_b",
+        "top_0", "top_negative", "window_0"])
 def test_analyze_rejects_parameters_no_metric_can_use(eval_log, tmp_path, capsys, flags, message):
     out_dir = tmp_path / "report"
     assert main(
         ["analyze", "--log", str(eval_log), "--ground-truth", "c0r0s0e600",
-         "--out", str(out_dir), "--top-k", "2", "--windows", "3,5",
-         "--rho-f-sizes", "3,5"] + flags
+         "--out", str(out_dir), "--top-k", "2", "--windows", "3,5"] + flags
     ) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not out_dir.exists()  # nothing is written
@@ -210,14 +213,18 @@ def test_surrogate_serve_help_does_not_crash():
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("flag", ["--windows", "--rho-f-sizes"])
-def test_analyze_integer_lists_are_parsed_as_arguments(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, text", [
+    (flag, text) for text in ("5,a", "", " , ") for flag in ("--windows", "--rho-f-sizes")
+], ids=["--windows", "--rho-f-sizes", "--windows-empty", "--rho-f-sizes-empty",
+        "--windows-blank", "--rho-f-sizes-blank"])
+def test_analyze_integer_lists_are_parsed_as_arguments(tmp_path, capsys, flag, text):
     argv = ["analyze", "--log", str(tmp_path / "log.jsonl"), "--ground-truth", "c0r0s0e600",
-            "--out", str(tmp_path / "report"), flag, "5,a"]
+            "--out", str(tmp_path / "report"), flag, text]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert "%s: expected comma-separated integers: %r" % (flag, text) in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("argv", [

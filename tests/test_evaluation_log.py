@@ -338,6 +338,35 @@ def test_analyze_rejects_every_torn_last_line(tmp_path):
                         top_k=1, windows=(2,))
 
 
+@pytest.mark.parametrize("tail", [b'{"model_id": "m', b"x" * 150_000], ids=["short", "long"])
+def test_a_torn_tail_is_cut_reading_only_the_end(tmp_path, tail):
+    # Over 2 MB of complete lines, then a torn one: a short one, and one
+    # longer than two 64 KiB reads. The cut peaks at about 70 KB; reading
+    # the whole file would take 2.3 MB.
+    path = str(tmp_path / "eval.jsonl")
+    write_log(path, [
+        EvaluationRecord("m%05d" % i, "c1r0s0e30", 0.5, 0.75, 30) for i in range(20_000)
+    ])
+    size = os.path.getsize(path)
+    assert size > 2_000_000
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    assert _traced_peak(lambda: records_module.truncate_torn_tail(path)) < 300_000
+    assert os.path.getsize(path) == size
+    assert len(read_log(path)) == 20_000
+    assert not records_module.truncate_torn_tail(path)  # nothing left to cut
+
+
+@pytest.mark.parametrize("data", [b"x", b'{"schema_version": 1', b"y" * 150_000],
+                         ids=["one_byte", "torn_header", "longer_than_two_reads"])
+def test_a_file_without_a_newline_is_cut_to_empty(tmp_path, data):
+    path = tmp_path / "eval.jsonl"
+    path.write_bytes(data)
+    assert records_module.truncate_torn_tail(str(path))
+    assert path.read_bytes() == b""
+    assert not records_module.truncate_torn_tail(str(path))
+
+
 # -- zoo evaluate logs ---------------------------------------------------------------
 
 LABELS = "c0r0s0e600,c4r4s0e60,c2r2s1e30"

@@ -181,20 +181,38 @@ def test_rho_f_equals_re_ranking_every_subsample(maps, fractions, seed):
 @settings(max_examples=10)
 @given(
     k=st.sampled_from([127, 128, 256, 257, 300]),
-    ties=st.booleans(),
+    tied=st.sampled_from(["none", "ground_truth", "setting", "both"]),
     seed=st.integers(0, 1000),
 )
-def test_rho_f_on_zoos_past_a_byte_equals_re_ranking(k, ties, seed):
-    # Up to 256 models and samples of up to 127, ranks are looked up through
-    # bytes; other sizes sort. Both meet the oracle.
+@example(k=256, tied="none", seed=0)
+@example(k=256, tied="ground_truth", seed=0)
+@example(k=256, tied="setting", seed=0)
+@example(k=256, tied="both", seed=0)
+@example(k=257, tied="none", seed=0)
+@example(k=257, tied="ground_truth", seed=0)
+@example(k=257, tied="setting", seed=0)
+@example(k=257, tied="both", seed=0)
+def test_rho_f_on_zoos_past_a_byte_equals_re_ranking(k, tied, seed):
+    # Up to 256 models and samples of up to 127, the untied settings are
+    # scored through bytes and one big-integer product; other sizes sort.
+    # Both meet the oracle. "s2" ranks the models as Ground Truth does: with
+    # no ties its weighted rank sum on 127 models, 2^2 + 4^2 + ... + 254^2 =
+    # 2,763,520, is the largest a setting reaches, so a digit of the product
+    # too narrow to hold it changes the result.
     rng = derive_rng("big-zoo", k, seed)
+    ids = ["m%03d" % i for i in range(k)]
+
+    def column(ties):
+        return {i: (rng.randrange(5) / 4 if ties else rng.random()) for i in ids}
+
+    gt = column(tied in ("ground_truth", "both"))
     by_label = {
-        "s%d" % s: {
-            "m%03d" % i: (rng.randrange(5) / 4 if ties and s == 1 else rng.random())
-            for i in range(k)
-        }
-        for s in range(4)
+        "s0": gt,
+        "s1": column(tied in ("setting", "both")),
+        "s2": dict(gt),
+        "s3": column(False),
+        "s4": {i: 1.0 - gt[i] for i in ids},
     }
     sizes = sorted({3, 127, min(128, k), k})
-    expected = [oracle.rho_f_subsample(by_label, "s0", m, trials=2, seed=seed) for m in sizes]
+    expected = oracle.rho_f_subsamples(by_label, "s0", sizes, trials=2, seed=seed)
     assert rho_f_columns(_columns(by_label), "s0", sizes, trials=2, seed=seed) == expected
