@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     se.set_defaults(run=_cmd_search)
     se.add_argument("--config", required=True, help="search config document")
     se.add_argument("--out", required=True, help="result directory")
-    se.add_argument("--resume", action="store_true", help="continue from checkpoint")
-    se.add_argument("--force", action="store_true", help="ignore an existing checkpoint")
+    start = se.add_mutually_exclusive_group()
+    start.add_argument("--resume", action="store_true", help="continue from checkpoint")
+    start.add_argument("--force", action="store_true", help="ignore an existing checkpoint")
     se.add_argument("--workers", type=_workers, default=None)
     se.add_argument("--stop-after-cycle", type=_at_least(0, "cycle"), default=None,
                     help="stop at a cycle boundary (for testing interrupted runs)")

@@ -10,8 +10,8 @@ training segment lands in an append-only history, and the final answer is
 read from history alone. The budget ledger is a view of that history (each
 entry is one epoch unit of training ending at the entry's
 ``epochs_trained``), so checkpoints store history but no ledger. A
-checkpoint lists each tier's members in ``seq`` order; a candidate whose
-epochs contradict its tier is a SearchError naming the file.
+checkpoint stores the population as one list in creation order, and a
+member whose epochs are not E, 2E or 3E is a SearchError naming the file.
 
 All randomness is derived per (master seed, cycle, slot), and each cycle's
 child evaluations are independent jobs joined in slot order, so results are
@@ -50,7 +50,7 @@ from .seeding import derive_rng, left_sum
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class SearchError(documents.UserError, RuntimeError):
@@ -63,12 +63,7 @@ class Candidate:
     model_id: str
     accuracy: float
     epochs_trained: int
-    birth_cycle: int
-    seq: int
     resume_token: Optional[str] = None
-
-
-_TIER_KEYS = ("e", "2e", "3e")  # checkpoint keys, in the order of _tiers
 
 
 def _tiers(population: list, epoch_unit: int) -> tuple:
@@ -104,6 +99,8 @@ class EcoNasConfig:
             raise SearchError(
                 "need promote_to_3e <= promote_to_2e <= mutants_per_cycle"
             )
+        if len(self.tier_weights) != 3:
+            raise SearchError("tier_weights must hold 3 weights, one per tier")
         w1, w2, w3 = self.tier_weights
         if not 0 < w1 < w2 < w3:
             raise SearchError("tier weights must be positive and strictly increasing")
@@ -234,10 +231,10 @@ class SearchResult:
 
 
 def _rank_tiers(population: list, cfg: EcoNasConfig) -> list:
-    """Each non-empty tier, best first (accuracy, then insertion order), with
-    its weight."""
+    """Each non-empty tier, best first (accuracy, then population order),
+    with its weight."""
     return [
-        (sorted(tier, key=lambda cand: (-cand.accuracy, cand.seq)), w)
+        (sorted(tier, key=lambda cand: -cand.accuracy), w)
         for tier, w in zip(_tiers(population, cfg.epoch_unit), cfg.tier_weights)
         if tier
     ]
@@ -277,13 +274,12 @@ def sample_parent(population: list, cfg: EcoNasConfig, rng) -> Candidate:
 
 
 def remove_dead(population: list, cfg: EcoNasConfig) -> None:
-    """Aging: truncate each tier to capacity by dropping its OLDEST members
-    (smallest birth cycle, then insertion order), regardless of accuracy."""
+    """Aging: truncate each tier to capacity by dropping its OLDEST members,
+    the first in population (creation) order, regardless of accuracy."""
     caps = (cfg.capacity_e, cfg.capacity_2e, cfg.capacity_3e)
     doomed = set()
     for tier, cap in zip(_tiers(population, cfg.epoch_unit), caps):
-        oldest_first = sorted(tier, key=lambda cand: (cand.birth_cycle, cand.seq))
-        doomed.update(id(c) for c in oldest_first[:max(0, len(tier) - cap)])
+        doomed.update(id(c) for c in tier[:max(0, len(tier) - cap)])
     population[:] = [c for c in population if id(c) not in doomed]
 
 
@@ -381,13 +377,13 @@ def promote(
     ``history`` under ``cycle``; a failed evaluation leaves its candidate
     where it was. ``evaluate(jobs)`` gives each :func:`_evaluate_jobs`
     job's outcome in slot order."""
-    if from_tier not in _TIER_KEYS[:-1]:
+    if from_tier not in ("e", "2e"):
         raise SearchError("promotions only run from tier 'e' or '2e'")
     span = cfg.epoch_unit
-    source = _tiers(population, span)[_TIER_KEYS.index(from_tier)]
+    source = _tiers(population, span)[("e", "2e").index(from_tier)]
     if n <= 0 or not source:
         return
-    chosen = sorted(source, key=lambda cand: (-cand.accuracy, cand.seq))[:n]
+    chosen = sorted(source, key=lambda cand: -cand.accuracy)[:n]
     jobs = [
         (c.genotype, setting.with_epochs(c.epochs_trained + span), c.epochs_trained,
          c.epochs_trained + span, c.resume_token)
@@ -424,10 +420,9 @@ def _top_models(history: list, genotypes: dict, top_k: int) -> list:
 
 @dataclass
 class _EngineState:
-    population: list = field(default_factory=list)  # candidates in seq order
+    population: list = field(default_factory=list)  # candidates in creation order
     history: list = field(default_factory=list)
     genotypes: dict = field(default_factory=dict)
-    seq_counter: int = 0
     next_cycle: int = 0  # cycle 0 is initialization
 
 
@@ -547,10 +542,9 @@ class SearchEngine:
             st.history.append(HistoryEntry.from_outcome(cycle, mid, setting, outcome))
             if mid not in live:
                 live.add(mid)
-                st.population.append(Candidate(
-                    g, mid, outcome.accuracy, span, cycle, st.seq_counter, outcome.resume_token
-                ))
-                st.seq_counter += 1
+                st.population.append(
+                    Candidate(g, mid, outcome.accuracy, span, outcome.resume_token)
+                )
         if not added:
             raise SearchError(
                 "all %d new models failed in cycle %d" % (len(genotypes), cycle)
@@ -662,11 +656,7 @@ class SearchEngine:
         return {
             **self._checkpoint_header(),
             "next_cycle": st.next_cycle,
-            "seq_counter": st.seq_counter,
-            "tiers": {
-                key: [_candidate_obj(c) for c in tier]
-                for key, tier in zip(_TIER_KEYS, _tiers(st.population, self.cfg.epoch_unit))
-            },
+            "population": [_candidate_obj(c) for c in st.population],
             "genotypes": {mid: encode(g) for mid, g in sorted(st.genotypes.items())},
             "history": [_history_obj(h) for h in st.history],
         }
@@ -774,44 +764,48 @@ class SearchEngine:
     def load_checkpoint_obj(self, obj: dict) -> None:
         """Restore state from a snapshot object. Each genotype id must be
         the SHA-256 of its document, which the genotype then keeps. A
+        schema-1 object is read through :func:`_from_schema_1`; a
         ``"ledger"`` section written by older versions is ignored, since the
         ledger is derived from history. Unless :meth:`load_checkpoint` read
         the object from this engine's files, :meth:`run` snapshots it first."""
         if not isinstance(obj, dict):
             raise SearchError("checkpoint is not a JSON object")
+        if obj.get("schema_version") == 1:
+            obj = _from_schema_1(obj)
         for key, expected in self._checkpoint_header().items():
             if obj.get(key) != expected:
                 raise SearchError(
                     "checkpoint %s %r does not match the requested %r"
                     % (key, obj.get(key), expected)
                 )
-        missing = [
-            key
-            for key in ("next_cycle", "seq_counter", "genotypes", "tiers", "history")
-            if key not in obj
-        ]
+        missing = [k for k in ("next_cycle", "genotypes", "population", "history") if k not in obj]
         if missing:
             raise SearchError("checkpoint lacks section(s): %s" % ", ".join(missing))
+        tier_epochs = tuple(units * self.cfg.epoch_unit for units in (1, 2, 3))
         with _malformed("checkpoint"):
             genotypes = {mid: decode_stored(mid, doc) for mid, doc in obj["genotypes"].items()}
-            population = []
-            for units, key in enumerate(_TIER_KEYS, 1):
-                for c in obj["tiers"][key]:
-                    population.append(Candidate(genotype=genotypes[c["model_id"]], **c))
-                    epochs, tier_epochs = c["epochs_trained"], units * self.cfg.epoch_unit
-                    if type(epochs) is not int or epochs != tier_epochs:
-                        raise SearchError(
-                            "checkpoint candidate %s of tier %s has trained %r epochs, not %d"
-                            % (c["model_id"], key, epochs, tier_epochs)
-                        )
-            state = _EngineState(
-                population=sorted(population, key=lambda c: c.seq),  # creation order
-                history=[HistoryEntry(**h) for h in obj["history"]],
-                genotypes=genotypes,
-                seq_counter=obj["seq_counter"],
-                next_cycle=obj["next_cycle"],
-            )
+            population = [
+                Candidate(genotype=genotypes[c["model_id"]], **c) for c in obj["population"]
+            ]
+            for c in population:
+                if type(c.epochs_trained) is not int or c.epochs_trained not in tier_epochs:
+                    raise SearchError(
+                        "checkpoint candidate %s has trained %r epochs, not %d, %d or %d"
+                        % (c.model_id, c.epochs_trained, *tier_epochs)
+                    )
+            history = [HistoryEntry(**h) for h in obj["history"]]
+            state = _EngineState(population, history, genotypes, obj["next_cycle"])
         self.state, self._written, self._journaled = state, False, {}
+
+
+def _from_schema_1(obj: dict) -> dict:
+    """A schema-1 checkpoint as schema 2: its ``tiers`` lists joined in
+    ``seq`` (creation) order into the population. Like ``seq_counter``, a
+    member's ``seq`` and ``birth_cycle`` are ignored."""
+    with _malformed("checkpoint"):
+        members = sorted((c for t in obj["tiers"].values() for c in t), key=lambda c: c["seq"])
+        population = [{k: c[k] for k in _CANDIDATE_KEYS} for c in members]
+    return dict(obj, schema_version=SCHEMA_VERSION, population=population)
 
 
 def _journaled_outcome(line: dict):

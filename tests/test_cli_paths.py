@@ -317,6 +317,21 @@ def test_search_workers_flag_overrides_the_config(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_search_resume_and_force_together_are_a_usage_error(tmp_path, capsys):
+    config = _search_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(config), "--out", str(out),
+                 "--stop-after-cycle", "1"]) == 0
+    snapshot = (out / "checkpoint.json").read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--config", str(config), "--out", str(out), "--resume", "--force"])
+    assert exc.value.code == 2
+    assert "--force: not allowed with argument --resume" in capsys.readouterr().err
+    assert (out / "checkpoint.json").read_bytes() == snapshot
+    assert not (out / "summary.json").exists()
+
+
 # -- faults outside the documents: paths and trainer commands -----------------------
 
 

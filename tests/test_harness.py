@@ -1291,7 +1291,6 @@ def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
     damaged, reason = journal, {
         "garbage_line": "JSON", "cycle_gap": "jumps", "cycle_gap_without_eval_lines": "jumps",
         "eval_model_id": "re-derives", "eval_span": "re-derives",
-        "checkpoint_tier_epochs": "of tier 2e has trained 5 epochs, not 10",
     }.get(damage, "SHA-256")
     if damage == "garbage_line":
         lines[second] = "}{ not json\n"
@@ -1307,16 +1306,29 @@ def test_damaged_journal_or_snapshot_is_a_user_error(tmp_path, capsys, damage):
         else:
             line["end_epoch"] += 1
         lines[-1] = json.dumps(line) + "\n"
-    else:
+    elif damage == "checkpoint_genotype_id":
         damaged = ckpt
         obj = json.loads(ckpt.read_text())
-        if damage == "checkpoint_tier_epochs":
-            obj["tiers"]["2e"][0]["epochs_trained"] = 5  # E epochs in tier 2E
-        else:
-            mid = sorted(obj["genotypes"])[0]
-            obj["genotypes"][mid] = _tamper(obj["genotypes"][mid])
+        mid = sorted(obj["genotypes"])[0]
+        obj["genotypes"][mid] = _tamper(obj["genotypes"][mid])
         ckpt.write_text(json.dumps(obj))
     journal.write_text("".join(lines))
+    if damage == "checkpoint_tier_epochs":
+        # A member's epochs name its tier: E, 2E or 3E (5, 10 or 15) only.
+        whole = ckpt.read_text()
+        for epochs in (0, 7, 20):
+            obj = json.loads(whole)
+            obj["population"][1]["epochs_trained"] = epochs
+            ckpt.write_text(json.dumps(obj))
+            _assert_user_error(capsys, config, out, ckpt,
+                               "has trained %d epochs, not 5, 10 or 15" % epochs)
+    else:
+        _assert_user_error(capsys, config, out, damaged, reason)
+
+
+def _assert_user_error(capsys, config, out, damaged, reason):
+    """A resume of ``out`` exits 2 with one error line naming ``damaged``
+    and ``reason``."""
     capsys.readouterr()
     assert main(["search", "--config", config, "--out", str(out), "--resume"]) == 2
     err = capsys.readouterr().err

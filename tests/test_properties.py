@@ -28,7 +28,9 @@ from econas.metrics import (
     spearman_values,
     tolerant_spearman,
 )
+from econas.evaluator import EvalResult
 from econas.proxy import ReducedSetting, format_label, nominal_speedup, parse_label
+from econas.search import Candidate, EcoNasConfig, _rank_tiers, promote, remove_dead
 from econas.seeding import derive_rng
 
 settings.register_profile("suite", deadline=None, max_examples=200)
@@ -216,3 +218,69 @@ def test_rho_f_on_zoos_past_a_byte_equals_re_ranking(k, tied, seed):
     sizes = sorted({3, 127, min(128, k), k})
     expected = oracle.rho_f_subsamples(by_label, "s0", sizes, trials=2, seed=seed)
     assert rho_f_columns(_columns(by_label), "s0", sizes, trials=2, seed=seed) == expected
+
+
+# -- population order against the keyed sorts it replaced -----------------------
+
+
+@st.composite
+def populations(draw):
+    """A population in creation order, as a search builds it, with the
+    ``seq`` and ``birth_cycle`` each member was once stored with: ``seq``
+    counts up and ``birth_cycle`` never decreases. Accuracies tie often."""
+    members, seq, birth = [], {}, {}
+    cycle = 0
+    for i in range(draw(st.integers(0, 40))):
+        cycle += draw(st.integers(0, 2))
+        c = Candidate(None, "m%02d" % i, draw(st.integers(0, 4)) / 4, 5 * draw(st.integers(1, 3)))
+        members.append(c)
+        seq[c.model_id], birth[c.model_id] = i, cycle
+    return members, seq, birth
+
+
+def _tier(population, units):
+    return [c for c in population if c.epochs_trained == 5 * units]
+
+
+@given(
+    drawn=populations(),
+    caps=st.tuples(*[st.integers(1, 12)] * 3),
+    promotions=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+)
+def test_population_order_ranks_promotes_and_ages_as_the_old_keys(drawn, caps, promotions):
+    population, seq, birth = drawn
+    cfg = EcoNasConfig(
+        n_init=4, epoch_unit=5, mutants_per_cycle=16, promote_to_2e=8, promote_to_3e=4,
+        cap_e=caps[0], cap_2e=caps[1], cap_3e=caps[2],
+    )
+
+    def best_first(tier):  # the ranking's old key
+        return sorted(tier, key=lambda c: (-c.accuracy, seq[c.model_id]))
+
+    expected = [best_first(_tier(population, units)) for units in (1, 2, 3)]
+    ranked = _rank_tiers(population, cfg)
+    assert [pool for pool, _ in ranked] == [tier for tier in expected if tier]
+    assert [w for _, w in ranked] == [w for tier, w in zip(expected, cfg.tier_weights) if tier]
+
+    def evaluate(jobs):
+        return [EvalResult(0.5, None, "t")] * len(jobs)
+
+    for n, from_tier, units in zip(promotions, ("e", "2e"), (1, 2)):
+        chosen = [c.model_id for c in best_first(_tier(population, units))[:n]]
+        promoted = []
+        before = {c.model_id: c.epochs_trained for c in population}
+        promote(population, evaluate, n, from_tier, ReducedSetting(4, 4, 0, 1), cfg, 1, promoted)
+        assert [h.model_id for h in promoted] == chosen
+        assert [c.model_id for c in population if c.epochs_trained != before[c.model_id]] == sorted(
+            chosen, key=seq.get
+        )
+
+    doomed = set()
+    for units, cap in zip((1, 2, 3), caps):  # aging's old key: oldest first
+        oldest_first = sorted(
+            _tier(population, units), key=lambda c: (birth[c.model_id], seq[c.model_id])
+        )
+        doomed.update(c.model_id for c in oldest_first[:max(0, len(oldest_first) - cap)])
+    survivors = [c.model_id for c in population if c.model_id not in doomed]
+    remove_dead(population, cfg)
+    assert [c.model_id for c in population] == survivors

@@ -50,15 +50,8 @@ def toy_config(**overrides):
     return EcoNasConfig(**base)
 
 
-def cand(model_id, accuracy, birth_cycle=0, seq=0, epochs=5):
-    return Candidate(
-        genotype=None,
-        model_id=model_id,
-        accuracy=accuracy,
-        epochs_trained=epochs,
-        birth_cycle=birth_cycle,
-        seq=seq,
-    )
+def cand(model_id, accuracy, epochs=5):
+    return Candidate(genotype=None, model_id=model_id, accuracy=accuracy, epochs_trained=epochs)
 
 
 def tier(population, units, epoch_unit=5):
@@ -91,6 +84,12 @@ def test_config_validation():
         EcoNasConfig(n_init=0)
 
 
+@pytest.mark.parametrize("weights", [(1.0, 2.0), (1.0, 2.0, 4.0, 8.0), ()])
+def test_tier_weights_of_another_length_are_a_search_error(weights):
+    with pytest.raises(SearchError, match="tier_weights must hold 3 weights, one per tier"):
+        EcoNasConfig(tier_weights=weights)
+
+
 # -- sample_parent ----------------------------------------------------------------
 
 
@@ -105,7 +104,7 @@ def test_sample_parent_empty_error():
 
 
 def test_sample_parent_rank_weights():
-    population = [cand("low", 0.1, seq=0), cand("high", 0.9, seq=1), cand("mid", 0.5, seq=2)]
+    population = [cand("low", 0.1), cand("high", 0.9), cand("mid", 0.5)]
     cfg = toy_config()
     counts = {"high": 0, "mid": 0, "low": 0}
     n = 100_000
@@ -117,7 +116,7 @@ def test_sample_parent_rank_weights():
 
 
 def test_sample_parent_tier_weights_renormalized():
-    population = [cand("e", 0.5, seq=0), cand("best", 0.7, seq=1, epochs=15)]
+    population = [cand("e", 0.5), cand("best", 0.7, epochs=15)]
     cfg = toy_config(tier_weights=(1.0, 2.0, 4.0))
     n = 50_000
     hits = sum(
@@ -139,9 +138,7 @@ class _FixedDraw:
 def test_sample_parent_adds_tier_weights_from_the_left():
     # (0.1 + 0.2) + 0.3 is 0.6000000000000001, so a draw of 1/6 lands just past
     # tier E; a compensated sum (0.6) would keep it inside.
-    population = [
-        cand("e", 0.5, seq=0), cand("2e", 0.5, seq=1, epochs=10), cand("3e", 0.5, seq=2, epochs=15)
-    ]
+    population = [cand("e", 0.5), cand("2e", 0.5, epochs=10), cand("3e", 0.5, epochs=15)]
     cfg = toy_config(tier_weights=(0.1, 0.2, 0.3))
     assert sample_parent(population, cfg, _FixedDraw(1 / 6)).model_id == "2e"
 
@@ -209,7 +206,7 @@ def test_promote_failure_leaves_candidate_in_place():
     engine = SearchEngine(ev, cfg, SETTING, network=TOY_NET)
     engine.run(stop_after_cycle=0)
     population = engine.state.population
-    ranked = sorted(tier(population, 1), key=lambda c: (-c.accuracy, c.seq))
+    ranked = sorted(tier(population, 1), key=lambda c: -c.accuracy)
     failing = _FailingEvaluator(ev, [ranked[0].model_id])
     promote(population, _serially(failing), 2, "e", SETTING, cfg, 0, [])
     assert ranked[0] in tier(population, 1)  # best stayed (its evaluation failed)
@@ -229,30 +226,25 @@ def test_promote_rejects_unknown_tier():
 
 def test_remove_dead_under_capacity_noop():
     cfg = toy_config(cap_e=10)
-    population = [cand("a", 0.5), cand("b", 0.6, seq=1)]
+    population = [cand("a", 0.5), cand("b", 0.6)]
     remove_dead(population, cfg)
     assert [c.model_id for c in population] == ["a", "b"]
 
 
 def test_remove_dead_removes_oldest_regardless_of_accuracy():
     cfg = toy_config(cap_e=2)
-    population = [
-        cand("old-great", 0.99, birth_cycle=1, seq=0),
-        cand("mid-bad", 0.10, birth_cycle=2, seq=1),
-        cand("new-ok", 0.50, birth_cycle=3, seq=2),
-    ]
+    population = [cand("old-great", 0.99), cand("mid-bad", 0.10), cand("new-ok", 0.50)]
     remove_dead(population, cfg)
     assert [c.model_id for c in population] == ["mid-bad", "new-ok"]
 
 
 def test_remove_dead_ties_break_by_insertion_order():
+    # Each tier ages on its own, in population order: the oldest of tier E
+    # goes although an older candidate of tier 2E stays.
     cfg = toy_config(cap_e=1)
-    population = [
-        cand("first", 0.9, birth_cycle=1, seq=0),
-        cand("second", 0.1, birth_cycle=1, seq=1),
-    ]
+    population = [cand("2e", 0.5, epochs=10), cand("first", 0.9), cand("second", 0.1)]
     remove_dead(population, cfg)
-    assert [c.model_id for c in population] == ["second"]
+    assert [c.model_id for c in population] == ["2e", "second"]
 
 
 # -- full runs -------------------------------------------------------------------------
@@ -282,6 +274,7 @@ def test_paper_constants_budget_arithmetic():
 def test_history_and_tier_invariants_cycle_by_cycle():
     cfg = toy_config(cycles=6)
     engine = SearchEngine(toy_evaluator(), cfg, SETTING, network=TOY_NET)
+    before = []
     for stop in range(cfg.cycles + 1):
         engine.run(stop_after_cycle=stop)
         population = engine.state.population
@@ -296,7 +289,10 @@ def test_history_and_tier_invariants_cycle_by_cycle():
         assert len(engine.state.history) == expected
         for c in population:
             assert c.epochs_trained in (5, 10, 15)
-        assert [c.seq for c in population] == sorted(c.seq for c in population)
+        # Population order is creation order: the survivors keep their
+        # order and the cycle's new candidates follow them.
+        assert ids == [m for m in before if m in ids] + [m for m in ids if m not in before]
+        before = ids
 
 
 def test_workers_do_not_change_history():
@@ -432,11 +428,62 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     ]
 
 
+def test_checkpoint_stores_the_population_once_in_creation_order(tmp_path):
+    ckpt = tmp_path / "checkpoint.json"
+    engine = SearchEngine(
+        toy_evaluator(), toy_config(), SETTING, network=TOY_NET, checkpoint_path=str(ckpt)
+    )
+    engine.run(stop_after_cycle=4)
+    obj = json.loads(ckpt.read_text())
+    assert obj["schema_version"] == 2
+    assert not {"tiers", "seq_counter"} & set(obj)
+    population = obj["population"]
+    assert [c["model_id"] for c in population] == [c.model_id for c in engine.state.population]
+    assert {frozenset(c) for c in population} == {
+        frozenset({"model_id", "accuracy", "epochs_trained", "resume_token"})
+    }
+    assert {c["epochs_trained"] for c in population} == {5, 10, 15}
+
+
+V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v1_cycle2.json")
+
+
+def _v1_engine(**kwargs):
+    """An engine of the run that ``V1_CHECKPOINT`` stopped after cycle 2."""
+    cfg = EcoNasConfig(
+        n_init=8, cycles=6, epoch_unit=5, mutants_per_cycle=4, promote_to_2e=2,
+        promote_to_3e=1, seed=3,
+    )
+    return SearchEngine(
+        SurrogateEvaluator(SurrogateParams().with_seed(3), CIFAR10_TABLE), cfg, SETTING,
+        network=TOY_NET, **kwargs,
+    )
+
+
+def test_schema_1_checkpoint_loads_its_tiers_in_seq_order():
+    with open(V1_CHECKPOINT, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    engine = _v1_engine()
+    engine.load_checkpoint_obj(obj)
+    members = sorted((c for tier in obj["tiers"].values() for c in tier), key=lambda c: c["seq"])
+    # The file's tier lists, read in key order, are not in creation order.
+    assert [c["model_id"] for c in members] != [
+        c["model_id"] for key in ("e", "2e", "3e") for c in obj["tiers"][key]
+    ]
+    assert [
+        (c.model_id, c.accuracy, c.epochs_trained, c.resume_token)
+        for c in engine.state.population
+    ] == [(c["model_id"], c["accuracy"], c["epochs_trained"], c["resume_token"]) for c in members]
+    written = engine.checkpoint_obj()
+    assert written["schema_version"] == 2 and "tiers" not in written
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_stop_at_any_cycle_leaves_the_final_checkpoint_unchanged(tmp_path, seed):
-    # The CI search config at 8 cycles. A resume loads the tiers grouped by
-    # key; unless it restores creation order, some stops (seed 3, cycle 7)
-    # write another final snapshot than a straight run.
+    # The CI search config at 8 cycles. Aging drops the first members of a
+    # tier in population order; unless a resume restores the population in
+    # creation order, some stops (seed 3, cycle 7) write another final
+    # snapshot than a straight run.
     cfg = EcoNasConfig(
         n_init=8, cycles=8, epoch_unit=5, mutants_per_cycle=4, promote_to_2e=2,
         promote_to_3e=1, seed=seed,
@@ -601,18 +648,10 @@ def test_streamed_checkpoint_after_resuming_its_own_files(tmp_path, checked_writ
 
 
 def test_streamed_checkpoint_after_resuming_v1_file(tmp_path, checked_writes):
-    # The file holds the run below stopped after cycle 2, written by a version
-    # that still stored the budget ledger.
-    old = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v1_cycle2.json")
-    cfg = EcoNasConfig(
-        n_init=8, cycles=6, epoch_unit=5, mutants_per_cycle=4, promote_to_2e=2,
-        promote_to_3e=1, seed=3,
-    )
-    engine = SearchEngine(
-        SurrogateEvaluator(SurrogateParams().with_seed(3), CIFAR10_TABLE), cfg, SETTING,
-        network=TOY_NET, checkpoint_path=str(tmp_path / "c.json"),
-    )
-    with open(old, "r", encoding="utf-8") as fh:
+    # The file holds a run stopped after cycle 2, written by a version that
+    # still stored the budget ledger.
+    engine = _v1_engine(checkpoint_path=str(tmp_path / "c.json"))
+    with open(V1_CHECKPOINT, "r", encoding="utf-8") as fh:
         engine.load_checkpoint_obj(json.load(fh))
     engine.run()
     assert checked_writes == [3, 4, 5, 6, 7]  # 3: the loaded state, snapshotted first
