@@ -73,9 +73,7 @@ from .search import (
     SearchError,
     SearchResult,
     econas_search,
-    flat_baseline_search,
     remove_dead,
-    sample_parent,
 )
 from .surrogate import (
     SurrogateEvaluator,

@@ -2,19 +2,19 @@
 
 The population is one list of candidates in creation order, and a
 candidate's tier is the number of epoch units it has trained: E, 2E or 3E
-epochs. Each cycle mutates parents sampled across tiers (longer trained
-tiers are more likely), trains the children for E epochs, promotes the most
-accurate candidates one tier up with E more epochs of training, and ages
-out the oldest candidates beyond each tier's capacity. Every completed
-training segment lands in an append-only history, and the final answer is
-read from history alone. The budget ledger is a view of that history (each
-entry is one epoch unit of training ending at the entry's
+epochs. Each phase of a cycle trains a set of candidates one more epoch
+unit: the children of parents sampled across tiers (longer trained tiers
+are more likely), then the most accurate of tier E, then of tier 2E. Aging
+then drops the oldest candidates beyond each tier's capacity. Every
+completed training segment lands in an append-only history, and the final
+answer is read from history alone. The budget ledger is a view of that
+history (each entry is one epoch unit of training ending at the entry's
 ``epochs_trained``), so checkpoints store history but no ledger. A
 checkpoint stores the population as one list in creation order, and a
 member whose epochs are not E, 2E or 3E is a SearchError naming the file.
 
-All randomness is derived per (master seed, cycle, slot), and each cycle's
-child evaluations are independent jobs joined in slot order, so results are
+All randomness is derived per (master seed, cycle, slot), and each phase's
+trainings are independent jobs joined in slot order, so results are
 identical no matter how many workers run them.
 """
 
@@ -26,7 +26,6 @@ import os
 from contextlib import contextmanager, suppress
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from typing import Optional
 
 from . import documents
@@ -60,8 +59,8 @@ class SearchError(documents.UserError, RuntimeError):
 @dataclass
 class Candidate:
     genotype: Genotype
-    model_id: str
-    accuracy: float
+    model_id: Optional[str]  # None for a new child until its first outcome is in
+    accuracy: Optional[float]
     epochs_trained: int
     resume_token: Optional[str] = None
 
@@ -73,6 +72,9 @@ def _tiers(population: list, epoch_unit: int) -> tuple:
     for c in population:
         tiers[c.epochs_trained // epoch_unit - 1].append(c)
     return tiers
+
+
+_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,14 @@ class EcoNasConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "tier_weights":
+                if not (isinstance(value, (tuple, list))
+                        and all(type(w) in _NUMBER for w in value)):
+                    raise SearchError("tier_weights must be a tuple of numbers, not %r" % (value,))
+            elif type(value) is not int and not (value is None and f.name.startswith("cap_")):
+                raise SearchError("%s must be an integer, not %r" % (f.name, value))
         if self.n_init < 1 or self.cycles < 0 or self.epoch_unit < 1:
             raise SearchError("n_init, cycles, epoch_unit must be positive")
         if self.mutants_per_cycle < 1 or self.top_k_return < 1:
@@ -153,19 +163,6 @@ class HistoryEntry:
     accuracy: float
     train_accuracy: Optional[float]
     epochs_trained: int
-
-    @classmethod
-    def from_outcome(cls, cycle: int, model_id: str, setting: ReducedSetting, outcome):
-        """The entry for a segment that trained ``model_id`` up to
-        ``setting.epochs`` epochs."""
-        return cls(
-            cycle=cycle,
-            model_id=model_id,
-            setting=format_label(setting),
-            accuracy=outcome.accuracy,
-            train_accuracy=outcome.train_accuracy,
-            epochs_trained=setting.epochs,
-        )
 
     def to_record(self) -> EvaluationRecord:
         return EvaluationRecord(
@@ -232,7 +229,8 @@ class SearchResult:
 
 def _rank_tiers(population: list, cfg: EcoNasConfig) -> list:
     """Each non-empty tier, best first (accuracy, then population order),
-    with its weight."""
+    with its weight: the one ranking that parent draws and promotion picks
+    read."""
     return [
         (sorted(tier, key=lambda cand: -cand.accuracy), w)
         for tier, w in zip(_tiers(population, cfg.epoch_unit), cfg.tier_weights)
@@ -265,14 +263,6 @@ def _draw_parent(ranked: list, rng) -> Candidate:
     return chosen[-1]
 
 
-def sample_parent(population: list, cfg: EcoNasConfig, rng) -> Candidate:
-    """Pick a tier with probability proportional to its weight in
-    ``cfg.tier_weights`` (renormalized over non-empty tiers), then a member
-    by linear rank weighting. A search cycle ranks its tiers once and draws
-    every parent from that ranking."""
-    return _draw_parent(_rank_tiers(population, cfg), rng)
-
-
 def remove_dead(population: list, cfg: EcoNasConfig) -> None:
     """Aging: truncate each tier to capacity by dropping its OLDEST members,
     the first in population (creation) order, regardless of accuracy."""
@@ -281,9 +271,6 @@ def remove_dead(population: list, cfg: EcoNasConfig) -> None:
     for tier, cap in zip(_tiers(population, cfg.epoch_unit), caps):
         doomed.update(id(c) for c in tier[:max(0, len(tier) - cap)])
     population[:] = [c for c in population if id(c) not in doomed]
-
-
-_NUMBER = (int, float)
 
 
 def _checked(outcome):
@@ -362,46 +349,6 @@ def _evaluate_jobs(evaluator, jobs, workers: int, done) -> None:
                     done(slot, future.result())
 
 
-def promote(
-    population: list,
-    evaluate,
-    n: int,
-    from_tier: str,
-    setting: ReducedSetting,
-    cfg: EcoNasConfig,
-    cycle: int,
-    history: list,
-) -> None:
-    """Train the top min(n, tier size) candidates of ``from_tier`` for one
-    more epoch unit, which moves each to the next tier, and log each to
-    ``history`` under ``cycle``; a failed evaluation leaves its candidate
-    where it was. ``evaluate(jobs)`` gives each :func:`_evaluate_jobs`
-    job's outcome in slot order."""
-    if from_tier not in ("e", "2e"):
-        raise SearchError("promotions only run from tier 'e' or '2e'")
-    span = cfg.epoch_unit
-    source = _tiers(population, span)[("e", "2e").index(from_tier)]
-    if n <= 0 or not source:
-        return
-    chosen = sorted(source, key=lambda cand: -cand.accuracy)[:n]
-    jobs = [
-        (c.genotype, setting.with_epochs(c.epochs_trained + span), c.epochs_trained,
-         c.epochs_trained + span, c.resume_token)
-        for c in chosen
-    ]
-    for cand, outcome in zip(chosen, evaluate(jobs)):
-        if isinstance(outcome, EvaluatorFailure):
-            logger.warning("promotion of %s failed, leaving it in tier %s: %s",
-                           cand.model_id[:12], from_tier, outcome)
-            continue
-        cand.epochs_trained += span
-        cand.accuracy = outcome.accuracy
-        cand.resume_token = outcome.resume_token
-        history.append(HistoryEntry.from_outcome(
-            cycle, cand.model_id, setting.with_epochs(cand.epochs_trained), outcome
-        ))
-
-
 def _top_models(history: list, genotypes: dict, top_k: int) -> list:
     """Best models by (longest trained, then accuracy); one entry per model."""
     best: dict[str, tuple[int, float]] = {}
@@ -430,7 +377,9 @@ JOURNAL_KIND = "search_journal"
 
 
 class SearchEngine:
-    """Owner of all mutable search state; see :func:`econas_search`.
+    """Owner of all mutable search state; see :func:`econas_search`. Every
+    trainer outcome of a search reaches it through one step, :meth:`_train`,
+    which each phase of a cycle (:meth:`_run_cycle`) calls once.
 
     With a ``checkpoint_path`` (``checkpoint.json``) the engine saves its
     state after every cycle, initialization (cycle 0) included, in two
@@ -439,7 +388,7 @@ class SearchEngine:
     replaced atomically. :meth:`run` writes it first when the files do not
     hold the engine's state, and last, when it returns. In between,
     ``checkpoint.journal`` (:attr:`journal_path`) gets an eval line as each
-    evaluation finishes, with its result or its failure, and a boundary
+    training finishes, with its result or its failure, and a boundary
     line ``{"next_cycle": N}`` as each cycle ends. A cycle is a pure
     function of the seed, its start state and its evaluations' outcomes,
     so that is all the journal keeps: a resume, :meth:`load_checkpoint`,
@@ -521,80 +470,68 @@ class SearchEngine:
         self.state.genotypes.setdefault(mid, genotype)
         return mid
 
-    def _add_children(self, cycle: int, genotypes: list) -> None:
-        """Train each new genotype (``None``: a failed mutation) for one
-        epoch unit from scratch, log each finished one to history, and put
-        the first live candidate of each architecture into tier E; a
-        rediscovered live architecture gets a history entry only. A
-        SearchError names the cycle when none of them finished."""
-        st, span = self.state, self.cfg.epoch_unit
-        setting = self.setting_base.with_epochs(span)
-        models = [g for g in genotypes if g is not None]
-        outcomes = self._evaluate(cycle, "child", [(g, setting, 0, span, None) for g in models])
-        live = {c.model_id for c in st.population}
-        added = 0
-        for g, outcome in zip(models, outcomes):
-            mid = self._register(g)
-            if isinstance(outcome, EvaluatorFailure):
-                logger.warning("new model %s dropped in cycle %d: %s", mid[:12], cycle, outcome)
-                continue
-            added += 1
-            st.history.append(HistoryEntry.from_outcome(cycle, mid, setting, outcome))
-            if mid not in live:
-                live.add(mid)
-                st.population.append(
-                    Candidate(g, mid, outcome.accuracy, span, outcome.resume_token)
-                )
-        if not added:
-            raise SearchError(
-                "all %d new models failed in cycle %d" % (len(genotypes), cycle)
-            )
-
     def _run_cycle(self, cycle: int) -> None:
-        cfg = self.cfg
-        if cycle == 0:  # initialization: n_init random models, no promotion, no aging
-            self._add_children(0, [
+        """Train the children, add the first live candidate of each
+        architecture to the population, train the best of tier E and then
+        of tier 2E, and age; cycle 0 trains ``n_init`` random models only. A
+        SearchError names the cycle when none of its children finished."""
+        cfg, st = self.cfg, self.state
+        if cycle == 0:
+            genotypes = [
                 random_genotype(
                     derive_rng(cfg.seed, "init", i), self.network, self.op_set, self.output_rule
                 )
                 for i in range(cfg.n_init)
-            ])
+            ]
         else:
             # Parents are sampled against the cycle-start population, ranked
             # once, so the N0 mutant jobs are independent of each other.
-            ranked = _rank_tiers(self.state.population, cfg)
-            children = []
+            ranked = _rank_tiers(st.population, cfg)
+            genotypes = []
             for slot in range(cfg.mutants_per_cycle):
                 rng = derive_rng(cfg.seed, "cycle", cycle, "slot", slot)
                 parent = _draw_parent(ranked, rng)
                 try:
-                    children.append(mutate(parent.genotype, rng))
+                    genotypes.append(mutate(parent.genotype, rng))
                 except GenotypeError as exc:
                     logger.warning("mutation failed in cycle %d slot %d: %s", cycle, slot, exc)
-                    children.append(None)
-            self._add_children(cycle, children)
-            for n, from_tier, to_tier in (
-                (cfg.promote_to_2e, "e", "2e"), (cfg.promote_to_3e, "2e", "3e")
-            ):
-                promote(
-                    self.state.population, partial(self._evaluate, cycle, to_tier), n, from_tier,
-                    self.setting_base, cfg, cycle, self.state.history,
-                )
-            remove_dead(self.state.population, cfg)
+                    genotypes.append(None)
+        children = [Candidate(g, None, None, 0) for g in genotypes if g is not None]
+        finished = self._train(cycle, "child", children)
+        if not finished:
+            raise SearchError("all %d new models failed in cycle %d" % (len(genotypes), cycle))
+        live = {c.model_id for c in st.population}
+        for c in finished:
+            if c.model_id not in live:
+                live.add(c.model_id)
+                st.population.append(c)
+        if cycle:
+            for units, phase, n in ((1, "2e", cfg.promote_to_2e), (2, "3e", cfg.promote_to_3e)):
+                tiers = {t[0].epochs_trained: t for t, _ in _rank_tiers(st.population, cfg)}
+                self._train(cycle, phase, tiers.get(units * cfg.epoch_unit, [])[:n])
+            remove_dead(st.population, cfg)
         unused = self._journaled.pop(cycle, None)
         if unused:
             raise SearchError("%s: results journaled for cycle %d name slots it lacks: %s" % (
                 self.journal_path, cycle, ", ".join("%s slot %s" % key for key in unused)
             ))
 
-    def _evaluate(self, cycle: int, phase: str, jobs: list) -> list:
-        """The outcome of each job of one ``phase`` (``child``, ``2e`` or
-        ``3e``) of ``cycle``, in slot order. A slot whose outcome the journal
-        holds (see :meth:`load_checkpoint`) is served from it, after checking that the
-        job names the same model and epoch span. The other slots run through
-        :func:`_evaluate_jobs`. With a checkpoint path, each of their
-        outcomes is journaled as it completes, a failure too, so that a
-        resumed cycle takes the path the interrupted one took."""
+    def _train(self, cycle: int, phase: str, candidates: list) -> list:
+        """Train ``candidates[i]`` one more epoch unit as slot i of ``phase``
+        (``child``, ``2e`` or ``3e``) of ``cycle``, and return those that
+        finished, each advanced and logged to history; a failure leaves its
+        candidate as it was and logs one warning. A slot the journal holds
+        (see :meth:`load_checkpoint`) is served from it once it matches the
+        job. The other slots run through :func:`_evaluate_jobs`, and with a
+        checkpoint path each outcome is journaled as it completes, a failure
+        too, so that a resumed cycle takes the path the interrupted one
+        took."""
+        span = self.cfg.epoch_unit
+        jobs = [
+            (c.genotype, self.setting_base.with_epochs(c.epochs_trained + span),
+             c.epochs_trained, c.epochs_trained + span, c.resume_token)
+            for c in candidates
+        ]
         outcomes, todo = [], []
         journaled = self._journaled.get(cycle, {})
         for slot, (g, _, start, end, _) in enumerate(jobs):
@@ -626,7 +563,22 @@ class SearchEngine:
             self._append_journal(documents.json_line(line))
 
         _evaluate_jobs(self.evaluator, (jobs[slot] for slot in todo), self.workers, done)
-        return outcomes
+        finished = []
+        for cand, (_, setting, _, end, _), outcome in zip(candidates, jobs, outcomes):
+            if cand.model_id is None:  # hashed after the trainer's call, which may hash it
+                cand.model_id = self._register(cand.genotype)
+            if isinstance(outcome, EvaluatorFailure):
+                logger.warning("cycle %d %s phase: training of model %s failed: %s",
+                               cycle, phase, cand.model_id[:12], outcome)
+                continue
+            cand.accuracy, cand.resume_token = outcome.accuracy, outcome.resume_token
+            cand.epochs_trained = end
+            self.state.history.append(HistoryEntry(
+                cycle, cand.model_id, format_label(setting), outcome.accuracy,
+                outcome.train_accuracy, end,
+            ))
+            finished.append(cand)
+        return finished
 
     # -- checkpointing -------------------------------------------------------
 
@@ -665,7 +617,7 @@ class SearchEngine:
         """Save the state: a snapshot, which the first write must be when
         the files do not hold this engine's state, else the boundary line
         ``{"next_cycle": N}`` of the cycle just finished, appended to the
-        journal after its eval lines, which :meth:`_evaluate` appends.
+        journal after its eval lines, which :meth:`_train` appends.
 
         A snapshot streams ``json.dumps(self.checkpoint_obj(),
         sort_keys=True)`` plus a newline over ``checkpoint.json`` without
@@ -711,7 +663,7 @@ class SearchEngine:
         """Restore the state from ``checkpoint.json`` and, if there is one,
         ``checkpoint.journal``, read in file order. Its lines of cycles the
         snapshot already holds are skipped; each eval line is kept for
-        :meth:`_evaluate` to serve, a later line of a slot replacing an
+        :meth:`_train` to serve, a later line of a slot replacing an
         earlier one. Each cycle that a boundary line marks finished then
         runs again through :meth:`_run_cycle`, every slot served from its
         eval line; a slot without one is evaluated again and journaled. The
@@ -896,18 +848,6 @@ def flat_config_to_econas(cfg: FlatConfig) -> EcoNasConfig:
         top_k_return=cfg.top_k_return,
         seed=cfg.seed,
     )
-
-
-def flat_baseline_search(
-    evaluator: Evaluator, cfg: FlatConfig, setting: ReducedSetting, **options
-) -> SearchResult:
-    """Single-proxy regularized-evolution baseline with the same history and
-    ledger semantics: every model trains the full fixed epoch budget.
-    ``options`` are the keyword arguments of :class:`SearchEngine`."""
-    return SearchEngine(
-        evaluator, flat_config_to_econas(cfg), setting.with_epochs(cfg.epochs), algorithm="flat",
-        **options,
-    ).run()
 
 
 def resolve_op_set(name: str) -> OperationSet:

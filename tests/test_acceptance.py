@@ -25,7 +25,7 @@ from econas.proxy import (
     flops_estimate,
     nominal_speedup,
 )
-from econas.search import EcoNasConfig, FlatConfig, econas_search, flat_baseline_search
+from econas.search import EcoNasConfig, FlatConfig, econas_search, flat_config_to_econas
 from econas.seeding import derive_rng
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
 
@@ -204,8 +204,9 @@ def test_criterion_7_search_quality(toy_space):
             flat_cfg = FlatConfig(
                 n_init=20, cycles=25, mutants_per_cycle=8, epochs=10, seed=seed
             )
-            flat_res = flat_baseline_search(
-                evaluator, flat_cfg, setting, op_set=SEARCH8, network=net
+            flat_res = econas_search(
+                evaluator, flat_config_to_econas(flat_cfg), setting.with_epochs(flat_cfg.epochs),
+                algorithm="flat", op_set=SEARCH8, network=net,
             )
             assert flat_res.ledger.total_epochs == 2200  # equal epoch ledgers
             flat_quality.append(toy_space.quality[flat_res.top[0].model_id])

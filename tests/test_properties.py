@@ -30,7 +30,7 @@ from econas.metrics import (
 )
 from econas.evaluator import EvalResult
 from econas.proxy import ReducedSetting, format_label, nominal_speedup, parse_label
-from econas.search import Candidate, EcoNasConfig, _rank_tiers, promote, remove_dead
+from econas.search import Candidate, EcoNasConfig, SearchEngine, _rank_tiers, remove_dead
 from econas.seeding import derive_rng
 
 settings.register_profile("suite", deadline=None, max_examples=200)
@@ -242,6 +242,11 @@ def _tier(population, units):
     return [c for c in population if c.epochs_trained == 5 * units]
 
 
+class _Constant:
+    def evaluate(self, genotype, setting, start_epoch, end_epoch, resume_token=None):
+        return EvalResult(0.5, None, "t")
+
+
 @given(
     drawn=populations(),
     caps=st.tuples(*[st.integers(1, 12)] * 3),
@@ -262,18 +267,18 @@ def test_population_order_ranks_promotes_and_ages_as_the_old_keys(drawn, caps, p
     assert [pool for pool, _ in ranked] == [tier for tier in expected if tier]
     assert [w for _, w in ranked] == [w for tier, w in zip(expected, cfg.tier_weights) if tier]
 
-    def evaluate(jobs):
-        return [EvalResult(0.5, None, "t")] * len(jobs)
-
-    for n, from_tier, units in zip(promotions, ("e", "2e"), (1, 2)):
+    engine = SearchEngine(_Constant(), cfg, ReducedSetting(4, 4, 0, 1))
+    engine.state.population = population
+    for n, phase, units in zip(promotions, ("2e", "3e"), (1, 2)):
         chosen = [c.model_id for c in best_first(_tier(population, units))[:n]]
-        promoted = []
         before = {c.model_id: c.epochs_trained for c in population}
-        promote(population, evaluate, n, from_tier, ReducedSetting(4, 4, 0, 1), cfg, 1, promoted)
+        tiers = {t[0].epochs_trained: t for t, _ in _rank_tiers(population, cfg)}
+        engine.state.history = promoted = []
+        engine._train(1, phase, tiers.get(5 * units, [])[:n])
         assert [h.model_id for h in promoted] == chosen
-        assert [c.model_id for c in population if c.epochs_trained != before[c.model_id]] == sorted(
-            chosen, key=seq.get
-        )
+        advanced = [c for c in population if c.epochs_trained != before[c.model_id]]
+        assert [c.model_id for c in advanced] == sorted(chosen, key=seq.get)
+        assert all(c.epochs_trained == before[c.model_id] + 5 for c in advanced)
 
     doomed = set()
     for units, cap in zip((1, 2, 3), caps):  # aging's old key: oldest first

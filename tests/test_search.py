@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from econas import search as search_module
+from econas import documents, search as search_module
 from econas.evaluator import EvalResult, EvaluatorFailure
 from econas.genotype import GenotypeError, NetworkConfig
 from econas.proxy import CIFAR10_TABLE, ReducedSetting
@@ -17,13 +17,12 @@ from econas.search import (
     FlatConfig,
     SearchEngine,
     SearchError,
+    _draw_parent,
     _evaluate_jobs,
+    _rank_tiers,
     econas_search,
-    flat_baseline_search,
     flat_config_to_econas,
-    promote,
     remove_dead,
-    sample_parent,
 )
 from econas.seeding import derive_rng
 from econas.surrogate import SurrogateEvaluator, SurrogateParams
@@ -90,17 +89,30 @@ def test_tier_weights_of_another_length_are_a_search_error(weights):
         EcoNasConfig(tier_weights=weights)
 
 
-# -- sample_parent ----------------------------------------------------------------
+@pytest.mark.parametrize("name, value", [("tier_weights", 5), ("cap_e", "3"), ("n_init", "4")])
+def test_a_wrong_type_from_the_api_is_a_search_error_naming_the_field(name, value):
+    with pytest.raises(SearchError, match="^%s must be " % name):
+        EcoNasConfig(**{name: value})
+
+
+def test_a_config_document_still_converts_its_values_first():
+    obj = {"n_init": "4", "cap_e": "3", "tier_weights": [1, 2, 4]}
+    assert documents.build(EcoNasConfig, obj) == EcoNasConfig(n_init=4, cap_e=3)
+    with pytest.raises(documents.Rejected, match="expected a list, got 5"):
+        documents.build(EcoNasConfig, {"tier_weights": 5})
+
+
+# -- parent draws -----------------------------------------------------------------
 
 
 def test_sample_parent_single_tier_deterministic():
     rng = derive_rng("sp", 0)
-    assert sample_parent([cand("a", 0.9)], toy_config(), rng).model_id == "a"
+    assert _draw_parent(_rank_tiers([cand("a", 0.9)], toy_config()), rng).model_id == "a"
 
 
 def test_sample_parent_empty_error():
     with pytest.raises(SearchError):
-        sample_parent([], toy_config(), derive_rng(0))
+        _draw_parent(_rank_tiers([], toy_config()), derive_rng(0))
 
 
 def test_sample_parent_rank_weights():
@@ -109,7 +121,7 @@ def test_sample_parent_rank_weights():
     counts = {"high": 0, "mid": 0, "low": 0}
     n = 100_000
     for i in range(n):
-        counts[sample_parent(population, cfg, derive_rng("rank", i)).model_id] += 1
+        counts[_draw_parent(_rank_tiers(population, cfg), derive_rng("rank", i)).model_id] += 1
     assert abs(counts["high"] / n - 3 / 6) < 0.02
     assert abs(counts["mid"] / n - 2 / 6) < 0.02
     assert abs(counts["low"] / n - 1 / 6) < 0.02
@@ -120,7 +132,7 @@ def test_sample_parent_tier_weights_renormalized():
     cfg = toy_config(tier_weights=(1.0, 2.0, 4.0))
     n = 50_000
     hits = sum(
-        sample_parent(population, cfg, derive_rng("tw", i)).model_id == "best"
+        _draw_parent(_rank_tiers(population, cfg), derive_rng("tw", i)).model_id == "best"
         for i in range(n)
     )
     # weights renormalize over non-empty tiers: 4 / (1 + 4)
@@ -140,10 +152,10 @@ def test_sample_parent_adds_tier_weights_from_the_left():
     # tier E; a compensated sum (0.6) would keep it inside.
     population = [cand("e", 0.5), cand("2e", 0.5, epochs=10), cand("3e", 0.5, epochs=15)]
     cfg = toy_config(tier_weights=(0.1, 0.2, 0.3))
-    assert sample_parent(population, cfg, _FixedDraw(1 / 6)).model_id == "2e"
+    assert _draw_parent(_rank_tiers(population, cfg), _FixedDraw(1 / 6)).model_id == "2e"
 
 
-# -- promote ----------------------------------------------------------------------
+# -- promotion phases ---------------------------------------------------------------
 
 
 def _outcomes(evaluator, jobs, workers=1):
@@ -153,8 +165,11 @@ def _outcomes(evaluator, jobs, workers=1):
     return [by_slot[slot] for slot in range(len(by_slot))]
 
 
-def _serially(evaluator):
-    return lambda jobs: _outcomes(evaluator, jobs)
+def _promote(engine, n):
+    """The 2E promotion phase of a cycle: the step trains the best ``n`` of
+    tier E, as :func:`_rank_tiers` orders it, one more epoch unit."""
+    [(best_first, _), *_] = _rank_tiers(engine.state.population, engine.cfg)
+    return engine._train(1, "2e", best_first[:n])
 
 
 def test_promote_clamps_to_tier_size():
@@ -164,7 +179,7 @@ def test_promote_clamps_to_tier_size():
     engine.run(stop_after_cycle=0)  # init only
     population = engine.state.population
     population[:] = population[:2]
-    promote(population, _serially(ev), 8, "e", SETTING, cfg, 0, [])
+    _promote(engine, 8)
     assert len(tier(population, 1)) == 0
     assert len(tier(population, 2)) == 2
     for c in tier(population, 2):
@@ -181,7 +196,7 @@ def test_promote_picks_most_accurate_and_remeasures():
     expected = ev.evaluate(
         best.genotype, SETTING.with_epochs(2 * cfg.epoch_unit), 0, 2 * cfg.epoch_unit
     )
-    promote(population, _serially(ev), 1, "e", SETTING, cfg, 0, [])
+    _promote(engine, 1)
     assert len(tier(population, 2)) == 1
     promoted = tier(population, 2)[0]
     assert promoted.model_id == best.model_id
@@ -207,18 +222,40 @@ def test_promote_failure_leaves_candidate_in_place():
     engine.run(stop_after_cycle=0)
     population = engine.state.population
     ranked = sorted(tier(population, 1), key=lambda c: -c.accuracy)
-    failing = _FailingEvaluator(ev, [ranked[0].model_id])
-    promote(population, _serially(failing), 2, "e", SETTING, cfg, 0, [])
+    engine.evaluator = _FailingEvaluator(ev, [ranked[0].model_id])
+    _promote(engine, 2)
     assert ranked[0] in tier(population, 1)  # best stayed (its evaluation failed)
     assert len(tier(population, 2)) == 1
     assert tier(population, 2)[0].model_id == ranked[1].model_id
 
 
-def test_promote_rejects_unknown_tier():
-    with pytest.raises(SearchError):
-        promote(
-            [], _serially(toy_evaluator()), 1, "3e", SETTING, toy_config(), 0, []
-        )
+class _FailsFirstOf:
+    """Fails the first training from each listed start epoch, and records
+    which model it failed."""
+
+    def __init__(self, inner, starts):
+        self.inner = inner
+        self.failed = dict.fromkeys(starts)
+
+    def evaluate(self, genotype, setting, start_epoch, end_epoch, resume_token=None):
+        if start_epoch in self.failed and self.failed[start_epoch] is None:
+            self.failed[start_epoch] = genotype.content_hash
+            raise EvaluatorFailure("injected failure")
+        return self.inner.evaluate(genotype, setting, start_epoch, end_epoch, resume_token)
+
+
+def test_a_failed_child_and_promotion_each_log_one_warning(caplog):
+    cfg = toy_config()
+    engine = SearchEngine(toy_evaluator(), cfg, SETTING, network=TOY_NET)
+    engine.run(stop_after_cycle=0)
+    engine.evaluator = failing = _FailsFirstOf(engine.evaluator, (0, cfg.epoch_unit))
+    with caplog.at_level("WARNING", logger="econas.search"):
+        engine.run(stop_after_cycle=1)
+    child, promoted = failing.failed[0], failing.failed[cfg.epoch_unit]
+    assert child is not None and promoted is not None and child != promoted
+    for model_id, phase in ((child, "child"), (promoted, "2e")):
+        [message] = [r.getMessage() for r in caplog.records if model_id[:12] in r.getMessage()]
+        assert "cycle 1 %s phase" % phase in message
 
 
 # -- remove_dead --------------------------------------------------------------------
@@ -626,8 +663,9 @@ def test_streamed_checkpoint_with_failures_and_rediscovery(tmp_path, checked_wri
 
 def test_streamed_checkpoint_flat(tmp_path, checked_writes):
     cfg = FlatConfig(n_init=6, cycles=5, mutants_per_cycle=3, epochs=10, seed=1)
-    flat_baseline_search(
-        toy_evaluator(), cfg, SETTING, network=TOY_NET, checkpoint_path=str(tmp_path / "c.json")
+    econas_search(
+        toy_evaluator(), flat_config_to_econas(cfg), SETTING.with_epochs(cfg.epochs),
+        algorithm="flat", network=TOY_NET, checkpoint_path=str(tmp_path / "c.json"),
     )
     assert checked_writes == list(range(0, cfg.cycles + 2))
 
@@ -860,7 +898,10 @@ def test_integer_accuracy_enters_as_the_float_it_names():
 
 def test_flat_zero_cycles():
     cfg = FlatConfig(n_init=8, cycles=0, mutants_per_cycle=4, epochs=10, seed=1)
-    res = flat_baseline_search(toy_evaluator(), cfg, SETTING, network=TOY_NET)
+    res = econas_search(
+        toy_evaluator(), flat_config_to_econas(cfg), SETTING.with_epochs(cfg.epochs),
+        algorithm="flat", network=TOY_NET,
+    )
     assert len(res.history) == 8
     assert all(h.epochs_trained == 10 for h in res.history)
 
@@ -869,12 +910,18 @@ def test_flat_equal_epoch_ledger():
     hier = toy_config(n_init=20, cycles=30, mutants_per_cycle=8, promote_to_2e=4, promote_to_3e=2)
     res_h = econas_search(toy_evaluator(), hier, SETTING, network=TOY_NET)
     flat = FlatConfig(n_init=20, cycles=25, mutants_per_cycle=8, epochs=10, seed=3)
-    res_f = flat_baseline_search(toy_evaluator(), flat, SETTING, network=TOY_NET)
+    res_f = econas_search(
+        toy_evaluator(), flat_config_to_econas(flat), SETTING.with_epochs(flat.epochs),
+        algorithm="flat", network=TOY_NET,
+    )
     assert res_h.ledger.total_epochs == res_f.ledger.total_epochs == 2200
 
 
 def test_flat_population_aging():
     cfg = FlatConfig(n_init=6, cycles=10, mutants_per_cycle=3, epochs=5, seed=2)
-    res = flat_baseline_search(toy_evaluator(), cfg, SETTING, network=TOY_NET)
+    res = econas_search(
+        toy_evaluator(), flat_config_to_econas(cfg), SETTING.with_epochs(cfg.epochs),
+        algorithm="flat", network=TOY_NET,
+    )
     assert res.ledger.from_scratch_models == 6 + 10 * 3
     assert all(h.setting == "c4r4s0e5" for h in res.history)
